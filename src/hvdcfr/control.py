@@ -239,9 +239,9 @@ def closed_loop(plant: ContinuousPlant, controller, disturbances: SignalRecord,
     w = disturbances.samples
     for k in range(disturbances.n_samples):
         y_full = c_full @ x
-        if np.max(np.abs(x)) > blow_up_bound:
+        if not (np.max(np.abs(x)) <= blow_up_bound):  # NaN counts as divergence
             raise SimulationDivergence(
-                f"closed-loop state norm exceeded {blow_up_bound:g} at t={k * t_s:.3f} s"
+                f"closed-loop state norm exceeded {blow_up_bound:g} or is NaN at t={k * t_s:.3f} s"
             )
         y_meas = y_full[:N_MEASUREMENTS]
         r = controller.step(y_meas, t_s)

@@ -7,10 +7,15 @@ and raises ``NumericsError`` with a diagnostic message on failure.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+
+
+# Kleinman-Newton refinement steps after the Schur-method Riccati solve
+NEWTON_STEPS = 5
 
 
 class NumericsError(RuntimeError):
@@ -74,14 +79,6 @@ def pinv(a, rel_tol: float = 1e-10) -> np.ndarray:
     return (res.right * inv_s) @ res.left.T
 
 
-def effective_rank(a, rel_tol: float = 1e-10) -> int:
-    """Number of singular values above ``rel_tol * sigma_max``."""
-    s = svd(a).singular_values
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rel_tol * s[0]))
-
-
 def mat_exp(a, t: float = 1.0) -> np.ndarray:
     """Matrix exponential ``expm(a * t)`` (Pade scaling-and-squaring)."""
     a = _as_square(a)
@@ -133,151 +130,24 @@ def is_hurwitz(a, margin: float = 0.0) -> bool:
 
 
 def solve_lyapunov(a, c) -> np.ndarray:
-    """Solve ``a.T @ p + p @ a + c = 0`` by Kronecker vectorization.
+    """Solve ``a.T @ p + p @ a + c = 0`` by the Bartels-Stewart method.
 
-    O(n^6) dense solve; fine at the system orders used here (n <= ~40).
+    Raises ``NumericsError`` when ``a`` has an eigenvalue pair summing to
+    zero: the equation then has no unique solution.
     """
     a = _as_square(a)
     c = _as_square(c, "c")
     n = a.shape[0]
     if c.shape[0] != n:
         raise NumericsError(f"dimension mismatch: a is {n}x{n}, c is {c.shape[0]}x{c.shape[1]}")
-    eye = np.eye(n)
-    kron = np.kron(eye, a.T) + np.kron(a.T, eye)
-    try:
-        vec_p = np.linalg.solve(kron, -c.reshape(-1, order="F"))
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError("Lyapunov operator is singular (eigenvalue pair summing to zero)") from exc
-    p = vec_p.reshape((n, n), order="F")
-    return 0.5 * (p + p.T)
-
-
-def _select_conjugate_batch(lam: np.ndarray, unstable_idx: np.ndarray, budget: int) -> list[int]:
-    """Rightmost non-Hurwitz modes, conjugate-closed, at most ``budget``."""
-    order = unstable_idx[np.argsort(-lam[unstable_idx].real)]
-    batch: list[int] = []
-    for i in order:
-        if i in batch:
-            continue
-        if abs(lam[i].imag) < 1e-12:
-            if len(batch) + 1 > max(budget, 1):
-                break
-            batch.append(int(i))
-        else:
-            mate = None
-            for j in order:
-                if j != i and j not in batch and abs(lam[j] - np.conj(lam[i])) < 1e-9 * max(1.0, abs(lam[i])):
-                    mate = int(j)
-                    break
-            if mate is None:
-                continue
-            if batch and len(batch) + 2 > budget:
-                break
-            batch.extend([int(i), mate])
-        if len(batch) >= budget:
-            break
-    return batch
-
-
-def _place_batch(lam_u: np.ndarray, b_u: np.ndarray, gamma: float) -> np.ndarray | None:
-    """Gain moving the batch eigenvalues to about ``-gamma``.
-
-    Exact least-squares relocation when the batch fits the input count;
-    single-input conjugate pairs go through the 2x2 closed form.
-    """
-    n_u, m = b_u.shape
-    if n_u <= m:
-        shift = np.diag(lam_u) + gamma * np.eye(n_u)
-        k_u, *_ = np.linalg.lstsq(b_u, shift, rcond=None)
-        return k_u
-    if n_u == 2 and m == 1:
-        # single-input pole placement on the 2x2 modal block
-        a_u = np.diag(lam_u)
-        v = b_u[:, 0]
-        ctrb = np.column_stack([v, a_u @ v])
-        if abs(np.linalg.det(ctrb)) < 1e-14:
-            return None
-        desired = a_u @ a_u + 2.0 * gamma * a_u + gamma**2 * np.eye(2)
-        k_row = np.linalg.solve(ctrb.T, np.array([0.0, 1.0])) @ desired
-        return k_row.reshape(1, 2)
-    return None
-
-
-def _modal_seed_gain(a: np.ndarray, b: np.ndarray, margin: float) -> np.ndarray | None:
-    """Gain relocating the non-Hurwitz modal subspace, a few modes per pass.
-
-    In eigenvector coordinates the closed loop is block triangular, so
-    moving only non-Hurwitz modes leaves the already-stable spectrum
-    untouched; iterating handles more unstable modes than inputs.
-    """
-    n, m = b.shape
-    k_total = np.zeros((m, n))
-    a_cur = a
-    for _ in range(n):
-        lam, vec = np.linalg.eig(a_cur)
-        unstable_idx = np.flatnonzero(lam.real >= -margin)
-        if unstable_idx.size == 0:
-            return k_total
-        batch = _select_conjugate_batch(lam, unstable_idx, max(m, 2 if m == 1 else m))
-        if not batch:
-            return None
+    with warnings.catch_warnings():
+        # scipy perturbs a singular operator and only warns
+        warnings.filterwarnings("error", message=".*eigenvalue pair", category=RuntimeWarning)
         try:
-            w = np.linalg.inv(vec)[batch]
-        except np.linalg.LinAlgError:
-            return None
-        gamma = 1.0 + margin + float(max(lam[batch].real))
-        k_u = _place_batch(lam[batch], w @ b, gamma)
-        if k_u is None:
-            return None
-        k_step = np.real(k_u @ w)
-        k_total = k_total + k_step
-        a_cur = a_cur - b @ k_step
-    return k_total if is_hurwitz(a_cur, margin=0.0) else None
-
-
-def _bass_seed_gain(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Shifted-Lyapunov stabilizing gain (works for any stabilizable pair).
-
-    With beta above the spectral abscissa magnitude the shifted matrix is
-    anti-stable and z certifies stability of ``a - b b.T pinv(z)``.
-    """
-    n = a.shape[0]
-    beta = 1.05 * float(np.max(np.abs(eig_real_parts(a)))) + 0.5
-    shifted = a + beta * np.eye(n)
-    # z solves shifted @ z + z @ shifted.T = 2 b b.T  (anti-stable coefficient)
-    z = solve_lyapunov(-shifted.T, 2.0 * b @ b.T)
-    return b.T @ pinv(z, rel_tol=1e-13)
-
-
-def _stabilizing_seed_gain(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Initial gain k0 with ``a - b @ k0`` comfortably Hurwitz.
-
-    A barely-stable seed makes the first Newton step's Lyapunov solve
-    explode, so after the first modal sweep any stray near-axis modes
-    (eigenvector-conditioning leakage) get swept again with a wider
-    selection margin.
-    """
-    margin = 1e-6
-    depth = 1e-3 * (1.0 + float(np.max(np.abs(eig_real_parts(a)))))
-    if is_hurwitz(a, margin=margin):
-        return np.zeros((b.shape[1], a.shape[0]))
-    k0 = _modal_seed_gain(a, b, margin)
-    if k0 is not None:
-        for _ in range(3):
-            if is_hurwitz(a - b @ k0, margin=depth):
-                return k0
-            polish = _modal_seed_gain(a - b @ k0, b, depth)
-            if polish is None:
-                break
-            k0 = k0 + polish
-        if is_hurwitz(a - b @ k0):
-            return k0
-    k0 = _bass_seed_gain(a, b)
-    if is_hurwitz(a - b @ k0):
-        return k0
-    raise NumericsError(
-        "could not stabilize the pair (a, b): system appears not stabilizable"
-    )
+            p = scipy.linalg.solve_continuous_lyapunov(a.T, -c)
+        except RuntimeWarning as exc:
+            raise NumericsError("Lyapunov operator is singular (eigenvalue pair summing to zero)") from exc
+    return 0.5 * (p + p.T)
 
 
 def care_residual(a, b, q, r, p) -> float:
@@ -287,13 +157,13 @@ def care_residual(a, b, q, r, p) -> float:
     return float(np.linalg.norm(res, "fro"))
 
 
-def solve_care(a, b, q, r, tol: float = 1e-10, max_iter: int = 100) -> np.ndarray:
+def solve_care(a, b, q, r) -> np.ndarray:
     """Stabilizing solution of ``a.T p + p a + q - p b r^-1 b.T p = 0``.
 
-    Kleinman-Newton iteration: starting from a stabilizing gain, each
-    step solves a closed-loop Lyapunov equation and refreshes the gain.
-    Steps that would leave the closed loop non-Hurwitz (possible in
-    floating point from an extreme first iterate) are backtracked.
+    Schur-method solution (scipy) refined by up to ``NEWTON_STEPS``
+    Kleinman-Newton steps, each a Lyapunov solve on the closed loop;
+    the iterate with the smallest residual and a Hurwitz closed loop is
+    returned.
     """
     a = _as_square(a)
     b = _as_matrix(b, "b")
@@ -313,38 +183,29 @@ def solve_care(a, b, q, r, tol: float = 1e-10, max_iter: int = 100) -> np.ndarra
     if r_eigs.min() <= 0.0:
         raise NumericsError(f"r must be positive definite (min eigenvalue {r_eigs.min():.3e})")
 
-    k = _stabilizing_seed_gain(a, b)
-    p_best, res_best = None, np.inf
-    p_prev = None
-    for _ in range(max_iter):
+    try:
+        p = scipy.linalg.solve_continuous_are(a, b, q, r)
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(
+            f"could not stabilize the pair (a, b): system appears not stabilizable ({exc})"
+        ) from exc
+    p_best, res_best = p, np.inf
+    for step in range(NEWTON_STEPS + 1):
+        k = np.linalg.solve(r, b.T @ p)
         a_cl = a - b @ k
-        p = solve_lyapunov(a_cl, q + k.T @ r @ k)
-        k_next = np.linalg.solve(r, b.T @ p)
-        # damped update: keep the closed loop Hurwitz
-        step = 1.0
-        while step > 1e-4 and not is_hurwitz(a - b @ (k + step * (k_next - k))):
-            step *= 0.5
-        k = k + step * (k_next - k)
-        res = care_residual(a, b, q, r, p)
-        if res < res_best and is_hurwitz(a - b @ np.linalg.solve(r, b.T @ p)):
-            p_best, res_best = p, res
-        scale = max(1.0, np.linalg.norm(p, "fro"))
-        if res <= 1e-9 * scale:
+        if not is_hurwitz(a_cl):
             break
-        if p_prev is not None and step == 1.0:
-            change = np.linalg.norm(p - p_prev, "fro") / scale
-            # at the floating-point floor further iterates only dither
-            if change < tol and res_best <= 1e-7 * scale:
-                break
-        p_prev = p
+        res = care_residual(a, b, q, r, p)
+        if res < res_best:
+            p_best, res_best = p, res
+        if step < NEWTON_STEPS:
+            p = solve_lyapunov(a_cl, q + k.T @ r @ k)
 
-    if p_best is None:
-        raise NumericsError(f"Riccati iteration produced no stabilizing iterate in {max_iter} steps")
-    p = 0.5 * (p_best + p_best.T)
+    p = p_best
     res = care_residual(a, b, q, r, p)
     if res > 1e-7 * max(1.0, np.linalg.norm(p, "fro")):
         raise NumericsError(
-            f"Riccati iteration did not converge: residual {res:.3e} after {max_iter} iterations"
+            f"Riccati solve did not converge: residual {res:.3e} after {NEWTON_STEPS} Newton steps"
         )
     if not is_hurwitz(a - b @ np.linalg.solve(r, b.T @ p)):
         raise NumericsError("Riccati solution is not stabilizing (detectability of (a, q) may fail)")

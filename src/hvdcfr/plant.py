@@ -29,7 +29,7 @@ class PlantError(ValueError):
 
 
 class SimulationDivergence(RuntimeError):
-    """State norm exceeded the configured blow-up bound."""
+    """State norm exceeded the configured blow-up bound or became NaN."""
 
 
 REFERENCE_CHANNELS = ("p_gi_ref", "p_gr_ref", "i_dci_ref", "v_dcr_ref")
@@ -397,9 +397,9 @@ def simulate(plant: ContinuousPlant, refs: SignalRecord, disturbances: SignalRec
     c_full = np.vstack([ss.c, plant.aux_c])
     for k in range(refs.n_samples):
         out[k] = c_full @ x
-        if np.max(np.abs(x)) > blow_up_bound:
+        if not (np.max(np.abs(x)) <= blow_up_bound):  # NaN counts as divergence
             raise SimulationDivergence(
-                f"state norm exceeded {blow_up_bound:g} at t={k * refs.t_s:.3f} s"
+                f"state norm exceeded {blow_up_bound:g} or is NaN at t={k * refs.t_s:.3f} s"
             )
         x = phi_blk @ x + gamma_blk @ u[k]
     return SignalRecord(refs.t_s, OUTPUT_CHANNELS + AUX_CHANNELS, out)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -150,7 +150,3 @@ def step_response(ss: StateSpace, channel: int, duration: float, dt: float,
     u = np.zeros((n_samples, dss.n_inputs))
     u[:, channel] = magnitude
     return simulate_discrete(dss, u)
-
-
-def replace_dt(ss: StateSpace, dt: float | None) -> StateSpace:
-    return replace(ss, dt=dt)

@@ -13,10 +13,18 @@ from hvdcfr.control import (
     make_lqg,
     pi_sfc_step,
 )
-from hvdcfr.numerics import eig_real_parts, is_hurwitz
-from hvdcfr.plant import DISTURBANCE_CHANNELS, build_plant, without_rectifier_hvdc_loops
+from hvdcfr.numerics import care_residual, eig_real_parts, is_hurwitz, solve_care
+from hvdcfr.plant import (
+    DISTURBANCE_CHANNELS,
+    SimulationDivergence,
+    build_plant,
+    without_rectifier_hvdc_loops,
+)
 from hvdcfr.signals import SignalRecord, zeros_record
 from hvdcfr.statespace import StateSpace
+from hvdcfr.sysid import IdentifyConfig, identify
+
+from conftest import collect_jh_data
 
 
 def scalar_model(a=1.0, b=1.0, c=1.0):
@@ -100,6 +108,28 @@ class TestDesignKalman:
                            d=np.zeros((1, 4)), dt=None)
         k_f = design_kalman(model, np.array([[0.0]]), np.array([[1.0]]))
         np.testing.assert_allclose(k_f, [[0.0]], atol=1e-10)
+
+
+class TestNoisyModelDesign:
+    def test_riccati_at_thirty_three_states(self, jh_plant):
+        # noisy-data identification settings with the order fixed at 30
+        # realized states, plus the three output integrators
+        u, y = collect_jh_data(jh_plant, noise=1e-3, noise_rng=np.random.default_rng(7))
+        cfg = IdentifyConfig(integral_outputs=True, energy_threshold=1 - 1e-7,
+                             l=40, prefilter_hz=2.0, r_override=30)
+        _, model = identify(u, y, cfg)
+        assert model.n_states == 33
+        ctrl = make_lqg(model)
+        b_r = model.b[:, :4]
+        q_x = model.c.T @ np.diag(ctrl.q_weights) @ model.c
+        r = np.diag(ctrl.r_weights)
+        p = solve_care(model.a, b_r, q_x, r)
+        assert care_residual(model.a, b_r, q_x, r, p) <= 1e-7 * max(1.0, np.linalg.norm(p, "fro"))
+        p_f = solve_care(model.a.T, model.c.T, ctrl.w_proc, ctrl.v_meas)
+        assert (care_residual(model.a.T, model.c.T, ctrl.w_proc, ctrl.v_meas, p_f)
+                <= 1e-7 * max(1.0, np.linalg.norm(p_f, "fro")))
+        assert is_hurwitz(model.a - b_r @ ctrl.k)
+        assert is_hurwitz(model.a - ctrl.k_f @ model.c)
 
 
 class TestLqgStep:
@@ -201,6 +231,13 @@ class TestClosedLoop:
         dist = zeros_record(0.1, DISTURBANCE_CHANNELS, 10.0)
         trace = closed_loop(jh_plant, jh_lqg, dist, dt=0.001)
         assert np.max(np.abs(trace.samples)) == 0.0
+
+    def test_nan_disturbance_diverges(self, jh_plant):
+        w = np.zeros((51, 2))
+        w[10, 0] = np.nan
+        dist = SignalRecord(0.1, DISTURBANCE_CHANNELS, w)
+        with pytest.raises(SimulationDivergence):
+            closed_loop(jh_plant, PiSfcController(), dist, dt=0.001)
 
     def test_separation_principle(self, jh_lqg):
         model = jh_lqg.model

@@ -178,6 +178,12 @@ class TestLyapunov:
         p = solve_lyapunov(a, c)
         assert frob(a.T @ p + p @ a + c) <= 1e-9 * max(1.0, frob(p))
 
+    @pytest.mark.parametrize("a", [np.diag([1.0, -1.0]), np.zeros((2, 2))])
+    def test_singular_operator_rejected(self, a):
+        # an eigenvalue pair summing to zero leaves no unique solution
+        with pytest.raises(NumericsError, match="singular"):
+            solve_lyapunov(a, np.eye(2))
+
 
 def random_stabilizable(rng, n, m):
     a = rng.normal(size=(n, n))

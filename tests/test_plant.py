@@ -132,6 +132,13 @@ class TestSimulate:
         with pytest.raises(SimulationDivergence):
             simulate(jh_plant, refs, dist, dt=0.001, blow_up_bound=1e-6)
 
+    def test_nan_disturbance_diverges(self, jh_plant):
+        refs = zeros_record(0.1, REFERENCE_CHANNELS, 5.0)
+        w = np.zeros((51, 2))
+        w[10, 0] = np.nan
+        with pytest.raises(SimulationDivergence):
+            simulate(jh_plant, refs, SignalRecord(0.1, DISTURBANCE_CHANNELS, w), dt=0.001)
+
     def test_superposition(self, jh_plant):
         t_s, dur = 0.1, 20.0
         refs = zeros_record(t_s, REFERENCE_CHANNELS, dur)
