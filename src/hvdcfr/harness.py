@@ -10,7 +10,6 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-import scipy.signal
 
 from .control import PiSfcController, closed_loop, make_lqg
 from .plant import (
@@ -27,6 +26,7 @@ from .plant import (
     without_hvdc_droops_and_ire,
     without_rectifier_hvdc_loops,
 )
+from .numerics import butter_lowpass_filter
 from .signals import SignalRecord
 from .sysid import EraReport, IdentifyConfig, generate_excitation, identify
 from .statespace import StateSpace
@@ -48,6 +48,8 @@ class StepEvent:
     def __post_init__(self):
         if self.channel not in PROFILE_CHANNELS:
             raise ScenarioError(f"step channel must be one of {PROFILE_CHANNELS}, got {self.channel!r}")
+        if not all(math.isfinite(v) for v in (self.time_s, self.magnitude_pu, self.duration_s)):
+            raise ScenarioError("step time, magnitude and duration must be finite")
         if self.duration_s <= 0 or self.time_s < 0:
             raise ScenarioError("step times and durations must be positive")
 
@@ -60,8 +62,9 @@ class ContinuousSpec:
     duration_s: float = 200.0
 
     def __post_init__(self):
-        if self.amplitude_pu <= 0 or self.bandwidth_hz <= 0 or self.duration_s <= 0:
-            raise ScenarioError("continuous profile parameters must be positive")
+        if not all(math.isfinite(v) and v > 0
+                   for v in (self.amplitude_pu, self.bandwidth_hz, self.duration_s)):
+            raise ScenarioError("continuous profile parameters must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -118,6 +121,8 @@ class Scenario:
     def __post_init__(self):
         if self.case not in (1, 2, 3):
             raise ScenarioError(f"case must be 1, 2 or 3, got {self.case}")
+        if not all(math.isfinite(v) for v in (self.t_s, self.dt, self.duration_s)):
+            raise ScenarioError("t_s, dt and duration_s must be finite")
         if self.t_s <= 0 or self.dt <= 0 or self.duration_s <= 0:
             raise ScenarioError("t_s, dt and duration_s must be positive")
         sources = sum(bool(x) for x in (self.steps, self.continuous, self.disturbance_file))
@@ -175,17 +180,19 @@ def generate_continuous_profile(seed: int, amplitude_pu: float, bandwidth_hz: fl
                                 duration_s: float, t_s: float) -> SignalRecord:
     """Band-limited zero-mean random profiles for load and wind variation.
 
-    White noise filtered to the requested bandwidth, mean-removed, then
-    scaled so each channel's peak magnitude equals ``amplitude_pu``.
+    White noise through a third-order Butterworth low-pass with its
+    cutoff at ``bandwidth_hz``, mean-removed, then scaled so each
+    channel's peak magnitude equals ``amplitude_pu``. The bandwidth must
+    be finite and lie strictly between 0 and the Nyquist frequency.
     """
     nyquist = 0.5 / t_s
-    if bandwidth_hz > nyquist:
-        raise ScenarioError(f"bandwidth {bandwidth_hz} Hz exceeds Nyquist {nyquist} Hz")
+    if not 0.0 < bandwidth_hz < nyquist:
+        raise ScenarioError(
+            f"bandwidth {bandwidth_hz} Hz must be positive and below Nyquist {nyquist} Hz")
     n = int(round(duration_s / t_s)) + 1
     rng = np.random.default_rng(seed)
     white = rng.normal(size=(n, len(PROFILE_CHANNELS)))
-    sos = scipy.signal.butter(3, bandwidth_hz / nyquist, output="sos")
-    shaped = scipy.signal.sosfilt(sos, white, axis=0)
+    shaped = butter_lowpass_filter(white, 3, bandwidth_hz / nyquist)
     shaped -= shaped.mean(axis=0)
     peaks = np.max(np.abs(shaped), axis=0)
     peaks[peaks == 0] = 1.0
@@ -210,7 +217,10 @@ def build_disturbance_profile(scenario: Scenario) -> SignalRecord:
         if profile.n_samples < n:
             raise ScenarioError("continuous profile shorter than scenario duration")
         return SignalRecord(scenario.t_s, PROFILE_CHANNELS, profile.samples[:n])
-    record = SignalRecord.from_csv(scenario.disturbance_file)
+    try:
+        record = SignalRecord.from_csv(scenario.disturbance_file)
+    except ValueError as exc:
+        raise ScenarioError(f"disturbance file {scenario.disturbance_file}: {exc}") from exc
     if record.channels != PROFILE_CHANNELS:
         raise ScenarioError(f"disturbance file channels {record.channels} != {PROFILE_CHANNELS}")
     if abs(record.t_s - scenario.t_s) > 1e-12:

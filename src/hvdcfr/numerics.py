@@ -1,8 +1,9 @@
 """Dense linear-algebra kernels used by identification and control design.
 
-SVD, pseudo-inverse, matrix exponential/logarithm and a continuous
-algebraic Riccati solver. Everything operates on plain 2-D numpy arrays
-and raises ``NumericsError`` with a diagnostic message on failure.
+SVD, pseudo-inverse, matrix exponential/logarithm, a continuous
+algebraic Riccati solver and a digital Butterworth low-pass filter.
+Everything operates on plain numpy arrays and raises ``NumericsError``
+with a diagnostic message on failure.
 """
 
 from __future__ import annotations
@@ -210,3 +211,46 @@ def solve_care(a, b, q, r) -> np.ndarray:
     if not is_hurwitz(a - b @ np.linalg.solve(r, b.T @ p)):
         raise NumericsError("Riccati solution is not stabilizing (detectability of (a, q) may fail)")
     return p
+
+
+def butter_lowpass_filter(x, order: int, wn: float) -> np.ndarray:
+    """Digital Butterworth low-pass of each column of ``x``, from rest.
+
+    ``wn`` is the cutoff as a fraction of the Nyquist frequency, in
+    (0, 1). The analog prototype's poles are prewarped to
+    ``4 tan(pi wn / 2)`` and mapped by the bilinear transform
+    ``z = (4 + s) / (4 - s)``, all zeros at z = -1 and unit gain at DC
+    (Oppenheim & Schafer, Discrete-Time Signal Processing, 7.1). This is
+    the design of ``scipy.signal.butter``. Each second-order section (one
+    per conjugate pole pair, a first-order one for the real pole of an
+    odd order) runs over every column at once as a lower-triangular
+    banded solve.
+    """
+    if not (isinstance(order, int) and order >= 1):
+        raise NumericsError(f"filter order must be a positive integer, got {order!r}")
+    if not 0.0 < wn < 1.0:
+        raise NumericsError(f"normalized cutoff must lie in (0, 1), got {wn}")
+    y = _as_matrix(x, "x")
+    n = y.shape[0]
+    warped = 4.0 * np.tan(np.pi * wn / 2.0)
+    m = np.arange(1 - order, order, 2)
+    analog = -warped * np.exp(1j * np.pi * m / (2 * order))
+    gain = warped ** order / np.real(np.prod(4.0 - analog))
+    # one pole per section, m = 0 (the real pole of an odd order) first:
+    # farthest from the unit circle first, which is scipy's section order
+    for i, s in enumerate(analog[m >= 0]):
+        pole = (4.0 + s) / (4.0 - s)
+        if s.imag == 0.0:
+            b, a = np.array([1.0, 1.0]), np.array([1.0, -pole.real])
+        else:
+            b, a = np.array([1.0, 2.0, 1.0]), np.array([1.0, -2.0 * pole.real, abs(pole) ** 2])
+        if i == 0:
+            b = gain * b
+        rhs = b[0] * y
+        for lag in range(1, len(b)):
+            rhs[lag:] += b[lag] * y[:-lag]
+        ab = np.repeat(a[:, None], n, axis=1)
+        y, info = scipy.linalg.lapack.dtbtrs(ab, rhs, uplo="L")
+        if info != 0:
+            raise NumericsError(f"banded filter solve failed (LAPACK info {info})")
+    return y

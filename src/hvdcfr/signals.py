@@ -79,6 +79,10 @@ class SignalRecord:
         if header[0] != "time_s":
             raise ValueError(f"first CSV column must be time_s, got {header[0]!r}")
         data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+        bad = np.argwhere(~np.isfinite(data))
+        if bad.size:
+            row, col = bad[0]
+            raise ValueError(f"CSV record has a non-finite value in data row {row + 1}, column {col + 1}")
         times = data[:, 0]
         steps = np.diff(times)
         t_s = float(steps[0])

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.signal
 
-from .numerics import NumericsError, mat_log_principal, svd
+from .numerics import NumericsError, butter_lowpass_filter, mat_log_principal, svd
 from .signals import SignalRecord
 from .statespace import StateSpace, zoh_step_matrices
 
@@ -133,14 +132,18 @@ class IdentifyConfig:
 
 
 def _prefilter(record: SignalRecord, cutoff_hz: float) -> SignalRecord:
+    """Second-order Butterworth low-pass of every channel, run from rest.
+
+    ``cutoff_hz`` must lie strictly between 0 and the record's Nyquist
+    frequency.
+    """
     nyquist = 0.5 / record.t_s
     if not 0.0 < cutoff_hz < nyquist:
         raise IdentificationError(
             f"prefilter cutoff {cutoff_hz} Hz must lie in (0, {nyquist}) Hz"
         )
-    sos = scipy.signal.butter(2, cutoff_hz / nyquist, output="sos")
     return SignalRecord(record.t_s, record.channels,
-                        scipy.signal.sosfilt(sos, record.samples, axis=0))
+                        butter_lowpass_filter(record.samples, 2, cutoff_hz / nyquist))
 
 
 def generate_excitation(seed: int, channels: tuple[str, ...], t_s: float,

@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hvdcfr.cli import main
+from hvdcfr.harness import PROFILE_CHANNELS
+from hvdcfr.signals import SignalRecord
 
 ROOT = Path(__file__).resolve().parent.parent
 STEP = str(ROOT / "scenarios" / "step_pulses.json")
@@ -79,3 +86,32 @@ class TestCli:
         rows = (out / "sweep.csv").read_text().strip().splitlines()
         conditions = {ln.split(",")[0] for ln in rows[1:]}
         assert conditions == {"no_pfc", "no_ire_no_pfc"}
+
+    def test_non_finite_disturbance_file_is_a_scenario_error(self, tmp_path, capsys):
+        samples = np.zeros((301, 3))
+        samples[10, 0] = np.inf
+        SignalRecord(0.1, PROFILE_CHANNELS, samples).to_csv(tmp_path / "profile.csv")
+        scenario = json.loads(Path(STEP).read_text())
+        scenario["duration_s"] = 30.0
+        scenario["disturbance"] = {"file": str(tmp_path / "profile.csv")}
+        (tmp_path / "s.json").write_text(json.dumps(scenario))
+        code = run(["evaluate", "--scenario", str(tmp_path / "s.json"),
+                    "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: disturbance file")
+
+
+def test_pipeline_does_not_import_scipy_signal(tmp_path):
+    """scipy.signal costs about a second of every fresh process; keep it
+    off the import and run path of a whole pipeline."""
+    script = textwrap.dedent(f"""
+        import sys
+        from hvdcfr import cli
+        code = cli.main(["pipeline", "--scenario", {STEP!r}, "--out", {str(tmp_path)!r}])
+        print(code, sorted(m for m in sys.modules if m.startswith("scipy.signal")))
+    """)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "0 []"

@@ -128,6 +128,16 @@ class TestProfiles:
         with pytest.raises(ScenarioError, match="Nyquist"):
             generate_continuous_profile(1, 0.3, 6.0, 10.0, 0.1)
 
+    @pytest.mark.parametrize("bandwidth_hz", [5.0, float("nan")])
+    def test_bandwidth_at_nyquist_or_nan_rejected(self, bandwidth_hz):
+        with pytest.raises(ScenarioError, match="Nyquist"):
+            generate_continuous_profile(1, 0.3, bandwidth_hz, 10.0, 0.1)
+
+    @pytest.mark.parametrize("field", ["amplitude_pu", "bandwidth_hz", "duration_s"])
+    def test_non_finite_continuous_spec_rejected(self, field):
+        with pytest.raises(ScenarioError, match="finite"):
+            ContinuousSpec(**{field: float("nan")})
+
 
 class TestScenario:
     def test_round_trip_via_dict(self):
@@ -145,6 +155,21 @@ class TestScenario:
     def test_bad_case_rejected(self):
         with pytest.raises(ScenarioError, match="case"):
             Scenario(name="x", case=4, steps=(StepEvent("p_li", 1.0, 0.2, 5.0),))
+
+    @pytest.mark.parametrize("field", ["t_s", "dt", "duration_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_times_rejected(self, field, value):
+        with pytest.raises(ScenarioError, match="finite"):
+            Scenario(name="x", steps=(StepEvent("p_li", 1.0, 0.2, 5.0),), **{field: value})
+
+    @pytest.mark.parametrize("field", ["time_s", "magnitude_pu", "duration_s"])
+    def test_non_finite_step_rejected(self, field):
+        values = {"channel": "p_li", "time_s": 1.0, "magnitude_pu": 0.2, "duration_s": 5.0}
+        values[field] = float("nan")
+        with pytest.raises(ScenarioError, match="finite"):
+            StepEvent(**values)
+        with pytest.raises(ScenarioError, match="finite"):
+            scenario_from_dict({"name": "x", "disturbance": {"steps": [values]}})
 
     def test_bad_step_channel_rejected(self):
         with pytest.raises(ScenarioError, match="channel"):
@@ -169,6 +194,16 @@ class TestScenario:
         loaded = build_disturbance_profile(s)
         assert loaded.n_samples == 201
         np.testing.assert_allclose(loaded.samples, profile.samples[:201])
+
+    def test_file_disturbance_non_finite_rejected(self, tmp_path):
+        profile = generate_continuous_profile(4, 0.2, 0.05, 30.0, 0.1)
+        samples = profile.samples.copy()
+        samples[7, 1] = np.nan
+        path = tmp_path / "profile.csv"
+        SignalRecord(0.1, PROFILE_CHANNELS, samples).to_csv(path)
+        s = Scenario(name="x", duration_s=20.0, disturbance_file=str(path))
+        with pytest.raises(ScenarioError, match="non-finite"):
+            build_disturbance_profile(s)
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from hvdcfr.numerics import (
     NumericsError,
+    butter_lowpass_filter,
     care_residual,
     eig_real_parts,
     is_hurwitz,
@@ -247,3 +248,29 @@ class TestCare:
         with pytest.raises(NumericsError, match="semidefinite"):
             solve_care(np.array([[-1.0]]), np.array([[1.0]]),
                        np.array([[-1.0]]), np.array([[1.0]]))
+
+
+class TestButterLowpass:
+    @pytest.mark.parametrize("order", [2, 3])
+    @pytest.mark.parametrize("wn", [0.01, 0.4, 0.9])
+    def test_matches_scipy_butter_sosfilt(self, order, wn):
+        import scipy.signal
+
+        x = np.random.default_rng(order).normal(size=(2001, 4))
+        ref = scipy.signal.sosfilt(scipy.signal.butter(order, wn, output="sos"), x, axis=0)
+        got = butter_lowpass_filter(x, order, wn)
+        assert got.shape == x.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("wn", [0.0, 1.0, -0.1, float("nan"), float("inf")])
+    def test_cutoff_outside_unit_interval_rejected(self, wn):
+        with pytest.raises(NumericsError, match="cutoff"):
+            butter_lowpass_filter(np.ones((10, 2)), 2, wn)
+
+    def test_bad_order_and_input_rejected(self):
+        with pytest.raises(NumericsError, match="order"):
+            butter_lowpass_filter(np.ones((10, 2)), 0, 0.5)
+        with pytest.raises(NumericsError, match="2-D"):
+            butter_lowpass_filter(np.ones(10), 2, 0.5)
+        with pytest.raises(NumericsError, match="non-finite"):
+            butter_lowpass_filter(np.full((10, 2), np.nan), 2, 0.5)

@@ -117,6 +117,11 @@ class TestSignalRecord:
         with pytest.raises(ValueError, match="uniform"):
             SignalRecord.from_csv_text(text)
 
+    def test_non_finite_csv_rejected(self):
+        text = "time_s,a\n0.0,1.0\n0.1,nan\n0.2,inf\n"
+        with pytest.raises(ValueError, match="non-finite"):
+            SignalRecord.from_csv_text(text)
+
     def test_zeros_record(self):
         rec = zeros_record(0.1, ("u",), 1.0)
         assert rec.n_samples == 11

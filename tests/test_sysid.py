@@ -11,6 +11,7 @@ from hvdcfr.sysid import (
     IdentifyConfig,
     MarkovSequence,
     ObserverMarkov,
+    _prefilter,
     augment_with_output_integrators,
     build_hankel,
     era_realize,
@@ -376,3 +377,11 @@ class TestIdentifyPipeline:
         back = to_continuous(dss)
         assert np.linalg.norm(back.a - model.a) <= 1e-6 * max(1.0, np.linalg.norm(model.a))
         assert np.linalg.norm(back.b - model.b) <= 1e-6 * max(1.0, np.linalg.norm(model.b))
+
+
+class TestPrefilter:
+    @pytest.mark.parametrize("cutoff_hz", [5.0, 6.0, 0.0, float("nan")])
+    def test_cutoff_outside_band_rejected(self, cutoff_hz):
+        rec = SignalRecord(0.1, ("u",), np.ones((50, 1)))
+        with pytest.raises(IdentificationError, match="prefilter cutoff"):
+            _prefilter(rec, cutoff_hz)
