@@ -12,9 +12,7 @@ from .control import (
     closed_loop,
     design_kalman,
     design_lqr,
-    lqg_step,
     make_lqg,
-    pi_sfc_step,
 )
 from .harness import (
     ComparisonTable,

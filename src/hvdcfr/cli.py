@@ -126,6 +126,8 @@ def cmd_evaluate(args) -> int:
     scenario = _load_scenario(args)
     out = _out_dir(args)
     report = run_scenario(scenario)
+    if report.trace is None:
+        raise ScenarioError(f"case {scenario.case}: the closed loop diverged")
     report.trace.to_csv(out / f"case{scenario.case}_trace.csv")
     _dump(out / "metrics.json", report.to_json_dict(), "json")
     if args.format == "csv":
@@ -139,10 +141,10 @@ def cmd_pipeline(args) -> int:
     scenario = _load_scenario(args)
     out = _out_dir(args)
     reports = run_cases(scenario)
+    table = compare_cases(reports)  # refuses a diverged (all-inf) case
     for report in reports:
         report.trace.to_csv(out / f"case{report.case}_trace.csv")
         _dump(out / f"case{report.case}_metrics.json", report.to_json_dict(), "json")
-    table = compare_cases(reports)
     (out / "comparison.csv").write_text(table.to_csv_text())
     (out / "comparison.txt").write_text(table.to_text())
     print(table.to_text())

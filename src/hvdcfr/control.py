@@ -6,6 +6,13 @@ secondary references (generator power per side, inverter dc current,
 rectifier dc voltage). It runs at the measurement sample time with
 zero-order hold; the internal estimator integrates with the same
 fixed-step scheme as the plant between samples.
+
+Without saturation each controller is a discrete LTI map from the six
+sampled outputs to the commands (``sampled_system``): the PI baselines a
+static 4x6 gain, the LQG its estimator closed with ``-K``. ``closed_loop``
+stacks plant and controller into one discrete system and runs it through
+``statespace.run_lti``. Clipping is not linear, so a controller with
+``saturation`` set is stepped sample by sample instead.
 """
 
 from __future__ import annotations
@@ -15,9 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import NumericsError, is_hurwitz, solve_care
-from .plant import ContinuousPlant, PlantError, SimulationDivergence, _substeps
+from .plant import (BLOW_UP_BOUND, ContinuousPlant, PlantError, SimulationDivergence,
+                    sample_step_matrices)
 from .signals import SignalRecord
-from .statespace import StateSpace, compound_steps, rk4_step_matrices
+from .statespace import StateSpace, compound_steps, rk4_step_matrices, run_lti
 
 N_REFERENCES = 4
 N_MEASUREMENTS = 6
@@ -118,6 +126,13 @@ class LqgController:
             self._step_cache[dt] = compound_steps(phi, gamma, n_sub)
         return self._step_cache[dt]
 
+    def sampled_system(self, t_s: float) -> StateSpace:
+        """Estimator advanced over ``t_s``, closed with ``r = -K x_hat``."""
+        phi, gamma = self._matrices(t_s)
+        return StateSpace(a=phi - gamma[:, :N_REFERENCES] @ self.k,
+                          b=gamma[:, N_REFERENCES:], c=-self.k,
+                          d=np.zeros((N_REFERENCES, N_MEASUREMENTS)), dt=t_s)
+
     def command(self) -> np.ndarray:
         r = -self.k @ self.x_hat
         if self.saturation is not None:
@@ -164,11 +179,6 @@ def make_lqg(model: StateSpace,
                          substep=substep)
 
 
-def lqg_step(ctrl: LqgController, y_meas: np.ndarray, dt: float) -> np.ndarray:
-    """Advance the estimator one step and return the held command."""
-    return ctrl.step(y_meas, dt)
-
-
 @dataclass
 class PiSfcController:
     """Conventional PI secondary control.
@@ -193,63 +203,72 @@ class PiSfcController:
     def reset(self) -> None:
         pass
 
-    def step(self, y_meas: np.ndarray, dt: float) -> np.ndarray:
-        y = np.asarray(y_meas, dtype=float)
-        f_i, f_r, v_dc = y[0], y[1], y[2]
-        int_f_i, int_f_r, int_v_dc = y[3], y[4], y[5]
-        r = np.zeros(N_REFERENCES)
-        r[0] = -(self.kp_gen * f_i + self.ki_gen * int_f_i)
-        r[2] = -(self.kp_hvdc * f_i + self.ki_hvdc * int_f_i)
+    @property
+    def gain(self) -> np.ndarray:
+        """Static 4x6 gain from the six sampled outputs to the commands."""
+        g = np.zeros((N_REFERENCES, N_MEASUREMENTS))
+        g[0, [0, 3]] = -self.kp_gen, -self.ki_gen
+        g[2, [0, 3]] = -self.kp_hvdc, -self.ki_hvdc
         if not self.inverter_only:
-            r[1] = -(self.kp_gen * f_r + self.ki_gen * int_f_r)
-            r[3] = -(self.kp_hvdc * v_dc + self.ki_hvdc * int_v_dc)
+            g[1, [1, 4]] = -self.kp_gen, -self.ki_gen
+            g[3, [2, 5]] = -self.kp_hvdc, -self.ki_hvdc
+        return g
+
+    def sampled_system(self, t_s: float) -> StateSpace:
+        """The static gain as a discrete system with no state."""
+        return StateSpace(a=np.zeros((0, 0)), b=np.zeros((0, N_MEASUREMENTS)),
+                          c=np.zeros((N_REFERENCES, 0)), d=self.gain, dt=t_s)
+
+    def step(self, y_meas: np.ndarray, dt: float) -> np.ndarray:
+        r = self.gain @ np.asarray(y_meas, dtype=float)
         if self.saturation is not None:
             r = np.clip(r, -self.saturation, self.saturation)
         return r
 
 
-def pi_sfc_step(ctrl: PiSfcController, y_meas: np.ndarray, dt: float) -> np.ndarray:
-    return ctrl.step(y_meas, dt)
-
-
 def closed_loop(plant: ContinuousPlant, controller, disturbances: SignalRecord,
-                dt: float, blow_up_bound: float = 1e6) -> SignalRecord:
+                dt: float) -> SignalRecord:
     """Run the feedback interconnection over a disturbance record.
 
-    The controller sees the sampled model outputs and its command is
-    held for one sample; the plant and the controller's internals
-    advance in RK4 substeps of size ``dt``. Returns the full trace
-    (model outputs plus auxiliary channels plus the four commands).
+    The controller sees the sampled model outputs and its command is held
+    for one sample; the plant advances in RK4 substeps of size ``dt``.
+    Plant and controller run as one discrete LTI system through
+    ``run_lti``, unless ``controller.saturation`` is set: then per sample.
+    A NaN state or one above ``BLOW_UP_BOUND`` raises ``SimulationDivergence``.
+    Returns model outputs, auxiliary channels and the four commands.
     """
     if disturbances.channels != plant.disturbance_labels:
         raise PlantError(
             f"disturbance channels {disturbances.channels} != {plant.disturbance_labels}"
         )
-    t_s = disturbances.t_s
-    n_sub = _substeps(t_s, dt)
-    ss = plant.state_space
-    phi, gamma = rk4_step_matrices(ss.a, ss.b, dt)
-    phi_blk, gamma_blk = compound_steps(phi, gamma, n_sub)
-
-    controller.reset()
-    x = np.zeros(ss.n_states)
-    c_full = np.vstack([ss.c, plant.aux_c])
-    n_out = c_full.shape[0]
-    out = np.empty((disturbances.n_samples, n_out + N_REFERENCES))
-    w = disturbances.samples
-    for k in range(disturbances.n_samples):
-        y_full = c_full @ x
-        if not (np.max(np.abs(x)) <= blow_up_bound):  # NaN counts as divergence
-            raise SimulationDivergence(
-                f"closed-loop state norm exceeded {blow_up_bound:g} or is NaN at t={k * t_s:.3f} s"
-            )
-        y_meas = y_full[:N_MEASUREMENTS]
-        r = controller.step(y_meas, t_s)
-        out[k, :n_out] = y_full
-        out[k, n_out:] = r
-        x = phi_blk @ x + gamma_blk @ np.concatenate([r, w[k]])
+    t_s, w = disturbances.t_s, disturbances.samples
+    phi, gamma = sample_step_matrices(plant, t_s, dt)
+    c = plant.state_space.c
+    c_full = np.vstack([c, plant.aux_c])
     channels = plant.output_labels + plant.aux_labels + plant.input_labels
-    return SignalRecord(t_s, channels, out)
+    if controller.saturation is not None:  # clipping is not LTI: step per sample
+        controller.reset()
+        x = np.zeros(phi.shape[0])
+        out = np.empty((len(w), len(channels)))
+        for k in range(len(w)):
+            if not (np.max(np.abs(x)) <= BLOW_UP_BOUND):  # NaN counts as divergence
+                raise SimulationDivergence(
+                    f"state norm exceeded {BLOW_UP_BOUND:g} or is NaN at t={k * t_s:.3f} s")
+            y_full = c_full @ x
+            r = controller.step(y_full[:N_MEASUREMENTS], t_s)
+            out[k] = np.concatenate([y_full, r])
+            x = phi @ x + gamma @ np.concatenate([r, w[k]])
+        return SignalRecord(t_s, channels, out)
+
+    ctrl = controller.sampled_system(t_s)
+    g_r, g_w = gamma[:, :N_REFERENCES], gamma[:, N_REFERENCES:]
+    # state [x; xi] with r = ctrl.c xi + ctrl.d c x and xi+ = ctrl.a xi + ctrl.b c x
+    a = np.block([[phi + g_r @ ctrl.d @ c, g_r @ ctrl.c],
+                  [ctrl.b @ c, ctrl.a]])
+    b = np.vstack([g_w, np.zeros((ctrl.n_states, g_w.shape[1]))])
+    out_map = np.block([[c_full, np.zeros((len(c_full), ctrl.n_states))],
+                        [ctrl.d @ c, ctrl.c]])
+    return SignalRecord(t_s, channels, run_lti(a, b, w, t_s, BLOW_UP_BOUND) @ out_map.T)
 
 
 def interconnection_matrix(model: StateSpace, k: np.ndarray, k_f: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ from .plant import (
     OUTPUT_CHANNELS,
     REFERENCE_CHANNELS,
     ContinuousPlant,
+    PlantError,
     PlantParams,
     SimulationDivergence,
     build_plant,
@@ -130,6 +131,10 @@ class Scenario:
             raise ScenarioError(
                 "exactly one disturbance source required: steps, continuous, or file"
             )
+        late = [ev for ev in self.steps if ev.time_s >= self.duration_s]
+        if late:
+            raise ScenarioError(f"{late[0]} starts at or after the end of the run "
+                                f"(duration_s={self.duration_s})")
 
     @staticmethod
     def from_json(path: str | Path) -> "Scenario":
@@ -366,10 +371,11 @@ def build_controller(scenario: Scenario, plant: ContinuousPlant):
                            saturation=c.saturation)
 
 
-def run_scenario(scenario: Scenario, keep_trace: bool = True) -> ScenarioReport:
-    """Execute one case end to end; deterministic given the scenario."""
+def _run_case(scenario: Scenario, params: PlantParams, keep_trace: bool) -> ScenarioReport:
+    """The scenario's case on the plant from ``params`` (case 3 drops its
+    rectifier loops here); a diverging closed loop gives all-inf metrics."""
     try:
-        params = case_plant_params(load_preset(scenario.plant), scenario.case)
+        params = case_plant_params(params, scenario.case)
         plant = build_plant(params)
     except Exception as exc:
         raise ScenarioError(f"plant stage failed: {exc}") from exc
@@ -384,14 +390,30 @@ def run_scenario(scenario: Scenario, keep_trace: bool = True) -> ScenarioReport:
         controller = build_controller(scenario, plant)
     except Exception as exc:
         raise ScenarioError(f"controller stage failed ({type(exc).__name__}): {exc}") from exc
+    fingerprint = hashlib.sha256(w.samples.tobytes()).hexdigest()
     try:
         trace = closed_loop(plant, controller, w, dt=scenario.dt)
+    except SimulationDivergence:
+        # fixed-gain PI baselines can lose stability once the converter
+        # droop/inertia loops are stripped; record that outcome as inf
+        inf = {c: math.inf for c in METRIC_COLUMNS if c not in ("sum_rms_f", "sum_rms_p_g")}
+        return ScenarioReport(scenario.name, scenario.case, **inf, settle_f_i_s=None,
+                              settle_f_r_s=None, disturbance_sha256=fingerprint)
     except Exception as exc:
         raise ScenarioError(f"closed-loop stage failed: {exc}") from exc
-    fingerprint = hashlib.sha256(w.samples.tobytes()).hexdigest()
     return compute_metrics(trace, name=scenario.name, case=scenario.case,
                            n_gens=(params.N_i, params.N_r),
                            disturbance_sha256=fingerprint, keep_trace=keep_trace)
+
+
+def run_scenario(scenario: Scenario, keep_trace: bool = True) -> ScenarioReport:
+    """Execute one case end to end; deterministic given the scenario.
+    A diverging closed loop gives all-inf metrics and no trace."""
+    try:
+        params = load_preset(scenario.plant)
+    except PlantError as exc:
+        raise ScenarioError(f"plant stage failed: {exc}") from exc
+    return _run_case(scenario, params, keep_trace)
 
 
 METRIC_COLUMNS = (
@@ -441,26 +463,20 @@ def compare_cases(reports: list[ScenarioReport]) -> ComparisonTable:
     if len(prints) != 1:
         raise ScenarioError("reports were produced on different disturbances")
 
-    def rowdict(r: ScenarioReport) -> dict:
-        d = {c: getattr(r, c) for c in METRIC_COLUMNS if hasattr(r, c)}
-        d["sum_rms_f"] = r.sum_rms_f
-        d["sum_rms_p_g"] = r.sum_rms_p_g
-        d["case"] = r.case
-        return d
-
-    rows = tuple(rowdict(r) for r in sorted(reports, key=lambda r: r.case))
+    rows = tuple({**{c: getattr(r, c) for c in METRIC_COLUMNS}, "case": r.case}
+                 for r in sorted(reports, key=lambda r: r.case))
+    for row in rows:
+        bad = [c for c in METRIC_COLUMNS if not math.isfinite(row[c])]
+        if bad:
+            raise ScenarioError(f"case {row['case']} has non-finite metrics "
+                                f"({', '.join(bad)}); its closed loop diverged")
     case1 = next((row for row in rows if row["case"] == 1), None)
-    reductions = []
-    if case1 is not None:
-        for row in rows:
-            if row["case"] == 1:
-                continue
-            red = {"case": row["case"]}
-            for c in METRIC_COLUMNS:
-                base = row[c]
-                red[c] = 100.0 * (base - case1[c]) / base if base != 0 else 0.0
-            reductions.append(red)
-    return ComparisonTable(rows=rows, reductions=tuple(reductions))
+    reductions = tuple(
+        {"case": row["case"],
+         **{c: 100.0 * (row[c] - case1[c]) / row[c] if row[c] != 0 else 0.0
+            for c in METRIC_COLUMNS}}
+        for row in rows if case1 is not None and row["case"] != 1)
+    return ComparisonTable(rows=rows, reductions=reductions)
 
 
 def run_cases(scenario: Scenario, cases=(1, 2, 3), keep_trace: bool = True) -> list[ScenarioReport]:
@@ -470,63 +486,24 @@ def run_cases(scenario: Scenario, cases=(1, 2, 3), keep_trace: bool = True) -> l
 SWEEP_CONDITIONS = ("baseline", "no_pfc", "no_ire_no_pfc", "cigre")
 
 
-def sweep_params(params: PlantParams, condition: str,
-                 cigre: PlantParams | None = None) -> PlantParams:
-    if condition == "baseline":
-        return params
-    if condition == "no_pfc":
-        return without_hvdc_droops(params)
-    if condition == "no_ire_no_pfc":
-        return without_hvdc_droops_and_ire(params)
-    if condition == "cigre":
-        return cigre if cigre is not None else load_preset("cigre")
-    raise ScenarioError(f"unknown sweep condition {condition!r}; have {SWEEP_CONDITIONS}")
-
-
 def run_sweep(scenario: Scenario, conditions=SWEEP_CONDITIONS) -> dict[str, list[ScenarioReport]]:
     """Re-run the three cases under modified converter-loop conditions.
 
     The condition only changes the plant; each case keeps its own
     controller design flow (case 1 re-identifies the modified plant).
+    A case whose closed loop diverges gives an all-inf report.
     """
+    base = load_preset(scenario.plant)
+    variants = {"baseline": base, "no_pfc": without_hvdc_droops(base),
+                "no_ire_no_pfc": without_hvdc_droops_and_ire(base),
+                "cigre": load_preset("cigre")}
     out: dict[str, list[ScenarioReport]] = {}
     for condition in conditions:
-        if condition == "cigre":
-            s = replace(scenario, plant="cigre")
-            out[condition] = run_cases(s, keep_trace=False)
-            continue
-        base = load_preset(scenario.plant)
-        modified = sweep_params(base, condition)
-        reports = []
-        for case in (1, 2, 3):
-            s = replace(scenario, case=case)
-            params = case_plant_params(modified, case)
-            plant = build_plant(params)
-            profile = build_disturbance_profile(s)
-            w = to_plant_disturbance(profile)
-            controller = build_controller(s, plant)
-            fingerprint = hashlib.sha256(w.samples.tobytes()).hexdigest()
-            try:
-                trace = closed_loop(plant, controller, w, dt=s.dt)
-            except SimulationDivergence:
-                # fixed-gain PI baselines can lose stability once the
-                # converter droop/inertia loops are stripped; record that
-                # outcome instead of aborting the sweep
-                reports.append(ScenarioReport(
-                    name=f"{s.name}[{condition}]", case=case,
-                    max_f_i=math.inf, max_f_r=math.inf, sum_max_f=math.inf,
-                    max_v_dc=math.inf, max_p_dci=math.inf, max_p_dcr=math.inf,
-                    max_p_gi=math.inf, max_p_gr=math.inf,
-                    rms_f_i=math.inf, rms_f_r=math.inf,
-                    rms_p_gi=math.inf, rms_p_gr=math.inf,
-                    settle_f_i_s=None, settle_f_r_s=None,
-                    disturbance_sha256=fingerprint))
-                continue
-            reports.append(compute_metrics(
-                trace, name=f"{s.name}[{condition}]", case=case,
-                n_gens=(params.N_i, params.N_r),
-                disturbance_sha256=fingerprint, keep_trace=False))
-        out[condition] = reports
+        if condition not in variants:
+            raise ScenarioError(f"unknown sweep condition {condition!r}; have {SWEEP_CONDITIONS}")
+        s = replace(scenario, name=f"{scenario.name}[{condition}]")
+        out[condition] = [_run_case(replace(s, case=case), variants[condition], keep_trace=False)
+                          for case in (1, 2, 3)]
     return out
 
 

@@ -21,21 +21,19 @@ import numpy as np
 
 from .numerics import eig_real_parts
 from .signals import SignalRecord
-from .statespace import StateSpace, compound_steps, rk4_step_matrices
+# SimulationDivergence is re-exported: simulate raises it
+from .statespace import SimulationDivergence, StateSpace, compound_steps, rk4_step_matrices, run_lti
 
 
 class PlantError(ValueError):
     """Bad parameter set or inconsistent simulation request."""
 
 
-class SimulationDivergence(RuntimeError):
-    """State norm exceeded the configured blow-up bound or became NaN."""
-
-
 REFERENCE_CHANNELS = ("p_gi_ref", "p_gr_ref", "i_dci_ref", "v_dcr_ref")
 DISTURBANCE_CHANNELS = ("p_li", "p_lr_net")  # p_lr_net = load minus wind on the rectifier side
 OUTPUT_CHANNELS = ("f_i", "f_r", "v_dc", "int_f_i", "int_f_r", "int_v_dc")
 AUX_CHANNELS = ("p_gi", "p_gr", "p_dci", "p_dcr", "i_dci", "v_dcr")
+BLOW_UP_BOUND = 1e6  # largest state magnitude a simulation accepts
 
 
 @dataclass(frozen=True)
@@ -208,14 +206,6 @@ class ContinuousPlant:
     def state_dimension(self) -> int:
         return self.state_space.n_states
 
-    @property
-    def n_references(self) -> int:
-        return len(self.input_labels)
-
-    @property
-    def n_disturbances(self) -> int:
-        return len(self.disturbance_labels)
-
 
 def build_plant(params: PlantParams) -> ContinuousPlant:
     """Assemble the continuous-time truth plant from its parameters.
@@ -361,16 +351,19 @@ def without_hvdc_droops_and_ire(params: PlantParams) -> PlantParams:
     return replace(without_hvdc_droops(params), W_i=0.0, W_r=0.0)
 
 
-def _substeps(t_s: float, dt: float) -> int:
+def sample_step_matrices(plant: ContinuousPlant, t_s: float,
+                         dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pair (phi, gamma) advancing the plant one sample ``t_s`` with the
+    input [references; disturbances] held, folded from RK4 substeps ``dt``."""
     n_sub = t_s / dt
     if abs(n_sub - round(n_sub)) > 1e-9 or round(n_sub) < 1:
         raise PlantError(f"dt={dt} must divide the sample time T_s={t_s}")
-    return int(round(n_sub))
+    phi, gamma = rk4_step_matrices(plant.state_space.a, plant.state_space.b, dt)
+    return compound_steps(phi, gamma, int(round(n_sub)))
 
 
 def simulate(plant: ContinuousPlant, refs: SignalRecord, disturbances: SignalRecord,
-             dt: float, x0: np.ndarray | None = None,
-             blow_up_bound: float = 1e6) -> SignalRecord:
+             dt: float, blow_up_bound: float = BLOW_UP_BOUND) -> SignalRecord:
     """Fixed-step closed-form RK4 simulation with zero-order-hold inputs.
 
     Inputs are held over each sample interval; the state advances in
@@ -386,23 +379,11 @@ def simulate(plant: ContinuousPlant, refs: SignalRecord, disturbances: SignalRec
     if disturbances.channels != plant.disturbance_labels:
         raise PlantError(f"disturbance channels {disturbances.channels} != {plant.disturbance_labels}")
 
-    n_sub = _substeps(refs.t_s, dt)
-    ss = plant.state_space
-    phi, gamma = rk4_step_matrices(ss.a, ss.b, dt)
-    phi_blk, gamma_blk = compound_steps(phi, gamma, n_sub)
-
+    phi, gamma = sample_step_matrices(plant, refs.t_s, dt)
     u = np.hstack([refs.samples, disturbances.samples])
-    x = np.zeros(ss.n_states) if x0 is None else np.asarray(x0, dtype=float).copy()
-    out = np.empty((refs.n_samples, len(OUTPUT_CHANNELS) + len(AUX_CHANNELS)))
-    c_full = np.vstack([ss.c, plant.aux_c])
-    for k in range(refs.n_samples):
-        out[k] = c_full @ x
-        if not (np.max(np.abs(x)) <= blow_up_bound):  # NaN counts as divergence
-            raise SimulationDivergence(
-                f"state norm exceeded {blow_up_bound:g} or is NaN at t={k * refs.t_s:.3f} s"
-            )
-        x = phi_blk @ x + gamma_blk @ u[k]
-    return SignalRecord(refs.t_s, OUTPUT_CHANNELS + AUX_CHANNELS, out)
+    x = run_lti(phi, gamma, u, refs.t_s, blow_up_bound)
+    c_full = np.vstack([plant.state_space.c, plant.aux_c])
+    return SignalRecord(refs.t_s, OUTPUT_CHANNELS + AUX_CHANNELS, x @ c_full.T)
 
 
 def dc_gain(plant: ContinuousPlant) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,23 +110,44 @@ def compound_steps(phi: np.ndarray, gamma: np.ndarray, n_sub: int) -> tuple[np.n
     return phi_total, gamma_total
 
 
-def simulate_discrete(ss: StateSpace, u: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
-    """Run a discrete-time system over an input sequence.
+class SimulationDivergence(RuntimeError):
+    """State norm exceeded the configured blow-up bound or became NaN."""
+
+
+def run_lti(a: np.ndarray, b: np.ndarray, u: np.ndarray, t_s: float,
+            blow_up_bound: float = math.inf) -> np.ndarray:
+    """States of ``x[k+1] = a x[k] + b u[k]`` from rest, one row per sample.
+
+    Raises ``SimulationDivergence`` dated ``k * t_s`` at the first sample
+    k whose state is NaN or has an entry above ``blow_up_bound``.
+    """
+    bu = (b @ u[:, :, None])[:, :, 0]  # one matvec per sample, rounded as b @ u[k]
+    states = np.zeros_like(bu)
+    x = np.zeros(a.shape[0])
+    with np.errstate(all="ignore"):  # a diverging run may overflow before the check
+        for k in range(len(bu) - 1):
+            x = a @ x + bu[k]
+            states[k + 1] = x
+        bad = ~(np.max(np.abs(states), axis=1, initial=0.0) <= blow_up_bound)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise SimulationDivergence(
+            f"state norm exceeded {blow_up_bound:g} or is NaN at t={k * t_s:.3f} s")
+    return states
+
+
+def simulate_discrete(ss: StateSpace, u: np.ndarray) -> np.ndarray:
+    """Run a discrete-time system from rest over an input sequence.
 
     ``u`` has shape (n_samples, n_inputs); returns outputs of shape
-    (n_samples, n_outputs). The state starts at ``x0`` (default zero).
+    (n_samples, n_outputs). A NaN state raises ``SimulationDivergence``.
     """
     if ss.is_continuous:
         raise NumericsError("simulate_discrete expects a discrete-time system")
     u = np.atleast_2d(np.asarray(u, dtype=float))
     if u.shape[1] != ss.n_inputs:
         raise NumericsError(f"input has {u.shape[1]} channels, system expects {ss.n_inputs}")
-    x = np.zeros(ss.n_states) if x0 is None else np.asarray(x0, dtype=float).copy()
-    y = np.empty((u.shape[0], ss.n_outputs))
-    for k in range(u.shape[0]):
-        y[k] = ss.c @ x + ss.d @ u[k]
-        x = ss.a @ x + ss.b @ u[k]
-    return y
+    return run_lti(ss.a, ss.b, u, ss.dt) @ ss.c.T + u @ ss.d.T
 
 
 def markov_parameters(ss: StateSpace, count: int) -> list[np.ndarray]:

@@ -100,6 +100,19 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: disturbance file")
 
+    def test_diverging_case_is_a_scenario_error(self, tmp_path, capsys):
+        scenario = json.loads(Path(STEP).read_text())
+        scenario["case"] = 2
+        scenario["controller"] = {"kp_hvdc": -3.0, "ki_hvdc": -25.0,
+                                  "kp_gen": -0.8, "ki_gen": -0.2}
+        (tmp_path / "s.json").write_text(json.dumps(scenario))
+        for command in ("evaluate", "pipeline"):
+            code = run([command, "--scenario", str(tmp_path / "s.json"),
+                        "--out", str(tmp_path / command)])
+            assert code == 1
+            assert "diverged" in capsys.readouterr().err
+            assert not list((tmp_path / command).glob("*_trace.csv"))
+
 
 def test_pipeline_does_not_import_scipy_signal(tmp_path):
     """scipy.signal costs about a second of every fresh process; keep it

@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,13 +12,12 @@ from hvdcfr.control import (
     design_kalman,
     design_lqr,
     interconnection_matrix,
-    lqg_step,
     make_lqg,
-    pi_sfc_step,
 )
 from hvdcfr.numerics import care_residual, eig_real_parts, is_hurwitz, solve_care
 from hvdcfr.plant import (
     DISTURBANCE_CHANNELS,
+    REFERENCE_CHANNELS,
     SimulationDivergence,
     build_plant,
     without_rectifier_hvdc_loops,
@@ -135,20 +137,20 @@ class TestNoisyModelDesign:
 class TestLqgStep:
     def test_rest_stays_at_rest(self, jh_lqg):
         jh_lqg.reset()
-        r = lqg_step(jh_lqg, np.zeros(6), 0.1)
+        r = jh_lqg.step(np.zeros(6), 0.1)
         np.testing.assert_allclose(r, np.zeros(4))
         np.testing.assert_allclose(jh_lqg.x_hat, np.zeros(jh_lqg.model.n_states))
 
     def test_non_finite_measurement_rejected(self, jh_lqg):
         with pytest.raises(ControlDesignError, match="finite"):
-            lqg_step(jh_lqg, np.array([np.nan, 0, 0, 0, 0, 0]), 0.1)
+            jh_lqg.step(np.array([np.nan, 0, 0, 0, 0, 0]), 0.1)
 
     def test_constant_measurement_converges_to_fixed_point(self, jh_lqg):
         jh_lqg.reset()
         model = jh_lqg.model
         y = np.array([1e-3, -2e-3, 5e-4, 0.0, 0.0, 0.0])
         for _ in range(600):
-            r = lqg_step(jh_lqg, y, 0.1)
+            r = jh_lqg.step(y, 0.1)
         # fixed point of the estimator under held y and r = -K x_hat
         b_r = model.b[:, :4]
         a_eff = model.a - jh_lqg.k_f @ model.c - b_r @ jh_lqg.k
@@ -195,13 +197,13 @@ class TestLqgStep:
 
 class TestPiSfc:
     def test_zero_measurement_zero_command(self):
-        assert np.all(pi_sfc_step(PiSfcController(), np.zeros(6), 0.1) == 0.0)
+        assert np.all(PiSfcController().step(np.zeros(6), 0.1) == 0.0)
 
     def test_inverter_only_never_commands_rectifier_channels(self):
         rng = np.random.default_rng(9)
         ctrl = PiSfcController(inverter_only=True)
         for _ in range(50):
-            r = pi_sfc_step(ctrl, rng.normal(size=6), 0.1)
+            r = ctrl.step(rng.normal(size=6), 0.1)
             assert r[1] == 0.0 and r[3] == 0.0
 
     def test_integral_action_grows_linearly(self):
@@ -213,7 +215,7 @@ class TestPiSfc:
         commands = []
         for tk in t:
             y = np.array([eps, 0, 0, eps * tk, 0, 0])
-            commands.append(pi_sfc_step(ctrl, y, 0.1)[2])
+            commands.append(ctrl.step(y, 0.1)[2])
         commands = np.abs(np.array(commands))
         slope_first = (commands[100] - commands[50]) / 5.0
         slope_last = (commands[-1] - commands[-51]) / 5.0
@@ -303,3 +305,51 @@ class TestClosedLoop:
             y = trace.samples[:, :6]
             costs.append(float(np.sum(y**2 @ q) * t_s))
         assert costs[1] <= costs[0]
+
+
+def pulse_record(t_s=0.1, dur=60.0):
+    """0.3 pu load pulses, inverter side at 5-20 s, rectifier side at 30-45 s."""
+    n = int(round(dur / t_s)) + 1
+    w = np.zeros((n, 2))
+    w[int(5 / t_s):int(20 / t_s), 0] = 0.3
+    w[int(30 / t_s):int(45 / t_s), 1] = 0.3
+    return SignalRecord(t_s, DISTURBANCE_CHANNELS, w)
+
+
+@pytest.fixture(params=["lqg", "pi"])
+def either_controller(request, jh_lqg):
+    return jh_lqg if request.param == "lqg" else PiSfcController()
+
+
+class TestSaturatingLoop:
+    def test_unreached_saturation_matches_lti_kernel(self, jh_plant, either_controller):
+        dist = pulse_record()
+        lti = closed_loop(jh_plant, either_controller, dist, dt=0.001).samples
+        never_clips = dataclasses.replace(either_controller, saturation=1e9)
+        per_sample = closed_loop(jh_plant, never_clips, dist, dt=0.001).samples
+        assert np.max(np.abs(per_sample - lti)) <= 1e-12 * np.max(np.abs(lti))
+
+    def test_tight_saturation_bounds_commands(self, jh_plant, either_controller):
+        clipping = dataclasses.replace(either_controller, saturation=1e-3)
+        trace = closed_loop(jh_plant, clipping, pulse_record(), dt=0.001)
+        commands = trace.select(list(REFERENCE_CHANNELS)).samples
+        assert np.all(np.isfinite(trace.samples))
+        assert np.max(np.abs(commands)) <= 1e-3
+
+
+class TestDivergence:
+    def test_sign_flipped_pi_raises_without_warning(self, jh_plant):
+        flipped = PiSfcController(kp_hvdc=-3.0, ki_hvdc=-25.0, kp_gen=-0.8, ki_gen=-0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationDivergence, match=r"exceeded 1e\+06"):
+                closed_loop(jh_plant, flipped, pulse_record(), dt=0.001)
+
+    def test_nan_disturbance_raises_at_first_nan_state(self, jh_plant, either_controller):
+        w = np.zeros((51, 2))
+        w[10, 0] = np.nan  # held over sample 10, so the state is NaN from t = 1.1 s
+        dist = SignalRecord(0.1, DISTURBANCE_CHANNELS, w)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationDivergence, match=r"t=1\.100 s"):
+                closed_loop(jh_plant, either_controller, dist, dt=0.001)

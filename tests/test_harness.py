@@ -11,6 +11,7 @@ from hvdcfr.harness import (
     ContinuousSpec,
     ControllerSpec,
     IdentificationSpec,
+    METRIC_COLUMNS,
     PROFILE_CHANNELS,
     Scenario,
     ScenarioError,
@@ -171,6 +172,17 @@ class TestScenario:
         with pytest.raises(ScenarioError, match="finite"):
             scenario_from_dict({"name": "x", "disturbance": {"steps": [values]}})
 
+    def test_step_at_or_after_end_rejected(self):
+        for start in (20.0, 30.0):
+            with pytest.raises(ScenarioError, match=f"StepEvent.*p_li.*{start}"):
+                Scenario(name="late", case=2, duration_s=20.0,
+                         steps=(StepEvent("p_li", start, 0.3, 5.0),))
+
+    def test_step_running_past_end_is_clipped(self):
+        s = Scenario(name="x", duration_s=10.0, steps=(StepEvent("p_li", 8.0, 0.3, 5.0),))
+        w = build_disturbance_profile(s).channel("p_li")
+        assert len(w) == 101 and np.all(w[80:] == 0.3) and np.all(w[:80] == 0.0)
+
     def test_bad_step_channel_rejected(self):
         with pytest.raises(ScenarioError, match="channel"):
             StepEvent("bogus", 1.0, 0.2, 5.0)
@@ -265,6 +277,11 @@ class TestCompare:
         with pytest.raises(ScenarioError, match="different disturbances"):
             compare_cases([step_reports[1], other])
 
+    def test_non_finite_case_rejected(self, step_reports):
+        diverged = dataclasses.replace(step_reports[2], max_f_i=math.inf, rms_f_r=math.inf)
+        with pytest.raises(ScenarioError, match=r"case 3 .*max_f_i, rms_f_r, sum_rms_f"):
+            compare_cases([step_reports[0], step_reports[1], diverged])
+
     def test_csv_layout(self, step_reports):
         text = compare_cases(list(step_reports)).to_csv_text()
         lines = text.strip().splitlines()
@@ -293,3 +310,26 @@ class TestSweep:
         assert [r.case for r in results["no_pfc"]] == [1, 2, 3]
         csv_text = sweep_table_csv(results)
         assert csv_text.splitlines()[0].startswith("condition,case")
+
+    def test_baseline_rows_equal_run_cases(self):
+        s = Scenario(name="same", continuous=ContinuousSpec(duration_s=80.0), duration_s=80.0)
+        swept = run_sweep(s, conditions=("baseline",))["baseline"]
+        direct = run_cases(s, keep_trace=False)
+        for a, b in zip(swept, direct):
+            assert a.case == b.case and a.trace is None and b.trace is None
+            for c in METRIC_COLUMNS:
+                assert getattr(a, c) == pytest.approx(getattr(b, c), rel=1e-8, abs=0.0)
+
+    def test_diverging_cases_give_inf_rows_on_every_condition(self):
+        # sign-flipped PI gains make cases 2 and 3 unstable; case 1 is LQG
+        s = Scenario(name="flipped", continuous=ContinuousSpec(duration_s=60.0),
+                     duration_s=60.0,
+                     controller=ControllerSpec(kp_hvdc=-3.0, ki_hvdc=-25.0,
+                                               kp_gen=-0.8, ki_gen=-0.2))
+        results = run_sweep(s, conditions=("baseline", "cigre"))
+        for reports in results.values():
+            by_case = {r.case: r for r in reports}
+            assert math.isfinite(by_case[1].sum_rms_f)
+            for case in (2, 3):
+                assert all(getattr(by_case[case], c) == math.inf for c in METRIC_COLUMNS)
+        assert run_scenario(dataclasses.replace(s, case=2)).trace is None

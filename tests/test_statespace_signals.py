@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,11 +7,13 @@ from hypothesis import strategies as st
 
 from hvdcfr.signals import SignalRecord, zeros_record
 from hvdcfr.statespace import (
+    SimulationDivergence,
     StateSpace,
     compound_steps,
     discretize_zoh,
     markov_parameters,
     rk4_step_matrices,
+    run_lti,
     simulate_discrete,
     step_response,
 )
@@ -84,6 +88,36 @@ class TestStateSpace:
         u = np.zeros((11, 2))
         u[:, 1] = 2.0
         np.testing.assert_allclose(resp, simulate_discrete(dss, u), rtol=1e-12)
+
+
+class TestRunLti:
+    def test_matches_explicit_loop(self):
+        rng = np.random.default_rng(5)
+        a = 0.3 * rng.normal(size=(4, 4))
+        b = rng.normal(size=(4, 2))
+        u = rng.normal(size=(30, 2))
+        x, want = np.zeros(4), []
+        for k in range(30):
+            want.append(x)
+            x = a @ x + b @ u[k]
+        np.testing.assert_allclose(run_lti(a, b, u, 0.1), want, rtol=1e-12, atol=1e-15)
+
+    def test_divergence_dated_at_first_sample_above_bound(self):
+        # x[k] = 2**k - 1 first exceeds 100 at k = 7
+        with pytest.raises(SimulationDivergence, match=r"exceeded 100 .*t=3\.500 s"):
+            run_lti(2.0 * np.eye(1), np.ones((1, 1)), np.ones((20, 1)), 0.5, blow_up_bound=100.0)
+
+    def test_overflow_and_nan_raise_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # overflows to inf, then 0 * inf gives NaN, which any bound catches
+            with pytest.raises(SimulationDivergence):
+                run_lti(1e200 * np.eye(2), np.ones((2, 1)), np.ones((10, 1)), 1.0)
+            u = np.zeros((10, 1))
+            u[3] = np.nan
+            with pytest.raises(SimulationDivergence, match=r"t=0\.400 s"):
+                simulate_discrete(StateSpace(a=[[0.5]], b=[[1.0]], c=[[1.0]], d=[[0.0]],
+                                             dt=0.1), u)
 
 
 class TestSignalRecord:
