@@ -185,7 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=True, help="scenario JSON path")
         p.add_argument("--out", default="results", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override scenario seeds")
-        p.add_argument("--format", choices=("csv", "json"), default="json")
+        if name == "evaluate":
+            p.add_argument("--format", choices=("csv", "json"), default="json",
+                           help="also write metrics.csv when csv")
         if name == "sweep":
             p.add_argument("--toggle", choices=("no-pfc", "cigre", "all"), default="all")
         p.set_defaults(handler=handler)

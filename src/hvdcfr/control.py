@@ -7,17 +7,19 @@ rectifier dc voltage). It runs at the measurement sample time with
 zero-order hold; the internal estimator integrates with the same
 fixed-step scheme as the plant between samples.
 
-Without saturation each controller is a discrete LTI map from the six
-sampled outputs to the commands (``sampled_system``): the PI baselines a
-static 4x6 gain, the LQG its estimator closed with ``-K``. ``closed_loop``
-stacks plant and controller into one discrete system and runs it through
-``statespace.run_lti``. Clipping is not linear, so a controller with
-``saturation`` set is stepped sample by sample instead.
+Controllers are frozen descriptions. Each gives one discrete system,
+``sampled_system(t_s)``, from [applied commands; six sampled outputs]
+to the unclipped command: the PI baselines a static 4x6 gain, the LQG
+its Kalman estimator with output ``-K`` times the estimate.
+``closed_loop`` is the only code that steps a controller. Without
+saturation it folds the command back into one augmented discrete
+system run through ``statespace.run_lti``; clipping is not linear, so
+with ``saturation`` set it steps plant and controller sample by sample.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from .numerics import NumericsError, is_hurwitz, solve_care
 from .plant import (BLOW_UP_BOUND, ContinuousPlant, PlantError, SimulationDivergence,
                     sample_step_matrices)
 from .signals import SignalRecord
-from .statespace import StateSpace, compound_steps, rk4_step_matrices, run_lti
+from .statespace import StateSpace, run_lti
 
 N_REFERENCES = 4
 N_MEASUREMENTS = 6
@@ -88,12 +90,9 @@ def design_kalman(model: StateSpace, w_proc: np.ndarray, v_meas: np.ndarray) -> 
     return k_f
 
 
-@dataclass
+@dataclass(frozen=True)
 class LqgController:
-    """LQ state feedback on a Kalman estimate of the identified model.
-
-    Mutable: ``x_hat`` advances with each step. One writer per instance.
-    """
+    """LQ state feedback on a Kalman estimate of the identified model."""
 
     model: StateSpace
     k: np.ndarray
@@ -104,51 +103,16 @@ class LqgController:
     v_meas: np.ndarray
     saturation: float | None = None
     substep: float = 0.001
-    x_hat: np.ndarray = field(default=None)
-    _step_cache: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        if self.x_hat is None:
-            self.x_hat = np.zeros(self.model.n_states)
-
-    def reset(self) -> None:
-        self.x_hat = np.zeros(self.model.n_states)
-
-    def _matrices(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        # the estimator can be stiff (tight measurement covariance), so a
-        # dt-long advance is folded from RK4 substeps like the plant's
-        if dt not in self._step_cache:
-            b_r, _ = _split_inputs(self.model)
-            a_est = self.model.a - self.k_f @ self.model.c
-            b_est = np.hstack([b_r, self.k_f])  # input [r; y]
-            n_sub = max(1, int(round(dt / self.substep)))
-            phi, gamma = rk4_step_matrices(a_est, b_est, dt / n_sub)
-            self._step_cache[dt] = compound_steps(phi, gamma, n_sub)
-        return self._step_cache[dt]
 
     def sampled_system(self, t_s: float) -> StateSpace:
-        """Estimator advanced over ``t_s``, closed with ``r = -K x_hat``."""
-        phi, gamma = self._matrices(t_s)
-        return StateSpace(a=phi - gamma[:, :N_REFERENCES] @ self.k,
-                          b=gamma[:, N_REFERENCES:], c=-self.k,
-                          d=np.zeros((N_REFERENCES, N_MEASUREMENTS)), dt=t_s)
-
-    def command(self) -> np.ndarray:
-        r = -self.k @ self.x_hat
-        if self.saturation is not None:
-            r = np.clip(r, -self.saturation, self.saturation)
-        return r
-
-    def step(self, y_meas: np.ndarray, dt: float) -> np.ndarray:
-        if dt <= 0:
-            raise ControlDesignError(f"dt must be positive, got {dt}")
-        y_meas = np.asarray(y_meas, dtype=float)
-        if not np.all(np.isfinite(y_meas)):
-            raise ControlDesignError("measurement contains non-finite values")
-        r = self.command()
-        phi, gamma = self._matrices(dt)
-        self.x_hat = phi @ self.x_hat + gamma @ np.concatenate([r, y_meas])
-        return r
+        """Estimator advanced over ``t_s`` from input [r; y]; output ``-K`` times its state."""
+        b_r, _ = _split_inputs(self.model)
+        # the estimator can be stiff (tight measurement covariance), so a
+        # sample-long advance is folded from RK4 substeps like the plant's
+        phi, gamma = sample_step_matrices(self.model.a - self.k_f @ self.model.c,
+                                          np.hstack([b_r, self.k_f]), t_s, self.substep)
+        return StateSpace(a=phi, b=gamma, c=-self.k,
+                          d=np.zeros((N_REFERENCES, N_REFERENCES + N_MEASUREMENTS)), dt=t_s)
 
 
 def make_lqg(model: StateSpace,
@@ -179,7 +143,7 @@ def make_lqg(model: StateSpace,
                          substep=substep)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PiSfcController:
     """Conventional PI secondary control.
 
@@ -200,9 +164,6 @@ class PiSfcController:
     inverter_only: bool = False
     saturation: float | None = None
 
-    def reset(self) -> None:
-        pass
-
     @property
     def gain(self) -> np.ndarray:
         """Static 4x6 gain from the six sampled outputs to the commands."""
@@ -215,15 +176,10 @@ class PiSfcController:
         return g
 
     def sampled_system(self, t_s: float) -> StateSpace:
-        """The static gain as a discrete system with no state."""
-        return StateSpace(a=np.zeros((0, 0)), b=np.zeros((0, N_MEASUREMENTS)),
-                          c=np.zeros((N_REFERENCES, 0)), d=self.gain, dt=t_s)
-
-    def step(self, y_meas: np.ndarray, dt: float) -> np.ndarray:
-        r = self.gain @ np.asarray(y_meas, dtype=float)
-        if self.saturation is not None:
-            r = np.clip(r, -self.saturation, self.saturation)
-        return r
+        """The static gain on y as a discrete system with no state."""
+        d = np.hstack([np.zeros((N_REFERENCES, N_REFERENCES)), self.gain])
+        return StateSpace(a=np.zeros((0, 0)), b=np.zeros((0, N_REFERENCES + N_MEASUREMENTS)),
+                          c=np.zeros((N_REFERENCES, 0)), d=d, dt=t_s)
 
 
 def closed_loop(plant: ContinuousPlant, controller, disturbances: SignalRecord,
@@ -232,9 +188,11 @@ def closed_loop(plant: ContinuousPlant, controller, disturbances: SignalRecord,
 
     The controller sees the sampled model outputs and its command is held
     for one sample; the plant advances in RK4 substeps of size ``dt``.
-    Plant and controller run as one discrete LTI system through
-    ``run_lti``, unless ``controller.saturation`` is set: then per sample.
-    A NaN state or one above ``BLOW_UP_BOUND`` raises ``SimulationDivergence``.
+    Both are stepped from rest through ``controller.sampled_system``:
+    as one discrete LTI system run by ``run_lti`` or, when
+    ``controller.saturation`` is set, sample by sample with the clipped
+    command fed to plant and controller alike. A NaN plant or controller
+    state, or one above ``BLOW_UP_BOUND``, raises ``SimulationDivergence``.
     Returns model outputs, auxiliary channels and the four commands.
     """
     if disturbances.channels != plant.disturbance_labels:
@@ -242,32 +200,35 @@ def closed_loop(plant: ContinuousPlant, controller, disturbances: SignalRecord,
             f"disturbance channels {disturbances.channels} != {plant.disturbance_labels}"
         )
     t_s, w = disturbances.t_s, disturbances.samples
-    phi, gamma = sample_step_matrices(plant, t_s, dt)
-    c = plant.state_space.c
-    c_full = np.vstack([c, plant.aux_c])
+    ss = plant.state_space
+    phi, gamma = sample_step_matrices(ss.a, ss.b, t_s, dt)
+    c, c_full = ss.c, np.vstack([ss.c, plant.aux_c])
     channels = plant.output_labels + plant.aux_labels + plant.input_labels
+    ctrl = controller.sampled_system(t_s)
+    # the command never feeds through to itself: only its y columns of d are read
+    b_r, b_y, d_y = ctrl.b[:, :N_REFERENCES], ctrl.b[:, N_REFERENCES:], ctrl.d[:, N_REFERENCES:]
     if controller.saturation is not None:  # clipping is not LTI: step per sample
-        controller.reset()
-        x = np.zeros(phi.shape[0])
+        x, xi = np.zeros(phi.shape[0]), np.zeros(ctrl.n_states)
         out = np.empty((len(w), len(channels)))
         for k in range(len(w)):
-            if not (np.max(np.abs(x)) <= BLOW_UP_BOUND):  # NaN counts as divergence
+            if not (np.max(np.abs(np.concatenate([x, xi]))) <= BLOW_UP_BOUND):  # NaN too
                 raise SimulationDivergence(
                     f"state norm exceeded {BLOW_UP_BOUND:g} or is NaN at t={k * t_s:.3f} s")
             y_full = c_full @ x
-            r = controller.step(y_full[:N_MEASUREMENTS], t_s)
+            y = y_full[:N_MEASUREMENTS]
+            r = np.clip(ctrl.c @ xi + d_y @ y, -controller.saturation, controller.saturation)
             out[k] = np.concatenate([y_full, r])
             x = phi @ x + gamma @ np.concatenate([r, w[k]])
+            xi = ctrl.a @ xi + ctrl.b @ np.concatenate([r, y])
         return SignalRecord(t_s, channels, out)
 
-    ctrl = controller.sampled_system(t_s)
     g_r, g_w = gamma[:, :N_REFERENCES], gamma[:, N_REFERENCES:]
-    # state [x; xi] with r = ctrl.c xi + ctrl.d c x and xi+ = ctrl.a xi + ctrl.b c x
-    a = np.block([[phi + g_r @ ctrl.d @ c, g_r @ ctrl.c],
-                  [ctrl.b @ c, ctrl.a]])
+    # state [x; xi] with r = ctrl.c xi + d_y c x folded into both updates
+    a = np.block([[phi + g_r @ d_y @ c, g_r @ ctrl.c],
+                  [(b_r @ d_y + b_y) @ c, ctrl.a + b_r @ ctrl.c]])
     b = np.vstack([g_w, np.zeros((ctrl.n_states, g_w.shape[1]))])
     out_map = np.block([[c_full, np.zeros((len(c_full), ctrl.n_states))],
-                        [ctrl.d @ c, ctrl.c]])
+                        [d_y @ c, ctrl.c]])
     return SignalRecord(t_s, channels, run_lti(a, b, w, t_s, BLOW_UP_BOUND) @ out_map.T)
 
 

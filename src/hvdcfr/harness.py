@@ -15,9 +15,9 @@ from .control import PiSfcController, closed_loop, make_lqg
 from .plant import (
     DISTURBANCE_CHANNELS,
     OUTPUT_CHANNELS,
+    PRESETS,
     REFERENCE_CHANNELS,
     ContinuousPlant,
-    PlantError,
     PlantParams,
     SimulationDivergence,
     build_plant,
@@ -33,6 +33,7 @@ from .sysid import EraReport, IdentifyConfig, generate_excitation, identify
 from .statespace import StateSpace
 
 PROFILE_CHANNELS = ("p_li", "p_lr", "p_w")
+MAX_SAMPLES = 1_000_000  # longest record a scenario may ask for; shipped ones use 2001
 
 
 class ScenarioError(ValueError):
@@ -120,12 +121,22 @@ class Scenario:
     controller: ControllerSpec = field(default_factory=ControllerSpec)
 
     def __post_init__(self):
+        if self.plant not in PRESETS:
+            raise ScenarioError(f"plant must be one of {PRESETS}, got {self.plant!r}")
         if self.case not in (1, 2, 3):
             raise ScenarioError(f"case must be 1, 2 or 3, got {self.case}")
         if not all(math.isfinite(v) for v in (self.t_s, self.dt, self.duration_s)):
             raise ScenarioError("t_s, dt and duration_s must be finite")
         if self.t_s <= 0 or self.dt <= 0 or self.duration_s <= 0:
             raise ScenarioError("t_s, dt and duration_s must be positive")
+        records = [("duration_s", self.duration_s),
+                   ("identification.duration_s", self.identification.duration_s)]
+        if self.continuous:
+            records.append(("continuous.duration_s", self.continuous.duration_s))
+        for name, duration in records:  # NaN fails the comparison too
+            if not 0 < duration / self.t_s <= MAX_SAMPLES:
+                raise ScenarioError(f"{name}={duration:g} s over t_s={self.t_s:g} s must "
+                                    f"give between 1 and {MAX_SAMPLES} samples")
         sources = sum(bool(x) for x in (self.steps, self.continuous, self.disturbance_file))
         if sources != 1:
             raise ScenarioError(
@@ -156,28 +167,46 @@ class Scenario:
         return d
 
 
-def scenario_from_dict(raw: dict) -> Scenario:
+def _section(raw: dict, key: str) -> dict:
+    value = raw.get(key, {})
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{key} must be an object, got {value!r}")
+    return value
+
+
+def _number(raw: dict, key: str, default, kind=float):
+    value = raw.get(key, default)
     try:
-        dist = raw.get("disturbance", {})
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"{key} must be a number, got {value!r}") from exc
+
+
+def scenario_from_dict(raw: dict) -> Scenario:
+    """Scenario from a parsed JSON document; any defect is a ``ScenarioError``."""
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"scenario document must be an object, got {raw!r}")
+    dist = _section(raw, "disturbance")
+    try:
         steps = tuple(StepEvent(**s) for s in dist.get("steps", []))
         continuous = ContinuousSpec(**dist["continuous"]) if "continuous" in dist else None
         return Scenario(
             name=raw["name"],
             plant=raw.get("plant", "jh"),
-            case=int(raw.get("case", 1)),
-            t_s=float(raw.get("t_s", 0.1)),
-            dt=float(raw.get("dt", 0.001)),
-            duration_s=float(raw.get("duration_s", 60.0)),
+            case=_number(raw, "case", 1, int),
+            t_s=_number(raw, "t_s", 0.1),
+            dt=_number(raw, "dt", 0.001),
+            duration_s=_number(raw, "duration_s", 60.0),
             steps=steps,
             continuous=continuous,
             disturbance_file=dist.get("file"),
-            identification=IdentificationSpec(**raw.get("identification", {})),
+            identification=IdentificationSpec(**_section(raw, "identification")),
             controller=ControllerSpec(
                 **{k: tuple(v) if isinstance(v, list) else v
-                   for k, v in raw.get("controller", {}).items()}
+                   for k, v in _section(raw, "controller").items()}
             ),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ScenarioError(f"bad scenario document: {exc}") from exc
 
 
@@ -409,11 +438,7 @@ def _run_case(scenario: Scenario, params: PlantParams, keep_trace: bool) -> Scen
 def run_scenario(scenario: Scenario, keep_trace: bool = True) -> ScenarioReport:
     """Execute one case end to end; deterministic given the scenario.
     A diverging closed loop gives all-inf metrics and no trace."""
-    try:
-        params = load_preset(scenario.plant)
-    except PlantError as exc:
-        raise ScenarioError(f"plant stage failed: {exc}") from exc
-    return _run_case(scenario, params, keep_trace)
+    return _run_case(scenario, load_preset(scenario.plant), keep_trace)
 
 
 METRIC_COLUMNS = (

@@ -34,6 +34,7 @@ DISTURBANCE_CHANNELS = ("p_li", "p_lr_net")  # p_lr_net = load minus wind on the
 OUTPUT_CHANNELS = ("f_i", "f_r", "v_dc", "int_f_i", "int_f_r", "int_v_dc")
 AUX_CHANNELS = ("p_gi", "p_gr", "p_dci", "p_dcr", "i_dci", "v_dcr")
 BLOW_UP_BOUND = 1e6  # largest state magnitude a simulation accepts
+PRESETS = ("jh", "cigre")  # the parameter sets shipped under presets/
 
 
 @dataclass(frozen=True)
@@ -162,7 +163,7 @@ def load_preset(name: str) -> PlantParams:
     """Load one of the shipped parameter sets (``jh`` or ``cigre``)."""
     ref = resources.files("hvdcfr.presets").joinpath(f"{name}.json")
     if not ref.is_file():
-        raise PlantError(f"unknown plant preset {name!r}; shipped presets are 'jh' and 'cigre'")
+        raise PlantError(f"unknown plant preset {name!r}; shipped presets are {PRESETS}")
     return PlantParams(**json.loads(ref.read_text()))
 
 
@@ -351,14 +352,14 @@ def without_hvdc_droops_and_ire(params: PlantParams) -> PlantParams:
     return replace(without_hvdc_droops(params), W_i=0.0, W_r=0.0)
 
 
-def sample_step_matrices(plant: ContinuousPlant, t_s: float,
+def sample_step_matrices(a: np.ndarray, b: np.ndarray, t_s: float,
                          dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Pair (phi, gamma) advancing the plant one sample ``t_s`` with the
-    input [references; disturbances] held, folded from RK4 substeps ``dt``."""
+    """Pair (phi, gamma) advancing ``dx = a x + b u`` one sample ``t_s``
+    with u held, folded from RK4 substeps ``dt``."""
     n_sub = t_s / dt
     if abs(n_sub - round(n_sub)) > 1e-9 or round(n_sub) < 1:
         raise PlantError(f"dt={dt} must divide the sample time T_s={t_s}")
-    phi, gamma = rk4_step_matrices(plant.state_space.a, plant.state_space.b, dt)
+    phi, gamma = rk4_step_matrices(a, b, dt)
     return compound_steps(phi, gamma, int(round(n_sub)))
 
 
@@ -379,10 +380,11 @@ def simulate(plant: ContinuousPlant, refs: SignalRecord, disturbances: SignalRec
     if disturbances.channels != plant.disturbance_labels:
         raise PlantError(f"disturbance channels {disturbances.channels} != {plant.disturbance_labels}")
 
-    phi, gamma = sample_step_matrices(plant, refs.t_s, dt)
+    ss = plant.state_space
+    phi, gamma = sample_step_matrices(ss.a, ss.b, refs.t_s, dt)
     u = np.hstack([refs.samples, disturbances.samples])
     x = run_lti(phi, gamma, u, refs.t_s, blow_up_bound)
-    c_full = np.vstack([plant.state_space.c, plant.aux_c])
+    c_full = np.vstack([ss.c, plant.aux_c])
     return SignalRecord(refs.t_s, OUTPUT_CHANNELS + AUX_CHANNELS, x @ c_full.T)
 
 

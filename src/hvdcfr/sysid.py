@@ -164,8 +164,8 @@ def estimate_observer_markov(u: SignalRecord, y: SignalRecord, l: int) -> Observ
 
     Builds the block-Toeplitz regressor whose first block row holds the
     inputs and whose following ``l`` block rows hold lagged input/output
-    pairs, then solves by SVD pseudo-inverse. The record must start
-    from rest.
+    pairs, then solves for the minimum-norm least-squares estimate. The
+    record must start from rest.
     """
     if u.t_s != y.t_s:
         raise IdentificationError(f"input T_s {u.t_s} != output T_s {y.t_s}")
@@ -192,9 +192,12 @@ def estimate_observer_markov(u: SignalRecord, y: SignalRecord, l: int) -> Observ
         rows = slice(v + (i - 1) * (v + z), v + i * (v + z))
         regressor[rows, i:] = vy[:, : n_samples - i]
 
-    res = svd(regressor)
-    s = res.singular_values
-    rank = int(np.sum(s > 1e-10 * s[0])) if s[0] > 0 else 0
+    # minimum-norm solution; singular values at or below 1e-10 of the largest count as zero
+    try:
+        theta_t, _, rank, _ = np.linalg.lstsq(regressor.T, yy.T, rcond=1e-10)
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(f"SVD failed to converge on the {regressor.shape[0]}x"
+                            f"{regressor.shape[1]} observer regressor") from exc
     if rank < v + z:
         raise IdentificationError(
             f"regressor rank {rank} is degenerate (need at least {v + z}); "
@@ -206,9 +209,7 @@ def estimate_observer_markov(u: SignalRecord, y: SignalRecord, l: int) -> Observ
             f"{regressor.shape[0]} rows; estimates are minimum-norm",
             stacklevel=2,
         )
-    inv_s = np.where(s > 1e-10 * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
-    pinv_reg = (res.right * inv_s) @ res.left.T
-    theta = yy @ pinv_reg  # (z, v + l(v+z))
+    theta = theta_t.T  # (z, v + l(v+z))
 
     feedthrough = theta[:, :v]
     blocks = []

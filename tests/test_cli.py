@@ -71,6 +71,19 @@ class TestCli:
         assert metrics["case"] == 1
         assert metrics["sum_max_f"] > 0
 
+    def test_evaluate_csv_format_adds_metrics_csv(self, tmp_path):
+        out = tmp_path / "eval"
+        assert run(["evaluate", "--scenario", STEP, "--out", str(out), "--format", "csv"]) == 0
+        header = (out / "metrics.csv").read_text().splitlines()[0]
+        assert header.startswith("name,case,")
+        assert (out / "metrics.json").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "identify", "design", "pipeline", "sweep"])
+    def test_format_only_on_evaluate(self, command, tmp_path, capsys):
+        assert run([command, "--scenario", STEP, "--out", str(tmp_path), "--format", "csv"]) == 2
+        assert "--format" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_pipeline_writes_comparison_and_traces(self, tmp_path):
         out = tmp_path / "pipe"
         assert run(["pipeline", "--scenario", STEP, "--out", str(out)]) == 0

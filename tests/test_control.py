@@ -135,33 +135,24 @@ class TestNoisyModelDesign:
 
 
 class TestLqgStep:
-    def test_rest_stays_at_rest(self, jh_lqg):
-        jh_lqg.reset()
-        r = jh_lqg.step(np.zeros(6), 0.1)
-        np.testing.assert_allclose(r, np.zeros(4))
-        np.testing.assert_allclose(jh_lqg.x_hat, np.zeros(jh_lqg.model.n_states))
-
-    def test_non_finite_measurement_rejected(self, jh_lqg):
-        with pytest.raises(ControlDesignError, match="finite"):
-            jh_lqg.step(np.array([np.nan, 0, 0, 0, 0, 0]), 0.1)
-
     def test_constant_measurement_converges_to_fixed_point(self, jh_lqg):
-        jh_lqg.reset()
         model = jh_lqg.model
+        ctrl = jh_lqg.sampled_system(0.1)
+        x_hat = np.zeros(model.n_states)
         y = np.array([1e-3, -2e-3, 5e-4, 0.0, 0.0, 0.0])
         for _ in range(600):
-            r = jh_lqg.step(y, 0.1)
+            r = ctrl.c @ x_hat
+            x_hat = ctrl.a @ x_hat + ctrl.b @ np.concatenate([r, y])
         # fixed point of the estimator under held y and r = -K x_hat
         b_r = model.b[:, :4]
         a_eff = model.a - jh_lqg.k_f @ model.c - b_r @ jh_lqg.k
         x_inf = np.linalg.solve(a_eff, -jh_lqg.k_f @ y)
-        np.testing.assert_allclose(jh_lqg.x_hat, x_inf, rtol=1e-5, atol=1e-9)
+        np.testing.assert_allclose(x_hat, x_inf, rtol=1e-5, atol=1e-9)
         assert np.all(np.isfinite(r))
 
     def test_estimator_tracks_plant_outputs(self, jh_plant, jh_lqg):
         # drive plant and estimator with the same reference sequence and
         # feed the estimator the plant's noise-free measurements
-        jh_lqg.reset()
         t_s, dur = 0.1, 20.0
         n = int(round(dur / t_s)) + 1
         rng = np.random.default_rng(3)
@@ -173,37 +164,29 @@ class TestLqgStep:
         # under slowly held references and the output mismatch must decay
         x = np.zeros(ss.n_states)
         model = jh_lqg.model
-        jh_lqg.x_hat = 0.05 * rng.normal(size=model.n_states)
+        ctrl = jh_lqg.sampled_system(t_s)
+        x_hat = 0.05 * rng.normal(size=model.n_states)
         r = np.array([0.02, -0.01, 0.015, -0.02])
         errs = []
         for k in range(n):
             y = ss.c @ x
-            phi_e, gamma_e = jh_lqg._matrices(t_s)
-            y_hat = model.c @ jh_lqg.x_hat
+            y_hat = model.c @ x_hat
             errs.append(np.linalg.norm(y_hat - y))
-            jh_lqg.x_hat = phi_e @ jh_lqg.x_hat + gamma_e @ np.concatenate([r, y])
+            x_hat = ctrl.a @ x_hat + ctrl.b @ np.concatenate([r, y])
             x = phi @ x + gamma @ np.concatenate([r, np.zeros(2)])
         assert errs[0] > 1e-2
         assert errs[-1] < 1e-3
-        jh_lqg.reset()
-
-    def test_saturation_clips_command(self, jh_identified):
-        _, model = jh_identified
-        ctrl = make_lqg(model, saturation=1e-6)
-        ctrl.x_hat = np.ones(model.n_states)
-        r = ctrl.command()
-        assert np.max(np.abs(r)) <= 1e-6
 
 
 class TestPiSfc:
     def test_zero_measurement_zero_command(self):
-        assert np.all(PiSfcController().step(np.zeros(6), 0.1) == 0.0)
+        assert np.all(PiSfcController().gain @ np.zeros(6) == 0.0)
 
     def test_inverter_only_never_commands_rectifier_channels(self):
         rng = np.random.default_rng(9)
         ctrl = PiSfcController(inverter_only=True)
         for _ in range(50):
-            r = ctrl.step(rng.normal(size=6), 0.1)
+            r = ctrl.gain @ rng.normal(size=6)
             assert r[1] == 0.0 and r[3] == 0.0
 
     def test_integral_action_grows_linearly(self):
@@ -215,7 +198,7 @@ class TestPiSfc:
         commands = []
         for tk in t:
             y = np.array([eps, 0, 0, eps * tk, 0, 0])
-            commands.append(ctrl.step(y, 0.1)[2])
+            commands.append((ctrl.gain @ y)[2])
         commands = np.abs(np.array(commands))
         slope_first = (commands[100] - commands[50]) / 5.0
         slope_last = (commands[-1] - commands[-51]) / 5.0
@@ -226,6 +209,12 @@ class TestPiSfc:
         ctrl = PiSfcController()
         assert (ctrl.kp_hvdc, ctrl.ki_hvdc) == (3.0, 25.0)
         assert (ctrl.kp_gen, ctrl.ki_gen) == (0.8, 0.2)
+
+
+def test_controllers_are_frozen(jh_lqg):
+    for ctrl, name in ((jh_lqg, "saturation"), (PiSfcController(), "kp_gen")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ctrl, name, 1.0)
 
 
 class TestClosedLoop:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hvdcfr.harness import (
     ContinuousSpec,
     ControllerSpec,
     IdentificationSpec,
+    MAX_SAMPLES,
     METRIC_COLUMNS,
     PROFILE_CHANNELS,
     Scenario,
@@ -216,6 +218,98 @@ class TestScenario:
         s = Scenario(name="x", duration_s=20.0, disturbance_file=str(path))
         with pytest.raises(ScenarioError, match="non-finite"):
             build_disturbance_profile(s)
+
+
+ONE_STEP = {"steps": [{"channel": "p_li", "time_s": 5.0, "magnitude_pu": 0.3, "duration_s": 15.0}]}
+
+# any JSON value, including the awkward ones: NaN, infinities, integers
+# too large for a float, nested lists and objects
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+def maybe(valid):
+    """Mostly the valid value, otherwise any JSON value."""
+    return st.one_of(st.just(valid), st.just(valid), JSON_VALUES)
+
+
+def document(fields):
+    """A JSON object holding any subset of the given keys."""
+    return st.fixed_dictionaries({}, optional=fields)
+
+
+STEP_DOCS = document({"channel": maybe("p_li"), "time_s": maybe(5.0),
+                      "magnitude_pu": maybe(0.3), "duration_s": maybe(15.0)})
+DISTURBANCE_DOCS = document({
+    "steps": st.lists(STEP_DOCS, max_size=2) | JSON_VALUES,
+    "continuous": document({"seed": maybe(2024), "amplitude_pu": maybe(0.3),
+                            "bandwidth_hz": maybe(0.05), "duration_s": maybe(200.0)}) | JSON_VALUES,
+    "file": maybe("profile.csv"),
+}) | JSON_VALUES
+SCENARIO_DOCS = JSON_VALUES | st.fixed_dictionaries({
+    "name": maybe("fuzz"), "disturbance": DISTURBANCE_DOCS,
+}, optional={
+    "plant": maybe("jh"), "case": maybe(1), "t_s": maybe(0.1),
+    "dt": maybe(0.001), "duration_s": maybe(60.0),
+    "identification": document({"seed": maybe(1234), "duration_s": maybe(200.0),
+                                "hold_s": maybe(1.0), "l": maybe(30)}) | JSON_VALUES,
+    "controller": document({"q": maybe([100.0] * 6), "saturation": maybe(None)}) | JSON_VALUES,
+})
+
+
+class TestScenarioDocuments:
+    @pytest.mark.parametrize("doc, message", [
+        ([], "object"),
+        ({"disturbance": []}, "disturbance"),
+        ({"name": "x", "disturbance": ONE_STEP, "controller": []}, "controller"),
+        ({"name": "x", "disturbance": ONE_STEP, "identification": [1]}, "identification"),
+        ({"name": "x", "disturbance": ONE_STEP, "t_s": "abc"}, "t_s"),
+        ({"name": "x", "disturbance": ONE_STEP, "case": "x"}, "case"),
+        ({"name": "x", "disturbance": ONE_STEP, "duration_s": 10**400}, "duration_s"),
+        ({"name": "x", "disturbance": ONE_STEP, "plant": "foo"}, "plant"),
+    ])
+    def test_bad_document_is_a_scenario_error(self, doc, message):
+        with pytest.raises(ScenarioError, match=message):
+            scenario_from_dict(doc)
+
+    @settings(max_examples=60, deadline=None)
+    @given(SCENARIO_DOCS)
+    def test_fuzzed_document_gives_scenario_or_scenario_error(self, doc):
+        try:
+            assert isinstance(scenario_from_dict(doc), Scenario)
+        except ScenarioError:
+            pass
+
+
+class TestRecordLength:
+    # construction alone is checked, so no record is ever allocated
+    @pytest.mark.parametrize("field, scenario", [
+        ("duration_s", dict(duration_s=1e9, steps=(StepEvent("p_li", 1.0, 0.2, 5.0),))),
+        ("duration_s", dict(t_s=1e-6, dt=1e-7, duration_s=10.0,
+                            steps=(StepEvent("p_li", 1.0, 0.2, 5.0),))),
+        ("continuous.duration_s", dict(continuous=ContinuousSpec(duration_s=1e9))),
+        ("identification.duration_s",
+         dict(steps=(StepEvent("p_li", 1.0, 0.2, 5.0),),
+              identification=IdentificationSpec(duration_s=1e9))),
+    ])
+    def test_too_many_samples_rejected(self, field, scenario):
+        with pytest.raises(ScenarioError, match="^" + re.escape(field) + "=.*samples"):
+            Scenario(name="x", **scenario)
+
+    @pytest.mark.parametrize("duration_s", [float("nan"), -5.0, 0.0])
+    def test_identification_duration_must_give_samples(self, duration_s):
+        with pytest.raises(ScenarioError, match="^identification.duration_s="):
+            Scenario(name="x", steps=(StepEvent("p_li", 1.0, 0.2, 5.0),),
+                     identification=IdentificationSpec(duration_s=duration_s))
+
+    def test_bound_itself_accepted(self):
+        Scenario(name="x", t_s=1.0, duration_s=float(MAX_SAMPLES),
+                 continuous=ContinuousSpec(duration_s=float(MAX_SAMPLES)),
+                 identification=IdentificationSpec(duration_s=float(MAX_SAMPLES)))
 
 
 @pytest.fixture(scope="module")
