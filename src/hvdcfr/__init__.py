@@ -35,7 +35,6 @@ from .numerics import (
     eig_real_parts,
     mat_exp,
     mat_log_principal,
-    pinv,
     solve_care,
     svd,
 )

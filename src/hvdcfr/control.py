@@ -231,15 +231,3 @@ def closed_loop(plant: ContinuousPlant, controller, disturbances: SignalRecord,
                         [d_y @ c, ctrl.c]])
     return SignalRecord(t_s, channels, run_lti(a, b, w, t_s, BLOW_UP_BOUND) @ out_map.T)
 
-
-def interconnection_matrix(model: StateSpace, k: np.ndarray, k_f: np.ndarray) -> np.ndarray:
-    """Continuous closed-loop state matrix of model plus LQG estimator.
-
-    Its spectrum is the union of the regulator and estimator spectra
-    (separation principle), which the tests verify.
-    """
-    b_r, _ = _split_inputs(model)
-    a, c = model.a, model.c
-    top = np.hstack([a, -b_r @ k])
-    bottom = np.hstack([k_f @ c, a - b_r @ k - k_f @ c])
-    return np.vstack([top, bottom])

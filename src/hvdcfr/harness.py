@@ -6,6 +6,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
+import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -40,6 +42,39 @@ class ScenarioError(ValueError):
     """Malformed scenario description."""
 
 
+def _finite(v) -> bool:
+    """A real number, not a bool, that converts to a finite float."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+# a field rule is (predicate, description of a valid value)
+_POSITIVE = (lambda v: _finite(v) and v > 0, "positive and finite")
+_NON_NEGATIVE = (lambda v: _finite(v) and v >= 0, "non-negative and finite")
+_FINITE = (_finite, "finite")
+
+
+def _count(low: int):
+    return (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= low,
+            f"an integer >= {low}")
+
+
+def _optional(rule):
+    return lambda v: v is None or rule[0](v), f"None or {rule[1]}"
+
+
+def _entries(n: int, rule):
+    return (lambda v: isinstance(v, (tuple, list)) and len(v) == n and all(map(rule[0], v)),
+            f"{n} entries, each {rule[1]}")
+
+
+def _validate(section: str, spec, rules: dict) -> None:
+    """Raise a ``ScenarioError`` naming the first field its rule rejects."""
+    for name, (ok, want) in rules.items():
+        value = getattr(spec, name)
+        if not ok(value):
+            raise ScenarioError(f"{section}.{name}={value!r} must be {want}")
+
+
 @dataclass(frozen=True)
 class StepEvent:
     channel: str
@@ -64,9 +99,8 @@ class ContinuousSpec:
     duration_s: float = 200.0
 
     def __post_init__(self):
-        if not all(math.isfinite(v) and v > 0
-                   for v in (self.amplitude_pu, self.bandwidth_hz, self.duration_s)):
-            raise ScenarioError("continuous profile parameters must be positive and finite")
+        _validate("continuous", self, {"seed": _count(0), "amplitude_pu": _POSITIVE,
+                                       "bandwidth_hz": _POSITIVE, "duration_s": _POSITIVE})
 
 
 @dataclass(frozen=True)
@@ -83,6 +117,14 @@ class IdentificationSpec:
     r_override: int | None = None
     max_feedthrough: float | None = 1e-6
     prefilter_hz: float | None = 2.0
+
+    def __post_init__(self):
+        _validate("identification", self, {
+            "seed": _count(0), "duration_s": _POSITIVE, "amplitude_pu": _POSITIVE,
+            "hold_s": _POSITIVE, "l": _count(1), "p": _count(1),
+            "energy_threshold": (lambda v: _finite(v) and 0 < v <= 1, "in (0, 1]"),
+            "r_override": _optional(_count(1)), "max_feedthrough": _optional(_POSITIVE),
+            "prefilter_hz": _optional(_POSITIVE)})
 
     def to_config(self, t_s: float) -> IdentifyConfig:
         return IdentifyConfig(
@@ -104,6 +146,13 @@ class ControllerSpec:
     ki_hvdc: float = 25.0
     kp_gen: float = 0.8
     ki_gen: float = 0.2
+
+    def __post_init__(self):
+        _validate("controller", self, {
+            "q": _entries(6, _NON_NEGATIVE), "r": _entries(4, _POSITIVE),
+            "sigma_process": _POSITIVE, "v_meas_scale": _POSITIVE, "w_proc_floor": _POSITIVE,
+            "saturation": _optional(_POSITIVE), "kp_hvdc": _FINITE, "ki_hvdc": _FINITE,
+            "kp_gen": _FINITE, "ki_gen": _FINITE})
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Dense linear-algebra kernels used by identification and control design.
 
-SVD, pseudo-inverse, matrix exponential/logarithm, a continuous
+SVD, matrix exponential/logarithm, a continuous
 algebraic Riccati solver and a digital Butterworth low-pass filter.
 Everything operates on plain numpy arrays and raises ``NumericsError``
 with a diagnostic message on failure.
@@ -63,21 +63,6 @@ def svd(a) -> SvdResult:
     except np.linalg.LinAlgError as exc:
         raise NumericsError(f"SVD failed to converge on a {a.shape[0]}x{a.shape[1]} matrix") from exc
     return SvdResult(left=u, singular_values=s, right=vt.T)
-
-
-def pinv(a, rel_tol: float = 1e-10) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse via SVD.
-
-    Singular values below ``rel_tol * sigma_max`` are treated as zero.
-    """
-    if not 0.0 < rel_tol < 1.0:
-        raise NumericsError(f"rel_tol must lie in (0,1), got {rel_tol}")
-    res = svd(a)
-    s = res.singular_values
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((res.right.shape[0], res.left.shape[0]))
-    inv_s = np.where(s > rel_tol * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
-    return (res.right * inv_s) @ res.left.T
 
 
 def mat_exp(a, t: float = 1.0) -> np.ndarray:

@@ -4,14 +4,16 @@ The pipeline estimates observer pulse-response parameters by least
 squares on a block-Toeplitz regressor, unwinds them into the system's
 pulse-response sequence, stacks a block-Hankel matrix, realizes a
 minimal discrete model from its dominant singular directions, and
-converts the result to continuous time.
+converts the result to continuous time. The Hankel matrix is decomposed
+once: ERA models nest (order r is the leading block of any higher order),
+so a lower order is a slice. ``EraReport`` records the orders chosen.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,20 +56,15 @@ class ObserverMarkov:
     """Observer pulse-response parameters split into input/output parts.
 
     ``blocks[k-1]`` is the pair (input part z-by-v, output part z-by-z)
-    at step k; ``feedthrough`` is the direct z-by-v term.
+    at step k; ``feedthrough`` is the direct z-by-v term. ``rank`` is the
+    effective rank of the least-squares regressor (below its row count
+    on noise-free records, where the minimum-norm estimate is exact).
     """
 
     t_s: float
     feedthrough: np.ndarray
     blocks: list[tuple[np.ndarray, np.ndarray]]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.feedthrough.shape[0]
-
-    @property
-    def n_inputs(self) -> int:
-        return self.feedthrough.shape[1]
+    rank: int | None = None
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -75,13 +72,19 @@ class ObserverMarkov:
 
 @dataclass(frozen=True)
 class EraReport:
-    """Realization summary: spectrum of the Hankel matrix and the model."""
+    """Realization summary: spectrum of the Hankel matrix and the model.
+
+    ``threshold_order`` is the energy rule's (or clamped override's) order,
+    ``retained_order`` the model's, lower if ``identify`` shed states.
+    """
 
     hankel_size: int
     singular_values: np.ndarray
+    threshold_order: int
     retained_order: int
     cumulative_energy_at_r: float
     realized: StateSpace
+    regressor_rank: int | None = None
 
     @property
     def cumulative_energy(self) -> np.ndarray:
@@ -94,6 +97,8 @@ class EraReport:
     def to_json_dict(self) -> dict:
         return {
             "hankel_size": self.hankel_size,
+            "regressor_rank": self.regressor_rank,
+            "threshold_order": self.threshold_order,
             "retained_order": self.retained_order,
             "cumulative_energy_at_r": self.cumulative_energy_at_r,
             "singular_values": [float(s) for s in self.singular_values],
@@ -108,7 +113,9 @@ class EraReport:
 
 @dataclass(frozen=True)
 class IdentifyConfig:
-    """Knobs for the full identification pipeline."""
+    """Knobs for the full identification pipeline. The model order is the
+    smallest whose cumulative Hankel energy reaches ``energy_threshold``
+    (or ``r_override``); ``identify`` may then shed trailing states."""
 
     l: int = 30
     p: int = 100
@@ -122,9 +129,6 @@ class IdentifyConfig:
     # leading half: identify only the stable subsystem and reattach exact
     # integrator states, instead of estimating poles at z=1 from data
     integral_outputs: bool = False
-    # discard singular directions within tail_gate times the spectrum's
-    # tail median (the noise floor); None keeps the raw threshold choice
-    tail_gate: float | None = 5.0
     # identical causal low-pass on inputs and outputs: records starting
     # from rest keep their I/O relation exactly while measurement noise
     # above the system band is attenuated; None disables
@@ -203,12 +207,6 @@ def estimate_observer_markov(u: SignalRecord, y: SignalRecord, l: int) -> Observ
             f"regressor rank {rank} is degenerate (need at least {v + z}); "
             "excitation carries no usable energy"
         )
-    if rank < regressor.shape[0]:
-        warnings.warn(
-            f"observer regressor is rank deficient: effective rank {rank} of "
-            f"{regressor.shape[0]} rows; estimates are minimum-norm",
-            stacklevel=2,
-        )
     theta = theta_t.T  # (z, v + l(v+z))
 
     feedthrough = theta[:, :v]
@@ -216,7 +214,7 @@ def estimate_observer_markov(u: SignalRecord, y: SignalRecord, l: int) -> Observ
     for i in range(l):
         chunk = theta[:, v + i * (v + z): v + (i + 1) * (v + z)]
         blocks.append((chunk[:, :v], chunk[:, v:]))
-    return ObserverMarkov(t_s=u.t_s, feedthrough=feedthrough, blocks=blocks)
+    return ObserverMarkov(t_s=u.t_s, feedthrough=feedthrough, blocks=blocks, rank=int(rank))
 
 
 def recover_system_markov(obs: ObserverMarkov, m: int) -> MarkovSequence:
@@ -265,14 +263,11 @@ def build_hankel(markov: MarkovSequence, p: int) -> tuple[np.ndarray, np.ndarray
     if n_rows < 1:
         raise IdentificationError("need at least 2 pulse-response blocks")
     z, v = markov.n_outputs, markov.n_inputs
-    blocks = markov.pulse_blocks
+    stack = np.asarray(markov.pulse_blocks)  # (m, z, v)
+    idx = np.arange(n_rows)[:, None] + np.arange(p)[None, :]  # block (i, j) -> i + j
 
     def assemble(offset: int) -> np.ndarray:
-        h = np.empty((n_rows * z, p * v))
-        for i in range(n_rows):
-            for j in range(p):
-                h[i * z:(i + 1) * z, j * v:(j + 1) * v] = blocks[i + j + offset]
-        return h
+        return stack[idx + offset].transpose(0, 2, 1, 3).reshape(n_rows * z, p * v)
 
     return assemble(0), assemble(1)
 
@@ -319,8 +314,9 @@ def era_realize(h: np.ndarray, h_shift: np.ndarray, z: int, v: int,
     right = res.right[:, :r]
     sqrt_s = np.sqrt(s_r)
     a_d = (left / sqrt_s).T @ h_shift @ (right / sqrt_s)
-    b_d = ((right * sqrt_s).T)[:, :v]
-    c_d = (left * sqrt_s)[:z, :]
+    # scale only the rows kept, so the model holds no view of a Hankel-sized array
+    b_d = (right[:v] * sqrt_s).T
+    c_d = left[:z] * sqrt_s
     d_d = np.zeros((z, v)) if feedthrough is None else np.asarray(feedthrough, dtype=float)
 
     p_blocks = h.shape[1] // v
@@ -328,6 +324,7 @@ def era_realize(h: np.ndarray, h_shift: np.ndarray, z: int, v: int,
     return EraReport(
         hankel_size=p_blocks,
         singular_values=s,
+        threshold_order=r,
         retained_order=r,
         cumulative_energy_at_r=float(cumulative[r - 1]),
         realized=realized,
@@ -373,21 +370,23 @@ def augment_with_output_integrators(cont: StateSpace) -> StateSpace:
     return StateSpace(a=a, b=b, c=c, d=d, dt=None)
 
 
-def _gated_order(singular_values: np.ndarray, tail_gate: float | None) -> int | None:
-    """Largest order whose singular value clears the tail noise floor."""
-    if tail_gate is None or singular_values.size < 8:
-        return None
-    tail = singular_values[singular_values.size // 2:]
-    floor = float(np.median(tail)) * tail_gate
-    if floor <= 0.0:
-        return None
-    return max(1, int(np.sum(singular_values > floor)))
+def _truncate(report: EraReport, r: int) -> EraReport:
+    """The order-``r`` leading block of a realization: ERA models nest."""
+    m = report.realized
+    return replace(report, retained_order=r,
+                   cumulative_energy_at_r=float(report.cumulative_energy[r - 1]),
+                   realized=StateSpace(a=m.a[:r, :r], b=m.b[:r], c=m.c[:, :r], d=m.d, dt=m.dt))
 
 
 def identify(u: SignalRecord, y: SignalRecord,
              config: IdentifyConfig = IdentifyConfig()) -> tuple[EraReport, StateSpace]:
     """Full pipeline: observer regression, pulse-response recovery,
     Hankel realization, continuous conversion.
+
+    The Hankel pair is realized once. Weak trailing modes occasionally
+    land on the negative real axis and block the principal logarithm;
+    trailing states are then shed one at a time, each try a leading
+    slice of that realization, until the conversion succeeds.
 
     With ``integral_outputs`` the regression sees only the leading half
     of the output channels; exact integrators for them are appended to
@@ -418,42 +417,19 @@ def identify(u: SignalRecord, y: SignalRecord,
             )
     markov = recover_system_markov(obs, 2 * config.p)
     h, h_shift = build_hankel(markov, config.p)
-
-    def realize(r_over: int | None) -> EraReport:
-        return era_realize(
-            h, h_shift, z=markov.n_outputs, v=markov.n_inputs,
-            energy_threshold=config.energy_threshold, r_override=r_over,
-            feedthrough=markov.feedthrough, t_s=config.t_s,
-        )
-
-    report = realize(config.r_override)
-    r = report.retained_order
-    if config.r_override is None:
-        gate = _gated_order(report.singular_values, config.tail_gate)
-        if gate is not None and gate < r:
-            warnings.warn(
-                f"retained order capped at {gate} (of {r}) by the spectrum's "
-                "tail noise floor",
-                stacklevel=2,
-            )
-            r = gate
-            report = realize(r)
-    # weak trailing modes occasionally land on the negative real axis and
-    # block the logarithm; shedding them costs next to no energy
+    report = replace(era_realize(
+        h, h_shift, z=markov.n_outputs, v=markov.n_inputs,
+        energy_threshold=config.energy_threshold, r_override=config.r_override,
+        feedthrough=markov.feedthrough, t_s=config.t_s,
+    ), regressor_rank=obs.rank)
     while True:
         try:
             continuous = to_continuous(report.realized)
             break
         except IdentificationError:
-            r -= 1
-            if r < 1:
+            if report.retained_order == 1:
                 raise
-            warnings.warn(
-                f"retained order reduced to {r} to keep the discrete-to-continuous "
-                "conversion on the principal branch",
-                stacklevel=2,
-            )
-            report = realize(r)
+            report = _truncate(report, report.retained_order - 1)
 
     if config.integral_outputs:
         continuous = augment_with_output_integrators(continuous)

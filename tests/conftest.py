@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -14,12 +12,6 @@ from hvdcfr.plant import (
 from hvdcfr.signals import SignalRecord
 from hvdcfr.statespace import StateSpace
 from hvdcfr.sysid import IdentifyConfig, generate_excitation, identify
-
-# the observer regressor is structurally rank deficient on noise-free
-# records (output lags span only the state dimension beyond the input
-# lags), so the estimator's minimum-norm warning is expected throughout
-warnings.filterwarnings("ignore", message="observer regressor is rank deficient")
-warnings.filterwarnings("ignore", message="retained order")
 
 
 def random_stable_discrete(rng, n, v, z, radius=0.9, dt=0.1):

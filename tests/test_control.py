@@ -11,7 +11,6 @@ from hvdcfr.control import (
     closed_loop,
     design_kalman,
     design_lqr,
-    interconnection_matrix,
     make_lqg,
 )
 from hvdcfr.numerics import care_residual, eig_real_parts, is_hurwitz, solve_care
@@ -229,16 +228,6 @@ class TestClosedLoop:
         dist = SignalRecord(0.1, DISTURBANCE_CHANNELS, w)
         with pytest.raises(SimulationDivergence):
             closed_loop(jh_plant, PiSfcController(), dist, dt=0.001)
-
-    def test_separation_principle(self, jh_lqg):
-        model = jh_lqg.model
-        ic = interconnection_matrix(model, jh_lqg.k, jh_lqg.k_f)
-        union = np.sort_complex(np.concatenate([
-            np.linalg.eigvals(model.a - model.b[:, :4] @ jh_lqg.k),
-            np.linalg.eigvals(model.a - jh_lqg.k_f @ model.c),
-        ]))
-        got = np.sort_complex(np.linalg.eigvals(ic))
-        assert np.max(np.abs(got - union)) < 1e-6
 
     def test_both_designed_loops_hurwitz(self, jh_plant, jh_lqg):
         model = jh_lqg.model

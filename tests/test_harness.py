@@ -271,10 +271,38 @@ class TestScenarioDocuments:
         ({"name": "x", "disturbance": ONE_STEP, "case": "x"}, "case"),
         ({"name": "x", "disturbance": ONE_STEP, "duration_s": 10**400}, "duration_s"),
         ({"name": "x", "disturbance": ONE_STEP, "plant": "foo"}, "plant"),
+        ({"name": "x", "disturbance": ONE_STEP, "identification": {"l": "x", "hold_s": -1}},
+         "^identification.hold_s="),
+        ({"name": "x", "disturbance": {"continuous": {"seed": -1}}}, "^continuous.seed="),
+        ({"name": "x", "disturbance": ONE_STEP, "controller": {"q": [1, 2]}}, "^controller.q="),
+        ({"name": "x", "disturbance": ONE_STEP, "identification": {"energy_threshold": 2.0}},
+         "^identification.energy_threshold="),
+        ({"name": "x", "disturbance": ONE_STEP, "controller": {"saturation": -1}},
+         "^controller.saturation="),
+        ({"name": "x", "disturbance": ONE_STEP, "identification": {"l": True}}, "^identification.l="),
+        ({"name": "x", "disturbance": ONE_STEP, "identification": {"p": 0}}, "^identification.p="),
+        ({"name": "x", "disturbance": ONE_STEP, "identification": {"seed": 1.5}},
+         "^identification.seed="),
+        ({"name": "x", "disturbance": ONE_STEP, "identification": {"r_override": 0}},
+         "^identification.r_override="),
+        ({"name": "x", "disturbance": ONE_STEP, "identification": {"prefilter_hz": math.inf}},
+         "^identification.prefilter_hz="),
+        ({"name": "x", "disturbance": ONE_STEP, "identification": {"amplitude_pu": 10**400}},
+         "^identification.amplitude_pu="),
+        ({"name": "x", "disturbance": ONE_STEP, "controller": {"r": [1, 1, 0, 1]}}, "^controller.r="),
+        ({"name": "x", "disturbance": ONE_STEP, "controller": {"q": [1] * 5 + [-1]}}, "^controller.q="),
+        ({"name": "x", "disturbance": ONE_STEP, "controller": {"sigma_process": math.nan}},
+         "^controller.sigma_process="),
+        ({"name": "x", "disturbance": ONE_STEP, "controller": {"kp_gen": "1"}}, "^controller.kp_gen="),
+        ({"name": "x", "disturbance": {"continuous": {"seed": False}}}, "^continuous.seed="),
     ])
     def test_bad_document_is_a_scenario_error(self, doc, message):
         with pytest.raises(ScenarioError, match=message):
             scenario_from_dict(doc)
+
+    def test_optional_fields_accept_none(self):
+        IdentificationSpec(r_override=None, max_feedthrough=None, prefilter_hz=None)
+        ControllerSpec(saturation=None, q=[0.0] * 6)
 
     @settings(max_examples=60, deadline=None)
     @given(SCENARIO_DOCS)

@@ -11,7 +11,6 @@ from hvdcfr.numerics import (
     is_hurwitz,
     mat_exp,
     mat_log_principal,
-    pinv,
     solve_care,
     solve_lyapunov,
     svd,
@@ -55,39 +54,6 @@ class TestSvd:
     def test_rejects_non_finite(self):
         with pytest.raises(NumericsError):
             svd(np.array([[1.0, np.nan]]))
-
-
-class TestPinv:
-    def test_diagonal_inverse(self):
-        np.testing.assert_allclose(pinv(np.diag([2.0, 4.0])), np.diag([0.5, 0.25]), atol=1e-14)
-
-    def test_zero_matrix(self):
-        np.testing.assert_allclose(pinv(np.zeros((3, 2))), np.zeros((2, 3)))
-
-    def test_rank_one_against_least_squares(self):
-        rng = np.random.default_rng(11)
-        a = np.outer(rng.normal(size=3), rng.normal(size=3))
-        a_pinv = pinv(a)
-        for _ in range(5):
-            b = rng.normal(size=3)
-            expected, *_ = np.linalg.lstsq(a, b, rcond=None)
-            np.testing.assert_allclose(a_pinv @ b, expected, atol=1e-10)
-
-    @pytest.mark.parametrize("m,n", [(4, 6), (6, 4), (5, 5)])
-    def test_moore_penrose_identities_all_ranks(self, m, n):
-        rng = np.random.default_rng(m * 10 + n)
-        for rank in range(1, min(m, n) + 1):
-            a = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, n))
-            ap = pinv(a)
-            tol = 1e-8 * max(1.0, frob(a))
-            assert frob(a @ ap @ a - a) <= tol
-            assert frob(ap @ a @ ap - ap) <= tol
-            assert frob((a @ ap).T - a @ ap) <= tol
-            assert frob((ap @ a).T - ap @ a) <= tol
-
-    def test_bad_tolerance(self):
-        with pytest.raises(NumericsError):
-            pinv(np.eye(2), rel_tol=2.0)
 
 
 class TestMatExp:

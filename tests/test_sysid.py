@@ -1,9 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from hvdcfr.plant import OUTPUT_CHANNELS
+from hvdcfr import sysid
+from hvdcfr.harness import IdentificationSpec, collect_identification_data
+from hvdcfr.plant import OUTPUT_CHANNELS, build_plant, load_preset, without_hvdc_droops_and_ire
 from hvdcfr.signals import SignalRecord
 from hvdcfr.statespace import StateSpace, discretize_zoh, markov_parameters, simulate_discrete, step_response
 from hvdcfr.sysid import (
@@ -218,6 +221,27 @@ class TestEra:
             assert err <= prev_err + 1e-9
             prev_err = err
 
+    @pytest.mark.parametrize("seed", [14, 15, 16])
+    def test_lower_orders_are_leading_slices(self, seed):
+        rng = np.random.default_rng(seed)
+        ss = random_stable_discrete(rng, 6, 2, 3)
+        markov = markov_from_system(ss, 24)
+        h, h_shift = build_hankel(markov, p=12)
+        full = era_realize(h, h_shift, 3, 2, r_override=6, t_s=ss.dt).realized
+        for r in range(1, 6):
+            low = era_realize(h, h_shift, 3, 2, r_override=r, t_s=ss.dt).realized
+            for got, want in ((full.a[:r, :r], low.a), (full.b[:r], low.b), (full.c[:, :r], low.c)):
+                assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    def test_model_keeps_no_hankel_sized_array(self):
+        rng = np.random.default_rng(17)
+        ss = random_stable_discrete(rng, 4, 2, 3)
+        markov = markov_from_system(ss, 40)
+        h, h_shift = build_hankel(markov, p=20)
+        realized = era_realize(h, h_shift, 3, 2, r_override=4, t_s=ss.dt).realized
+        for arr in (realized.a, realized.b, realized.c):
+            assert (arr if arr.base is None else arr.base).nbytes == arr.nbytes
+
     def test_zero_hankel_rejected(self):
         with pytest.raises(IdentificationError, match="achievable energy"):
             era_realize(np.zeros((4, 4)), np.zeros((4, 4)), 2, 2)
@@ -370,6 +394,43 @@ class TestIdentifyPipeline:
                 nrmse = np.sqrt(np.mean(err**2)) / np.sqrt(np.mean(truth[:, ch] ** 2))
                 worst = max(worst, nrmse)
         assert worst < 0.05
+
+    def test_shedding_slices_one_svd(self, monkeypatch):
+        # a noisy record whose 30-state realization sheds to 15 states
+        # before its logarithm stays on the principal branch
+        spec = IdentificationSpec(seed=20002)
+        truth = build_plant(without_hvdc_droops_and_ire(load_preset("jh")))
+        u, y = collect_identification_data(truth, spec, 0.1, 0.001)
+        noise = np.random.default_rng(20002).normal(scale=1e-3, size=y.samples.shape)
+        y = SignalRecord(y.t_s, y.channels, y.samples + noise)
+        calls = {"svd": 0, "era": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(sysid, "svd", counted("svd", sysid.svd))
+        monkeypatch.setattr(sysid, "era_realize", counted("era", sysid.era_realize))
+        cfg = IdentifyConfig(l=40, energy_threshold=1 - 1e-7, integral_outputs=True,
+                             prefilter_hz=2.0, r_override=30)
+        report, model = identify(u, y, cfg)
+        assert calls == {"svd": 1, "era": 1}
+        assert (report.threshold_order, report.retained_order) == (30, 15)
+        assert report.realized.n_states == 15 and model.n_states == 18
+        assert report.cumulative_energy_at_r == report.cumulative_energy[14]
+
+    def test_decisions_are_data_not_warnings(self, jh_id_data):
+        u, y = jh_id_data
+        cfg = IdentifyConfig(integral_outputs=True, energy_threshold=1 - 1e-7,
+                             max_feedthrough=1e-6, prefilter_hz=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report, _ = identify(u, y, cfg)
+        assert report.regressor_rank == 204
+        assert report.threshold_order == report.retained_order
+        assert report.to_json_dict()["regressor_rank"] == 204
 
     def test_d2c_round_trip_under_default_config(self, jh_identified):
         _, model = jh_identified
