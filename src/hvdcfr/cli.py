@@ -115,6 +115,10 @@ def cmd_design(args) -> int:
         "q_weights": controller.q_weights.tolist(),
         "r_weights": controller.r_weights.tolist(),
         "model_order": controller.model.n_states,
+        "regulator_residual": controller.regulator_residual,
+        "estimator_residual": controller.estimator_residual,
+        "regulator_abscissa": controller.regulator_abscissa,
+        "estimator_abscissa": controller.estimator_abscissa,
     }
     (out / "gains.json").write_text(json.dumps(payload, indent=2) + "\n")
     (out / "model.json").write_text(json.dumps(_model_json(controller.model), indent=2) + "\n")

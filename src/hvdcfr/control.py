@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NumericsError, is_hurwitz, solve_care
+from .numerics import NumericsError, care_residual, eig_real_parts, solve_care
 from .plant import (BLOW_UP_BOUND, ContinuousPlant, PlantError, SimulationDivergence,
                     sample_step_matrices)
 from .signals import SignalRecord
@@ -47,12 +47,9 @@ def _split_inputs(model: StateSpace) -> tuple[np.ndarray, np.ndarray]:
     return model.b[:, :N_REFERENCES], model.b[:, N_REFERENCES:]
 
 
-def design_lqr(model: StateSpace, q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """State-feedback gain minimizing the output-weighted quadratic cost.
-
-    The state weight is ``c.T @ diag(q) @ c`` (weights sit on the
-    measured outputs, not on the abstract realized states).
-    """
+def _regulator(model: StateSpace, q: np.ndarray,
+               r: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """LQ gain, its CARE residual and closed-loop spectral abscissa."""
     q = np.asarray(q, dtype=float)
     r = np.asarray(r, dtype=float)
     if q.shape != (model.n_outputs,) or np.any(q < 0):
@@ -61,18 +58,21 @@ def design_lqr(model: StateSpace, q: np.ndarray, r: np.ndarray) -> np.ndarray:
         raise ControlDesignError(f"r must be {N_REFERENCES} positive weights")
     b_r, _ = _split_inputs(model)
     q_x = model.c.T @ np.diag(q) @ model.c
+    r_u = np.diag(r)
     try:
-        p = solve_care(model.a, b_r, q_x, np.diag(r))
+        p = solve_care(model.a, b_r, q_x, r_u)
     except NumericsError as exc:
         raise ControlDesignError(f"regulator Riccati solve failed: {exc}") from exc
-    k = np.linalg.solve(np.diag(r), b_r.T @ p)
-    if not is_hurwitz(model.a - b_r @ k):
+    k = np.linalg.solve(r_u, b_r.T @ p)
+    abscissa = float(np.max(eig_real_parts(model.a - b_r @ k)))
+    if not abscissa < 0.0:
         raise ControlDesignError("designed regulator does not stabilize the model")
-    return k
+    return k, care_residual(model.a, b_r, q_x, r_u, p), abscissa
 
 
-def design_kalman(model: StateSpace, w_proc: np.ndarray, v_meas: np.ndarray) -> np.ndarray:
-    """Steady-state Kalman gain via the dual Riccati equation."""
+def _estimator(model: StateSpace, w_proc: np.ndarray,
+               v_meas: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Kalman gain, its dual CARE residual and estimator spectral abscissa."""
     w_proc = np.asarray(w_proc, dtype=float)
     v_meas = np.asarray(v_meas, dtype=float)
     n, z = model.n_states, model.n_outputs
@@ -85,9 +85,24 @@ def design_kalman(model: StateSpace, w_proc: np.ndarray, v_meas: np.ndarray) -> 
     except NumericsError as exc:
         raise ControlDesignError(f"estimator Riccati solve failed: {exc}") from exc
     k_f = p_f @ model.c.T @ np.linalg.inv(v_meas)
-    if not is_hurwitz(model.a - k_f @ model.c):
+    abscissa = float(np.max(eig_real_parts(model.a - k_f @ model.c)))
+    if not abscissa < 0.0:
         raise ControlDesignError("designed estimator is not stable")
-    return k_f
+    return k_f, care_residual(model.a.T, model.c.T, w_proc, v_meas, p_f), abscissa
+
+
+def design_lqr(model: StateSpace, q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """State-feedback gain minimizing the output-weighted quadratic cost.
+
+    The state weight is ``c.T @ diag(q) @ c`` (weights sit on the
+    measured outputs, not on the abstract realized states).
+    """
+    return _regulator(model, q, r)[0]
+
+
+def design_kalman(model: StateSpace, w_proc: np.ndarray, v_meas: np.ndarray) -> np.ndarray:
+    """Steady-state Kalman gain via the dual Riccati equation."""
+    return _estimator(model, w_proc, v_meas)[0]
 
 
 @dataclass(frozen=True)
@@ -101,6 +116,13 @@ class LqgController:
     r_weights: np.ndarray
     w_proc: np.ndarray
     v_meas: np.ndarray
+    # design diagnostics: Frobenius CARE residuals of both Riccati
+    # solutions and the largest eigenvalue real part of a - b_r K and
+    # a - K_f c (negative: both loops stable)
+    regulator_residual: float
+    estimator_residual: float
+    regulator_abscissa: float
+    estimator_abscissa: float
     saturation: float | None = None
     substep: float = 0.001
 
@@ -136,10 +158,12 @@ def make_lqg(model: StateSpace,
         raise ControlDesignError("model carries no disturbance inputs for process noise")
     w_proc = (b_w @ b_w.T) * sigma_process**2 + w_proc_floor * np.eye(model.n_states)
     v_meas = v_meas_scale * np.eye(model.n_outputs)
-    k = design_lqr(model, q, r)
-    k_f = design_kalman(model, w_proc, v_meas)
+    k, reg_residual, reg_abscissa = _regulator(model, q, r)
+    k_f, est_residual, est_abscissa = _estimator(model, w_proc, v_meas)
     return LqgController(model=model, k=k, k_f=k_f, q_weights=q, r_weights=r,
-                         w_proc=w_proc, v_meas=v_meas, saturation=saturation,
+                         w_proc=w_proc, v_meas=v_meas, regulator_residual=reg_residual,
+                         estimator_residual=est_residual, regulator_abscissa=reg_abscissa,
+                         estimator_abscissa=est_abscissa, saturation=saturation,
                          substep=substep)
 
 

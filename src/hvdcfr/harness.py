@@ -178,6 +178,11 @@ class Scenario:
             raise ScenarioError("t_s, dt and duration_s must be finite")
         if self.t_s <= 0 or self.dt <= 0 or self.duration_s <= 0:
             raise ScenarioError("t_s, dt and duration_s must be positive")
+        substeps = self.t_s / self.dt  # the rule plant.sample_step_matrices applies
+        if not (math.isfinite(substeps) and substeps > 0.5
+                and abs(substeps - round(substeps)) <= 1e-9):
+            raise ScenarioError(f"dt={self.dt!r} s must divide t_s={self.t_s!r} s "
+                                "into a whole number of substeps")
         records = [("duration_s", self.duration_s),
                    ("identification.duration_s", self.identification.duration_s)]
         if self.continuous:
@@ -449,21 +454,26 @@ def build_controller(scenario: Scenario, plant: ContinuousPlant):
                            saturation=c.saturation)
 
 
-def _run_case(scenario: Scenario, params: PlantParams, keep_trace: bool) -> ScenarioReport:
+def _plant_disturbance(scenario: Scenario) -> SignalRecord:
+    """The scenario's profile on the plant's two disturbance inputs."""
+    try:
+        return to_plant_disturbance(build_disturbance_profile(scenario))
+    except ScenarioError:
+        raise
+    except Exception as exc:
+        raise ScenarioError(f"disturbance stage failed: {exc}") from exc
+
+
+def _run_case(scenario: Scenario, params: PlantParams, w: SignalRecord,
+              keep_trace: bool) -> ScenarioReport:
     """The scenario's case on the plant from ``params`` (case 3 drops its
-    rectifier loops here); a diverging closed loop gives all-inf metrics."""
+    rectifier loops here) under the plant disturbance ``w``, which every
+    case of a run shares; a diverging closed loop gives all-inf metrics."""
     try:
         params = case_plant_params(params, scenario.case)
         plant = build_plant(params)
     except Exception as exc:
         raise ScenarioError(f"plant stage failed: {exc}") from exc
-    try:
-        profile = build_disturbance_profile(scenario)
-        w = to_plant_disturbance(profile)
-    except ScenarioError:
-        raise
-    except Exception as exc:
-        raise ScenarioError(f"disturbance stage failed: {exc}") from exc
     try:
         controller = build_controller(scenario, plant)
     except Exception as exc:
@@ -487,7 +497,8 @@ def _run_case(scenario: Scenario, params: PlantParams, keep_trace: bool) -> Scen
 def run_scenario(scenario: Scenario, keep_trace: bool = True) -> ScenarioReport:
     """Execute one case end to end; deterministic given the scenario.
     A diverging closed loop gives all-inf metrics and no trace."""
-    return _run_case(scenario, load_preset(scenario.plant), keep_trace)
+    return _run_case(scenario, load_preset(scenario.plant), _plant_disturbance(scenario),
+                     keep_trace)
 
 
 METRIC_COLUMNS = (
@@ -554,7 +565,9 @@ def compare_cases(reports: list[ScenarioReport]) -> ComparisonTable:
 
 
 def run_cases(scenario: Scenario, cases=(1, 2, 3), keep_trace: bool = True) -> list[ScenarioReport]:
-    return [run_scenario(replace(scenario, case=c), keep_trace=keep_trace) for c in cases]
+    """The given cases on one disturbance, built (a file read) once."""
+    params, w = load_preset(scenario.plant), _plant_disturbance(scenario)
+    return [_run_case(replace(scenario, case=c), params, w, keep_trace) for c in cases]
 
 
 SWEEP_CONDITIONS = ("baseline", "no_pfc", "no_ire_no_pfc", "cigre")
@@ -565,9 +578,11 @@ def run_sweep(scenario: Scenario, conditions=SWEEP_CONDITIONS) -> dict[str, list
 
     The condition only changes the plant; each case keeps its own
     controller design flow (case 1 re-identifies the modified plant).
+    Every case runs on one disturbance, built (a file read) once.
     A case whose closed loop diverges gives an all-inf report.
     """
     base = load_preset(scenario.plant)
+    w = _plant_disturbance(scenario)
     variants = {"baseline": base, "no_pfc": without_hvdc_droops(base),
                 "no_ire_no_pfc": without_hvdc_droops_and_ire(base),
                 "cigre": load_preset("cigre")}
@@ -576,7 +591,8 @@ def run_sweep(scenario: Scenario, conditions=SWEEP_CONDITIONS) -> dict[str, list
         if condition not in variants:
             raise ScenarioError(f"unknown sweep condition {condition!r}; have {SWEEP_CONDITIONS}")
         s = replace(scenario, name=f"{scenario.name}[{condition}]")
-        out[condition] = [_run_case(replace(s, case=case), variants[condition], keep_trace=False)
+        out[condition] = [_run_case(replace(s, case=case), variants[condition], w,
+                                    keep_trace=False)
                           for case in (1, 2, 3)]
     return out
 

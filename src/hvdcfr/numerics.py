@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 
-# Kleinman-Newton refinement steps after the Schur-method Riccati solve
+# most Kleinman-Newton refinement steps after the Schur-method Riccati solve
 NEWTON_STEPS = 5
 
 
@@ -146,10 +146,12 @@ def care_residual(a, b, q, r, p) -> float:
 def solve_care(a, b, q, r) -> np.ndarray:
     """Stabilizing solution of ``a.T p + p a + q - p b r^-1 b.T p = 0``.
 
-    Schur-method solution (scipy) refined by up to ``NEWTON_STEPS``
-    Kleinman-Newton steps, each a Lyapunov solve on the closed loop;
-    the iterate with the smallest residual and a Hurwitz closed loop is
-    returned.
+    Schur-method solution (scipy) refined by Kleinman-Newton steps, each
+    a Lyapunov solve on the closed loop. Refinement stops at the first
+    iterate whose residual does not fall below the best so far (the
+    round-off floor, usually after 0-1 steps) or whose closed loop is not
+    Hurwitz, and after ``NEWTON_STEPS`` steps at most; the best Hurwitz
+    iterate is returned.
     """
     a = _as_square(a)
     b = _as_matrix(b, "b")
@@ -177,13 +179,14 @@ def solve_care(a, b, q, r) -> np.ndarray:
         ) from exc
     p_best, res_best = p, np.inf
     for step in range(NEWTON_STEPS + 1):
+        res = care_residual(a, b, q, r, p)
+        if not res < res_best:  # at the floor: a further step only rounds differently
+            break
         k = np.linalg.solve(r, b.T @ p)
         a_cl = a - b @ k
         if not is_hurwitz(a_cl):
             break
-        res = care_residual(a, b, q, r, p)
-        if res < res_best:
-            p_best, res_best = p, res
+        p_best, res_best = p, res
         if step < NEWTON_STEPS:
             p = solve_lyapunov(a_cl, q + k.T @ r @ k)
 
@@ -191,7 +194,7 @@ def solve_care(a, b, q, r) -> np.ndarray:
     res = care_residual(a, b, q, r, p)
     if res > 1e-7 * max(1.0, np.linalg.norm(p, "fro")):
         raise NumericsError(
-            f"Riccati solve did not converge: residual {res:.3e} after {NEWTON_STEPS} Newton steps"
+            f"Riccati solve did not converge: residual {res:.3e} after Newton refinement"
         )
     if not is_hurwitz(a - b @ np.linalg.solve(r, b.T @ p)):
         raise NumericsError("Riccati solution is not stabilizing (detectability of (a, q) may fail)")

@@ -31,13 +31,17 @@ class IdentificationError(RuntimeError):
 class MarkovSequence:
     """Pulse-response blocks of a discrete system.
 
-    ``feedthrough`` is the k=0 block; ``pulse_blocks[k-1]`` is the z-by-v
-    response block at step k.
+    ``feedthrough`` is the k=0 block; ``pulse_blocks`` is an (m, z, v)
+    array whose entry k-1 is the z-by-v response block at step k (a list
+    of blocks is stacked into one on construction).
     """
 
     t_s: float
     feedthrough: np.ndarray
-    pulse_blocks: list[np.ndarray]
+    pulse_blocks: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "pulse_blocks", np.asarray(self.pulse_blocks, dtype=float))
 
     @property
     def n_outputs(self) -> int:
@@ -76,6 +80,8 @@ class EraReport:
 
     ``threshold_order`` is the energy rule's (or clamped override's) order,
     ``retained_order`` the model's, lower if ``identify`` shed states.
+    ``regressor_rank`` and ``feedthrough_norm`` (Frobenius norm of the
+    estimated direct term) are set by ``identify``.
     """
 
     hankel_size: int
@@ -85,6 +91,7 @@ class EraReport:
     cumulative_energy_at_r: float
     realized: StateSpace
     regressor_rank: int | None = None
+    feedthrough_norm: float | None = None
 
     @property
     def cumulative_energy(self) -> np.ndarray:
@@ -98,6 +105,7 @@ class EraReport:
         return {
             "hankel_size": self.hankel_size,
             "regressor_rank": self.regressor_rank,
+            "feedthrough_norm": self.feedthrough_norm,
             "threshold_order": self.threshold_order,
             "retained_order": self.retained_order,
             "cumulative_energy_at_r": self.cumulative_energy_at_r,
@@ -220,23 +228,29 @@ def estimate_observer_markov(u: SignalRecord, y: SignalRecord, l: int) -> Observ
 def recover_system_markov(obs: ObserverMarkov, m: int) -> MarkovSequence:
     """Unwind observer parameters into ``m`` system pulse-response blocks.
 
-    Blocks beyond the estimated horizon are treated as zero, which is
-    what makes the recursion close (the implicit observer is deadbeat).
+    Block k is ``Ybar1_k + sum_{i=1..min(k,l)} Ybar2_i Y_{k-i}`` with
+    ``Y_0`` the feedthrough. The blocks fill one (m+1, z, v) array, so
+    the past blocks a step needs are the contiguous slice
+    ``seq[k-q:k]`` (q = min(k, l)); reshaped to (q z, v) it meets the
+    output parts stacked once as [Ybar2_l ... Ybar2_1] in a single
+    matrix product per block. Blocks beyond the estimated horizon are
+    treated as zero, which is what makes the recursion close (the
+    implicit observer is deadbeat).
     """
     if m < 1:
         raise IdentificationError("need at least one pulse-response block")
     l = len(obs)
-    blocks: list[np.ndarray] = []
-    zero_in = np.zeros_like(obs.feedthrough)
-    all_blocks = [obs.feedthrough]  # index k -> Y_k
+    z, v = obs.feedthrough.shape
+    seq = np.empty((m + 1, z, v))
+    seq[0] = obs.feedthrough
+    # [Ybar2_l ... Ybar2_1]: the last q column blocks meet seq[k-q:k], oldest first
+    out_parts = np.hstack([part_out for _, part_out in reversed(obs.blocks)])
     for k in range(1, m + 1):
-        part_in = obs.blocks[k - 1][0] if k <= l else zero_in
-        total = part_in.copy()
-        for i in range(1, min(k, l) + 1):
-            total += obs.blocks[i - 1][1] @ all_blocks[k - i]
-        blocks.append(total)
-        all_blocks.append(total)
-    return MarkovSequence(t_s=obs.t_s, feedthrough=obs.feedthrough.copy(), pulse_blocks=blocks)
+        q = min(k, l)
+        seq[k] = out_parts[:, (l - q) * z:] @ seq[k - q:k].reshape(q * z, v)
+        if k <= l:
+            seq[k] += obs.blocks[k - 1][0]
+    return MarkovSequence(t_s=obs.t_s, feedthrough=obs.feedthrough.copy(), pulse_blocks=seq[1:])
 
 
 def build_hankel(markov: MarkovSequence, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -263,7 +277,7 @@ def build_hankel(markov: MarkovSequence, p: int) -> tuple[np.ndarray, np.ndarray
     if n_rows < 1:
         raise IdentificationError("need at least 2 pulse-response blocks")
     z, v = markov.n_outputs, markov.n_inputs
-    stack = np.asarray(markov.pulse_blocks)  # (m, z, v)
+    stack = markov.pulse_blocks  # (m, z, v)
     idx = np.arange(n_rows)[:, None] + np.arange(p)[None, :]  # block (i, j) -> i + j
 
     def assemble(offset: int) -> np.ndarray:
@@ -407,21 +421,20 @@ def identify(u: SignalRecord, y: SignalRecord,
         y_fit = _prefilter(y_fit, config.prefilter_hz)
 
     obs = estimate_observer_markov(u, y_fit, config.l)
-    if config.max_feedthrough is not None:
-        norm_d = float(np.linalg.norm(obs.feedthrough, "fro"))
-        if norm_d > config.max_feedthrough:
-            raise IdentificationError(
-                f"estimated direct feedthrough norm {norm_d:.3e} exceeds "
-                f"{config.max_feedthrough:.1e}; data are inconsistent with a strictly "
-                "proper plant"
-            )
+    norm_d = float(np.linalg.norm(obs.feedthrough, "fro"))
+    if config.max_feedthrough is not None and norm_d > config.max_feedthrough:
+        raise IdentificationError(
+            f"estimated direct feedthrough norm {norm_d:.3e} exceeds "
+            f"{config.max_feedthrough:.1e}; data are inconsistent with a strictly "
+            "proper plant"
+        )
     markov = recover_system_markov(obs, 2 * config.p)
     h, h_shift = build_hankel(markov, config.p)
     report = replace(era_realize(
         h, h_shift, z=markov.n_outputs, v=markov.n_inputs,
         energy_threshold=config.energy_threshold, r_override=config.r_override,
         feedthrough=markov.feedthrough, t_s=config.t_s,
-    ), regressor_rank=obs.rank)
+    ), regressor_rank=obs.rank, feedthrough_norm=norm_d)
     while True:
         try:
             continuous = to_continuous(report.realized)

@@ -58,6 +58,16 @@ class TestCli:
         assert len(gains["k"]) == 4
         assert len(gains["k_f"]) == gains["model_order"]
 
+    def test_design_decisions_are_written(self, tmp_path):
+        assert run(["identify", "--scenario", STEP, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "era_report.json").read_text())
+        assert 0.0 <= report["feedthrough_norm"] <= 1e-6  # the scenario's max_feedthrough
+        assert run(["design", "--scenario", STEP, "--out", str(tmp_path)]) == 0
+        gains = json.loads((tmp_path / "gains.json").read_text())
+        for side in ("regulator", "estimator"):
+            assert 0.0 <= gains[f"{side}_residual"] < 1e-6
+            assert gains[f"{side}_abscissa"] < 0.0
+
     def test_simulate_openloop(self, tmp_path):
         out = tmp_path / "sim"
         assert run(["simulate", "--scenario", STEP, "--out", str(out)]) == 0
@@ -112,6 +122,25 @@ class TestCli:
                     "--out", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: disturbance file")
+
+    @pytest.mark.parametrize("command", ["pipeline", "sweep"])
+    def test_disturbance_file_is_read_once_per_run(self, command, tmp_path, monkeypatch):
+        SignalRecord(0.1, PROFILE_CHANNELS, np.full((301, 3), 0.05)).to_csv(tmp_path / "p.csv")
+        scenario = json.loads(Path(STEP).read_text())
+        scenario["duration_s"] = 30.0
+        scenario["disturbance"] = {"file": str(tmp_path / "p.csv")}
+        (tmp_path / "s.json").write_text(json.dumps(scenario))
+        reads = []
+        from_csv = SignalRecord.from_csv
+
+        def counted(path):
+            reads.append(path)
+            return from_csv(path)
+
+        monkeypatch.setattr(SignalRecord, "from_csv", staticmethod(counted))
+        assert run([command, "--scenario", str(tmp_path / "s.json"),
+                    "--out", str(tmp_path / "out")]) == 0
+        assert len(reads) == 1
 
     def test_diverging_case_is_a_scenario_error(self, tmp_path, capsys):
         scenario = json.loads(Path(STEP).read_text())

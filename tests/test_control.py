@@ -133,6 +133,28 @@ class TestNoisyModelDesign:
         assert is_hurwitz(model.a - ctrl.k_f @ model.c)
 
 
+class TestDesignDiagnostics:
+    def test_residuals_and_abscissae_describe_the_gains(self, jh_lqg):
+        model = jh_lqg.model
+        b_r = model.b[:, :4]
+        q_x = model.c.T @ np.diag(jh_lqg.q_weights) @ model.c
+        r = np.diag(jh_lqg.r_weights)
+        p = solve_care(model.a, b_r, q_x, r)
+        p_f = solve_care(model.a.T, model.c.T, jh_lqg.w_proc, jh_lqg.v_meas)
+        # a re-solve may round differently (BLAS results depend on operand
+        # alignment), so residuals agree to round-off, not bit for bit
+        for got, want, scale in (
+                (jh_lqg.regulator_residual, care_residual(model.a, b_r, q_x, r, p), p),
+                (jh_lqg.estimator_residual,
+                 care_residual(model.a.T, model.c.T, jh_lqg.w_proc, jh_lqg.v_meas, p_f), p_f)):
+            assert 0.0 <= got <= 1e-7 * max(1.0, np.linalg.norm(scale, "fro"))
+            assert got == pytest.approx(want, abs=1e-10 * np.linalg.norm(scale, "fro"))
+        closed = (model.a - b_r @ jh_lqg.k, model.a - jh_lqg.k_f @ model.c)
+        assert jh_lqg.regulator_abscissa == pytest.approx(max(eig_real_parts(closed[0])), rel=1e-9)
+        assert jh_lqg.estimator_abscissa == pytest.approx(max(eig_real_parts(closed[1])), rel=1e-9)
+        assert jh_lqg.regulator_abscissa < 0.0 and jh_lqg.estimator_abscissa < 0.0
+
+
 class TestLqgStep:
     def test_constant_measurement_converges_to_fixed_point(self, jh_lqg):
         model = jh_lqg.model

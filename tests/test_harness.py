@@ -295,6 +295,9 @@ class TestScenarioDocuments:
          "^controller.sigma_process="),
         ({"name": "x", "disturbance": ONE_STEP, "controller": {"kp_gen": "1"}}, "^controller.kp_gen="),
         ({"name": "x", "disturbance": {"continuous": {"seed": False}}}, "^continuous.seed="),
+        ({"name": "x", "disturbance": ONE_STEP, "dt": 0.0003},
+         r"^dt=0\.0003 s must divide t_s=0\.1 s into a whole number of substeps"),
+        ({"name": "x", "disturbance": ONE_STEP, "dt": 0.2}, r"^dt=0\.2 s must divide t_s=0\.1 s"),
     ])
     def test_bad_document_is_a_scenario_error(self, doc, message):
         with pytest.raises(ScenarioError, match=message):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hvdcfr import numerics
 from hvdcfr.numerics import (
     NumericsError,
     butter_lowpass_filter,
@@ -214,6 +216,42 @@ class TestCare:
         with pytest.raises(NumericsError, match="semidefinite"):
             solve_care(np.array([[-1.0]]), np.array([[1.0]]),
                        np.array([[-1.0]]), np.array([[1.0]]))
+
+
+def care_test_systems():
+    """The systems TestCare solves: scalar, six-state, 100 random, integrators."""
+    yield np.array([[-1.0]]), np.array([[1.0]]), np.array([[0.0]]), np.array([[1.0]])
+    yield np.array([[1.0]]), np.array([[1.0]]), np.array([[1.0]]), np.array([[1.0]])
+    a, b = random_stabilizable(np.random.default_rng(17), 6, 2)
+    yield a, b, np.eye(6), np.eye(2)
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        n = int(rng.integers(2, 13))
+        m = int(rng.integers(1, 4))
+        a, b = random_stabilizable(rng, n, m)
+        q_half = rng.normal(size=(n, n))
+        yield a, b, q_half @ q_half.T, np.diag(rng.uniform(0.5, 2.0, size=m))
+    b = np.array([[1.0, 0.0, 0.5, 0.2], [0.0, 1.0, 0.3, 0.1], [0.2, 0.1, 1.0, 0.4]])
+    yield np.zeros((3, 3)), b, np.eye(3), np.eye(4)
+
+
+def test_newton_refinement_stops_at_the_residual_floor(monkeypatch):
+    # the Schur solution is at or near round-off, so refinement should
+    # stop after a step or two, never ending worse than where it started
+    counts = []
+
+    def counted(a, c):
+        counts[-1] += 1
+        return solve_lyapunov(a, c)
+
+    monkeypatch.setattr(numerics, "solve_lyapunov", counted)
+    for a, b, q, r in care_test_systems():
+        counts.append(0)
+        p = solve_care(a, b, q, r)
+        p_schur = scipy.linalg.solve_continuous_are(a, b, q, r)
+        assert care_residual(a, b, q, r, p) <= care_residual(a, b, q, r, p_schur)
+    assert max(counts) <= numerics.NEWTON_STEPS
+    assert sum(counts) < 3 * len(counts)
 
 
 class TestButterLowpass:

@@ -126,6 +126,40 @@ class TestRecovery:
             np.testing.assert_allclose(b2, 2.0 * b1, atol=1e-14)
 
 
+def explicit_recursion(obs, m):
+    """Y_k = Ybar1_k + sum_i Ybar2_i Y_{k-i}, one block product at a time."""
+    seq = [obs.feedthrough]
+    for k in range(1, m + 1):
+        total = obs.blocks[k - 1][0].copy() if k <= len(obs) else np.zeros_like(obs.feedthrough)
+        for i in range(1, min(k, len(obs)) + 1):
+            total += obs.blocks[i - 1][1] @ seq[k - i]
+        seq.append(total)
+    return np.array(seq[1:])
+
+
+class TestRecoveryAgainstRecursion:
+    @pytest.mark.parametrize("m", [5, 12, 40])  # m < l, m = l, m > l for l = 12
+    def test_random_observer(self, m):
+        rng = np.random.default_rng(m)
+        z, v, l = 3, 5, 12
+        blocks = [(rng.normal(size=(z, v)), rng.normal(size=(z, z)) / (2.0 * z))
+                  for _ in range(l)]
+        obs = ObserverMarkov(0.1, rng.normal(size=(z, v)), blocks)
+        ref = explicit_recursion(obs, m)
+        markov = recover_system_markov(obs, m)
+        assert markov.pulse_blocks.shape == (m, z, v)
+        np.testing.assert_array_equal(markov.feedthrough, obs.feedthrough)
+        assert np.max(np.abs(markov.pulse_blocks - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("m", [10, 30, 200])  # l = 30
+    def test_jh_record(self, jh_id_data, m):
+        u, y = jh_id_data
+        obs = estimate_observer_markov(u, y.select(list(OUTPUT_CHANNELS[:3])), l=30)
+        ref = explicit_recursion(obs, m)
+        got = recover_system_markov(obs, m).pulse_blocks
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def markov_from_system(ss, count):
     blocks = markov_parameters(ss, count)
     return MarkovSequence(t_s=ss.dt, feedthrough=blocks[0], pulse_blocks=blocks[1:])
@@ -431,6 +465,15 @@ class TestIdentifyPipeline:
         assert report.regressor_rank == 204
         assert report.threshold_order == report.retained_order
         assert report.to_json_dict()["regressor_rank"] == 204
+
+    def test_feedthrough_norm_is_reported(self):
+        rng = np.random.default_rng(8)
+        ss = StateSpace(a=np.diag([0.9, 0.6, 0.3]), b=rng.normal(size=(3, 2)),
+                        c=rng.normal(size=(2, 3)), d=[[0.3, -0.1], [0.2, 0.4]], dt=0.1)
+        u, y = io_records(ss, rng.normal(size=(600, 2)))
+        report, _ = identify(u, y, IdentifyConfig(l=6, p=10, r_override=3))
+        assert report.feedthrough_norm == pytest.approx(np.linalg.norm(ss.d, "fro"), rel=1e-8)
+        assert report.to_json_dict()["feedthrough_norm"] == report.feedthrough_norm
 
     def test_d2c_round_trip_under_default_config(self, jh_identified):
         _, model = jh_identified
