@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NumericsError, care_residual, eig_real_parts, solve_care
+from .numerics import NumericsError, solve_care
 from .plant import (BLOW_UP_BOUND, ContinuousPlant, PlantError, SimulationDivergence,
                     sample_step_matrices)
 from .signals import SignalRecord
@@ -60,14 +60,11 @@ def _regulator(model: StateSpace, q: np.ndarray,
     q_x = model.c.T @ np.diag(q) @ model.c
     r_u = np.diag(r)
     try:
-        p = solve_care(model.a, b_r, q_x, r_u)
+        sol = solve_care(model.a, b_r, q_x, r_u, full_output=True)
     except NumericsError as exc:
         raise ControlDesignError(f"regulator Riccati solve failed: {exc}") from exc
-    k = np.linalg.solve(r_u, b_r.T @ p)
-    abscissa = float(np.max(eig_real_parts(model.a - b_r @ k)))
-    if not abscissa < 0.0:
-        raise ControlDesignError("designed regulator does not stabilize the model")
-    return k, care_residual(model.a, b_r, q_x, r_u, p), abscissa
+    # solve_care's closed loop a - b_r r^-1 b_r.T p is a - b_r K, already checked Hurwitz
+    return np.linalg.solve(r_u, b_r.T @ sol.p), sol.residual, sol.abscissa
 
 
 def _estimator(model: StateSpace, w_proc: np.ndarray,
@@ -81,14 +78,11 @@ def _estimator(model: StateSpace, w_proc: np.ndarray,
     if v_meas.shape != (z, z):
         raise ControlDesignError(f"measurement covariance must be {z}x{z}")
     try:
-        p_f = solve_care(model.a.T, model.c.T, w_proc, v_meas)
+        sol = solve_care(model.a.T, model.c.T, w_proc, v_meas, full_output=True)
     except NumericsError as exc:
         raise ControlDesignError(f"estimator Riccati solve failed: {exc}") from exc
-    k_f = p_f @ model.c.T @ np.linalg.inv(v_meas)
-    abscissa = float(np.max(eig_real_parts(model.a - k_f @ model.c)))
-    if not abscissa < 0.0:
-        raise ControlDesignError("designed estimator is not stable")
-    return k_f, care_residual(model.a.T, model.c.T, w_proc, v_meas, p_f), abscissa
+    # the dual closed loop a.T - c.T v^-1 c p_f is the transpose of a - K_f c
+    return sol.p @ model.c.T @ np.linalg.inv(v_meas), sol.residual, sol.abscissa
 
 
 def design_lqr(model: StateSpace, q: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -191,6 +191,11 @@ class Scenario:
             if not 0 < duration / self.t_s <= MAX_SAMPLES:
                 raise ScenarioError(f"{name}={duration:g} s over t_s={self.t_s:g} s must "
                                     f"give between 1 and {MAX_SAMPLES} samples")
+        ident = self.identification
+        n_ident = int(round(ident.duration_s / self.t_s)) + 1
+        if 2 * ident.p > n_ident:  # the Hankel pair reads 2p pulse blocks
+            raise ScenarioError(f"identification.p={ident.p} needs 2p={2 * ident.p} pulse "
+                                f"blocks, more than the {n_ident} identification samples")
         sources = sum(bool(x) for x in (self.steps, self.continuous, self.disturbance_file))
         if sources != 1:
             raise ScenarioError(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -143,7 +144,20 @@ def care_residual(a, b, q, r, p) -> float:
     return float(np.linalg.norm(res, "fro"))
 
 
-def solve_care(a, b, q, r) -> np.ndarray:
+class CareSolution(NamedTuple):
+    """A Riccati solution with the diagnostics its refinement computed.
+
+    ``residual`` is the Frobenius residual of the equation with ``q`` as
+    the caller gave it (the solve uses its symmetric part) and
+    ``abscissa`` the largest eigenvalue real part of ``a - b r^-1 b.T p``.
+    """
+
+    p: np.ndarray
+    residual: float
+    abscissa: float
+
+
+def solve_care(a, b, q, r, *, full_output: bool = False):
     """Stabilizing solution of ``a.T p + p a + q - p b r^-1 b.T p = 0``.
 
     Schur-method solution (scipy) refined by Kleinman-Newton steps, each
@@ -151,7 +165,9 @@ def solve_care(a, b, q, r) -> np.ndarray:
     iterate whose residual does not fall below the best so far (the
     round-off floor, usually after 0-1 steps) or whose closed loop is not
     Hurwitz, and after ``NEWTON_STEPS`` steps at most; the best Hurwitz
-    iterate is returned.
+    iterate is returned. Each iterate's residual and closed-loop
+    spectrum are computed once, in the loop; the post-checks and, with
+    ``full_output``, the returned ``CareSolution`` reuse them.
     """
     a = _as_square(a)
     b = _as_matrix(b, "b")
@@ -162,9 +178,9 @@ def solve_care(a, b, q, r) -> np.ndarray:
         raise NumericsError(
             f"dimension mismatch: a {a.shape}, b {b.shape}, q {q.shape}, r {r.shape}"
         )
-    q = 0.5 * (q + q.T)
+    q_sym = 0.5 * (q + q.T)
     r = 0.5 * (r + r.T)
-    q_eigs = np.linalg.eigvalsh(q)
+    q_eigs = np.linalg.eigvalsh(q_sym)
     r_eigs = np.linalg.eigvalsh(r)
     if q_eigs.min() < -1e-10 * max(1.0, abs(q_eigs.max())):
         raise NumericsError(f"q must be positive semidefinite (min eigenvalue {q_eigs.min():.3e})")
@@ -172,33 +188,32 @@ def solve_care(a, b, q, r) -> np.ndarray:
         raise NumericsError(f"r must be positive definite (min eigenvalue {r_eigs.min():.3e})")
 
     try:
-        p = scipy.linalg.solve_continuous_are(a, b, q, r)
+        p = scipy.linalg.solve_continuous_are(a, b, q_sym, r)
     except np.linalg.LinAlgError as exc:
         raise NumericsError(
             f"could not stabilize the pair (a, b): system appears not stabilizable ({exc})"
         ) from exc
-    p_best, res_best = p, np.inf
+    best = None
     for step in range(NEWTON_STEPS + 1):
         res = care_residual(a, b, q, r, p)
-        if not res < res_best:  # at the floor: a further step only rounds differently
-            break
+        if best is not None and not res < best.residual:
+            break  # at the floor: a further step only rounds differently
         k = np.linalg.solve(r, b.T @ p)
         a_cl = a - b @ k
-        if not is_hurwitz(a_cl):
+        current = CareSolution(p, res, float(np.max(eig_real_parts(a_cl))))
+        if best is None or current.abscissa < 0.0:
+            best = current  # the Schur solution stays even if the post-checks reject it
+        if not current.abscissa < 0.0 or step == NEWTON_STEPS:
             break
-        p_best, res_best = p, res
-        if step < NEWTON_STEPS:
-            p = solve_lyapunov(a_cl, q + k.T @ r @ k)
+        p = solve_lyapunov(a_cl, q_sym + k.T @ r @ k)
 
-    p = p_best
-    res = care_residual(a, b, q, r, p)
-    if res > 1e-7 * max(1.0, np.linalg.norm(p, "fro")):
+    if best.residual > 1e-7 * max(1.0, np.linalg.norm(best.p, "fro")):
         raise NumericsError(
-            f"Riccati solve did not converge: residual {res:.3e} after Newton refinement"
+            f"Riccati solve did not converge: residual {best.residual:.3e} after Newton refinement"
         )
-    if not is_hurwitz(a - b @ np.linalg.solve(r, b.T @ p)):
+    if not best.abscissa < 0.0:
         raise NumericsError("Riccati solution is not stabilizing (detectability of (a, q) may fail)")
-    return p
+    return best if full_output else best.p
 
 
 def butter_lowpass_filter(x, order: int, wn: float) -> np.ndarray:

@@ -6,7 +6,11 @@ pulse-response sequence, stacks a block-Hankel matrix, realizes a
 minimal discrete model from its dominant singular directions, and
 converts the result to continuous time. The Hankel matrix is decomposed
 once: ERA models nest (order r is the leading block of any higher order),
-so a lower order is a slice. ``EraReport`` records the orders chosen.
+so a lower order is a slice. The decomposition runs on the row space of
+the leading l block rows, which the observer's l-term recursion makes
+the row space of the whole matrix (rank at most l z); singular values
+past l z are reported as exact zeros. ``EraReport`` records the orders
+chosen.
 """
 
 from __future__ import annotations
@@ -289,19 +293,37 @@ def build_hankel(markov: MarkovSequence, p: int) -> tuple[np.ndarray, np.ndarray
 def era_realize(h: np.ndarray, h_shift: np.ndarray, z: int, v: int,
                 energy_threshold: float = 0.999, r_override: int | None = None,
                 feedthrough: np.ndarray | None = None,
-                t_s: float = 1.0) -> EraReport:
+                t_s: float = 1.0, observer_blocks: int | None = None) -> EraReport:
     """Minimal realization from the dominant Hankel singular directions.
 
     The retained order is the smallest one whose cumulative squared
     singular-value energy reaches ``energy_threshold`` (or
     ``r_override``). ``feedthrough`` becomes the model's direct term.
+
+    The SVD runs on the row space of ``h``'s leading ``observer_blocks``
+    block rows (all rows when None); pass the block count l of the
+    observer whose pulse response ``h`` holds. That response obeys an
+    l-term recursion past step l, so every block row after the first l
+    combines the l before it and the leading l z rows span the whole
+    row space (``h`` has rank at most l z): one reduced
+    Householder QR of their transpose gives an orthonormal basis Q
+    (which spans them even when they are rank-deficient), the thin SVD
+    of ``h @ Q`` gives the singular values and left vectors, and ``Q``
+    times its right vectors gives those of ``h``. Singular values past
+    the basis size are exact zeros, so ``singular_values`` keeps the
+    length of the full decomposition.
     """
     if not 0.0 < energy_threshold <= 1.0:
         raise IdentificationError(f"energy threshold must lie in (0,1], got {energy_threshold}")
     if h.shape != h_shift.shape:
         raise IdentificationError(f"hankel pair shapes differ: {h.shape} vs {h_shift.shape}")
-    res = svd(h)
-    s = res.singular_values
+    if observer_blocks is not None and observer_blocks < 1:
+        raise IdentificationError("need at least one observer parameter block")
+    n_basis = h.shape[0] if observer_blocks is None else min(observer_blocks * z, h.shape[0])
+    basis, _ = np.linalg.qr(h[:n_basis].T)
+    res = svd(h @ basis)
+    s = np.zeros(min(h.shape))
+    s[:len(res.singular_values)] = res.singular_values
     energy = s**2
     total = energy.sum()
     if total == 0.0:
@@ -325,7 +347,7 @@ def era_realize(h: np.ndarray, h_shift: np.ndarray, z: int, v: int,
 
     s_r = s[:r]
     left = res.left[:, :r]
-    right = res.right[:, :r]
+    right = basis @ res.right[:, :r]
     sqrt_s = np.sqrt(s_r)
     a_d = (left / sqrt_s).T @ h_shift @ (right / sqrt_s)
     # scale only the rows kept, so the model holds no view of a Hankel-sized array
@@ -397,10 +419,11 @@ def identify(u: SignalRecord, y: SignalRecord,
     """Full pipeline: observer regression, pulse-response recovery,
     Hankel realization, continuous conversion.
 
-    The Hankel pair is realized once. Weak trailing modes occasionally
-    land on the negative real axis and block the principal logarithm;
-    trailing states are then shed one at a time, each try a leading
-    slice of that realization, until the conversion succeeds.
+    The Hankel pair is realized once, on the row space that the observer's
+    ``config.l`` blocks fix. Weak trailing modes occasionally land on the
+    negative real axis and block the principal logarithm; trailing states
+    are then shed one at a time, each try a leading slice of that
+    realization, until the conversion succeeds.
 
     With ``integral_outputs`` the regression sees only the leading half
     of the output channels; exact integrators for them are appended to
@@ -433,7 +456,7 @@ def identify(u: SignalRecord, y: SignalRecord,
     report = replace(era_realize(
         h, h_shift, z=markov.n_outputs, v=markov.n_inputs,
         energy_threshold=config.energy_threshold, r_override=config.r_override,
-        feedthrough=markov.feedthrough, t_s=config.t_s,
+        feedthrough=markov.feedthrough, t_s=config.t_s, observer_blocks=config.l,
     ), regressor_rank=obs.rank, feedthrough_norm=norm_d)
     while True:
         try:

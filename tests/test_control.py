@@ -132,6 +132,24 @@ class TestNoisyModelDesign:
         assert is_hurwitz(model.a - b_r @ ctrl.k)
         assert is_hurwitz(model.a - ctrl.k_f @ model.c)
 
+    def test_design_takes_at_most_two_spectra_per_riccati_solve(self, jh_plant, monkeypatch):
+        # solve_care's own loop gives the diagnostics: one spectrum per
+        # accepted iterate, none recomputed by the post-checks or make_lqg
+        u, y = collect_jh_data(jh_plant, noise=1e-3, noise_rng=np.random.default_rng(7))
+        cfg = IdentifyConfig(integral_outputs=True, energy_threshold=1 - 1e-7,
+                             l=40, prefilter_hz=2.0, r_override=30)
+        _, model = identify(u, y, cfg)
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        make_lqg(model)
+        assert 2 <= len(calls) <= 4
+
 
 class TestDesignDiagnostics:
     def test_residuals_and_abscissae_describe_the_gains(self, jh_lqg):

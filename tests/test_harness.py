@@ -298,6 +298,8 @@ class TestScenarioDocuments:
         ({"name": "x", "disturbance": ONE_STEP, "dt": 0.0003},
          r"^dt=0\.0003 s must divide t_s=0\.1 s into a whole number of substeps"),
         ({"name": "x", "disturbance": ONE_STEP, "dt": 0.2}, r"^dt=0\.2 s must divide t_s=0\.1 s"),
+        ({"name": "x", "disturbance": ONE_STEP, "identification": {"p": 10000000}},
+         r"^identification\.p=10000000 needs 2p=20000000 pulse blocks, more than the 2001 "),
     ])
     def test_bad_document_is_a_scenario_error(self, doc, message):
         with pytest.raises(ScenarioError, match=message):
@@ -336,6 +338,17 @@ class TestRecordLength:
         with pytest.raises(ScenarioError, match="^identification.duration_s="):
             Scenario(name="x", steps=(StepEvent("p_li", 1.0, 0.2, 5.0),),
                      identification=IdentificationSpec(duration_s=duration_s))
+
+    @pytest.mark.parametrize("p, accepted", [(100, True), (101, False)])
+    def test_hankel_size_is_bounded_by_the_identification_record(self, p, accepted):
+        # 20 s at t_s=0.1 s is 201 samples: 2p may not exceed them
+        scenario = dict(name="x", steps=(StepEvent("p_li", 1.0, 0.2, 5.0),),
+                        identification=IdentificationSpec(duration_s=20.0, p=p))
+        if accepted:
+            Scenario(**scenario)
+        else:
+            with pytest.raises(ScenarioError, match=r"^identification\.p=101 .* 201 "):
+                Scenario(**scenario)
 
     def test_bound_itself_accepted(self):
         Scenario(name="x", t_s=1.0, duration_s=float(MAX_SAMPLES),

@@ -6,6 +6,7 @@ import pytest
 
 from hvdcfr import sysid
 from hvdcfr.harness import IdentificationSpec, collect_identification_data
+from hvdcfr.numerics import svd as numerics_svd
 from hvdcfr.plant import OUTPUT_CHANNELS, build_plant, load_preset, without_hvdc_droops_and_ire
 from hvdcfr.signals import SignalRecord
 from hvdcfr.statespace import StateSpace, discretize_zoh, markov_parameters, simulate_discrete, step_response
@@ -489,3 +490,89 @@ class TestPrefilter:
         rec = SignalRecord(0.1, ("u",), np.ones((50, 1)))
         with pytest.raises(IdentificationError, match="prefilter cutoff"):
             _prefilter(rec, cutoff_hz)
+
+
+def _hankel_pair(u, y, l, p=100):
+    """The Hankel pair ``identify`` realizes for a jh record with integral
+    outputs and the 2 Hz prefilter."""
+    y = _prefilter(y.select(list(y.channels[:len(y.channels) // 2])), 2.0)
+    obs = estimate_observer_markov(_prefilter(u, 2.0), y, l)
+    return build_hankel(recover_system_markov(obs, 2 * p), p)
+
+
+def _plain_realization(h, h_shift, z, v, r):
+    """ERA on numpy's thin SVD of the whole Hankel matrix."""
+    left, s, right_t = np.linalg.svd(h, full_matrices=False)
+    sqrt_s = np.sqrt(s[:r])
+    left, right = left[:, :r] / sqrt_s, right_t[:r].T / sqrt_s
+    return s, StateSpace(a=left.T @ h_shift @ right, b=(right[:v] * s[:r]).T,
+                         c=left[:z] * s[:r], d=np.zeros((z, v)), dt=0.1)
+
+
+def _record_svd_shapes(monkeypatch) -> list:
+    """Shapes of the matrices ``sysid`` hands to ``svd``, in call order."""
+    shapes = []
+
+    def recorded(a):
+        shapes.append(a.shape)
+        return numerics_svd(a)
+
+    monkeypatch.setattr(sysid, "svd", recorded)
+    return shapes
+
+
+@pytest.fixture(scope="module")
+def jh_noisy_data(jh_plant):
+    return collect_jh_data(jh_plant, noise=1e-3, noise_rng=np.random.default_rng(7))
+
+
+class TestRowSpaceEra:
+    @pytest.mark.parametrize("record, l, settings", [
+        ("jh_id_data", 30, {}),
+        ("jh_noisy_data", 40, {"r_override": 30}),
+    ])
+    def test_matches_the_full_hankel_svd(self, request, record, l, settings):
+        u, y = request.getfixturevalue(record)
+        h, h_shift = _hankel_pair(u, y, l)
+        report = era_realize(h, h_shift, 3, 6, energy_threshold=1 - 1e-7, t_s=0.1,
+                             observer_blocks=l, **settings)
+        s, plain = _plain_realization(h, h_shift, 3, 6, report.threshold_order)
+        got = report.singular_values
+        assert got.shape == s.shape == (300,)
+        assert np.max(np.abs(got[:l * 3] - s[:l * 3])) <= 1e-13 * s[0]
+        assert np.all(got[l * 3:] == 0.0)
+        want = np.array(markov_parameters(plain, 200)[1:])
+        realized = np.array(markov_parameters(report.realized, 200)[1:])
+        assert np.max(np.abs(realized - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_observer_longer_than_hankel_uses_every_row(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        ss = random_stable_discrete(rng, 4, 2, 3)
+        u, y = io_records(ss, rng.normal(size=(900, 2)))
+        markov = recover_system_markov(estimate_observer_markov(u, y, l=12), 16)
+        h, h_shift = build_hankel(markov, p=8)
+        shapes = _record_svd_shapes(monkeypatch)
+        report = era_realize(h, h_shift, 3, 2, r_override=4, t_s=ss.dt, observer_blocks=12)
+        every_row = era_realize(h, h_shift, 3, 2, r_override=4, t_s=ss.dt)
+        assert shapes == [(24, 16), (24, 16)]
+        np.testing.assert_array_equal(report.singular_values, every_row.singular_values)
+        s, plain = _plain_realization(h, h_shift, 3, 2, 4)
+        assert np.max(np.abs(report.singular_values - s)) <= 1e-13 * s[0]
+        for got, want in zip(markov_parameters(report.realized, 16),
+                             markov_parameters(plain, 16)):
+            assert np.max(np.abs(got - want)) <= 1e-10 * s[0]
+
+    def test_identify_decomposes_the_observer_row_space(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        ss = discretize_zoh(random_stable_continuous(rng, 4, v=3, z=3), 0.1)
+        u, y = io_records(ss, rng.normal(size=(1300, 3)))
+        shapes = _record_svd_shapes(monkeypatch)
+        report, _ = identify(u, y, IdentifyConfig(l=10, p=15, t_s=0.1,
+                                                  energy_threshold=1 - 1e-9))
+        assert shapes == [(15 * 3, 10 * 3)]
+        assert len(report.singular_values) == 45 and np.all(report.singular_values[30:] == 0.0)
+
+    def test_observer_blocks_must_be_positive(self):
+        h = np.eye(4)
+        with pytest.raises(IdentificationError, match="observer parameter block"):
+            era_realize(h, h, 2, 2, observer_blocks=0)
