@@ -11,10 +11,11 @@ Controllers are frozen descriptions. Each gives one discrete system,
 ``sampled_system(t_s)``, from [applied commands; six sampled outputs]
 to the unclipped command: the PI baselines a static 4x6 gain, the LQG
 its Kalman estimator with output ``-K`` times the estimate.
-``closed_loop`` is the only code that steps a controller. Without
-saturation it folds the command back into one augmented discrete
-system run through ``statespace.run_lti``; clipping is not linear, so
-with ``saturation`` set it steps plant and controller sample by sample.
+``closed_loop`` is the only code that steps a controller. It describes
+plant and controller once, as the open loop of their joint state driven
+by the command. Without saturation the command is folded back in and
+the loop runs through ``statespace.run_lti``; with ``saturation`` set
+the same matrices are stepped per sample with the clipped command.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import NumericsError, solve_care
-from .plant import (BLOW_UP_BOUND, ContinuousPlant, PlantError, SimulationDivergence,
-                    sample_step_matrices)
+from .plant import BLOW_UP_BOUND, ContinuousPlant, PlantError, sample_step_matrices
 from .signals import SignalRecord
-from .statespace import StateSpace, run_lti
+from .statespace import StateSpace, check_divergence, run_lti
 
 N_REFERENCES = 4
 N_MEASUREMENTS = 6
@@ -206,12 +206,12 @@ def closed_loop(plant: ContinuousPlant, controller, disturbances: SignalRecord,
 
     The controller sees the sampled model outputs and its command is held
     for one sample; the plant advances in RK4 substeps of size ``dt``.
-    Both are stepped from rest through ``controller.sampled_system``:
-    as one discrete LTI system run by ``run_lti`` or, when
-    ``controller.saturation`` is set, sample by sample with the clipped
-    command fed to plant and controller alike. A NaN plant or controller
-    state, or one above ``BLOW_UP_BOUND``, raises ``SimulationDivergence``.
-    Returns model outputs, auxiliary channels and the four commands.
+    Plant and ``controller.sampled_system`` start from rest and are run
+    as one discrete LTI system by ``run_lti`` or, when
+    ``controller.saturation`` is set, stepped per sample with the clipped
+    command. A NaN plant or controller state, or one above
+    ``BLOW_UP_BOUND``, raises ``SimulationDivergence``. Returns model
+    outputs, auxiliary channels and the four commands.
     """
     if disturbances.channels != plant.disturbance_labels:
         raise PlantError(
@@ -220,32 +220,26 @@ def closed_loop(plant: ContinuousPlant, controller, disturbances: SignalRecord,
     t_s, w = disturbances.t_s, disturbances.samples
     ss = plant.state_space
     phi, gamma = sample_step_matrices(ss.a, ss.b, t_s, dt)
-    c, c_full = ss.c, np.vstack([ss.c, plant.aux_c])
-    channels = plant.output_labels + plant.aux_labels + plant.input_labels
-    ctrl = controller.sampled_system(t_s)
-    # the command never feeds through to itself: only its y columns of d are read
-    b_r, b_y, d_y = ctrl.b[:, :N_REFERENCES], ctrl.b[:, N_REFERENCES:], ctrl.d[:, N_REFERENCES:]
-    if controller.saturation is not None:  # clipping is not LTI: step per sample
-        x, xi = np.zeros(phi.shape[0]), np.zeros(ctrl.n_states)
-        out = np.empty((len(w), len(channels)))
-        for k in range(len(w)):
-            if not (np.max(np.abs(np.concatenate([x, xi]))) <= BLOW_UP_BOUND):  # NaN too
-                raise SimulationDivergence(
-                    f"state norm exceeded {BLOW_UP_BOUND:g} or is NaN at t={k * t_s:.3f} s")
-            y_full = c_full @ x
-            y = y_full[:N_MEASUREMENTS]
-            r = np.clip(ctrl.c @ xi + d_y @ y, -controller.saturation, controller.saturation)
-            out[k] = np.concatenate([y_full, r])
-            x = phi @ x + gamma @ np.concatenate([r, w[k]])
-            xi = ctrl.a @ xi + ctrl.b @ np.concatenate([r, y])
-        return SignalRecord(t_s, channels, out)
-
     g_r, g_w = gamma[:, :N_REFERENCES], gamma[:, N_REFERENCES:]
-    # state [x; xi] with r = ctrl.c xi + d_y c x folded into both updates
-    a = np.block([[phi + g_r @ d_y @ c, g_r @ ctrl.c],
-                  [(b_r @ d_y + b_y) @ c, ctrl.a + b_r @ ctrl.c]])
-    b = np.vstack([g_w, np.zeros((ctrl.n_states, g_w.shape[1]))])
-    out_map = np.block([[c_full, np.zeros((len(c_full), ctrl.n_states))],
-                        [d_y @ c, ctrl.c]])
-    return SignalRecord(t_s, channels, run_lti(a, b, w, t_s, BLOW_UP_BOUND) @ out_map.T)
-
+    c_full = np.vstack([ss.c, plant.aux_c])
+    ctrl = controller.sampled_system(t_s)
+    b_r, b_y, d_y = ctrl.b[:, :N_REFERENCES], ctrl.b[:, N_REFERENCES:], ctrl.d[:, N_REFERENCES:]
+    # open loop of z = [x; xi] under the command r = c_cmd z (the command
+    # never feeds through to itself: only the y columns of d are read)
+    a_open = np.block([[phi, np.zeros((len(phi), ctrl.n_states))], [b_y @ ss.c, ctrl.a]])
+    b_cmd, b_w = np.vstack([g_r, b_r]), np.vstack([g_w, np.zeros((ctrl.n_states, g_w.shape[1]))])
+    c_cmd = np.hstack([d_y @ ss.c, ctrl.c])
+    out_map = np.block([[c_full, np.zeros((len(c_full), ctrl.n_states))], [c_cmd]])
+    limit = controller.saturation
+    if limit is None:
+        z = run_lti(a_open + b_cmd @ c_cmd, b_w, w, t_s, BLOW_UP_BOUND)
+    else:  # clipping is not LTI: step per sample
+        z, w_in = np.zeros((len(w), len(a_open))), w @ b_w.T
+        with np.errstate(all="ignore"):  # a diverging run may overflow before the check
+            for k in range(len(w) - 1):
+                z[k + 1] = a_open @ z[k] + b_cmd @ np.clip(c_cmd @ z[k], -limit, limit) + w_in[k]
+        check_divergence(z, t_s, BLOW_UP_BOUND)
+    out = z @ out_map.T
+    if limit is not None:  # record the commands the plant received
+        out[:, len(c_full):] = np.clip(out[:, len(c_full):], -limit, limit)
+    return SignalRecord(t_s, plant.output_labels + plant.aux_labels + plant.input_labels, out)

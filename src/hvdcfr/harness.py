@@ -20,17 +20,19 @@ from .plant import (
     PRESETS,
     REFERENCE_CHANNELS,
     ContinuousPlant,
+    PlantError,
     PlantParams,
     SimulationDivergence,
     build_plant,
     load_preset,
     simulate,
+    substep_count,
     without_hvdc_droops,
     without_hvdc_droops_and_ire,
     without_rectifier_hvdc_loops,
 )
 from .numerics import butter_lowpass_filter
-from .signals import SignalRecord
+from .signals import SignalRecord, sample_count
 from .sysid import EraReport, IdentifyConfig, generate_excitation, identify
 from .statespace import StateSpace
 
@@ -178,11 +180,10 @@ class Scenario:
             raise ScenarioError("t_s, dt and duration_s must be finite")
         if self.t_s <= 0 or self.dt <= 0 or self.duration_s <= 0:
             raise ScenarioError("t_s, dt and duration_s must be positive")
-        substeps = self.t_s / self.dt  # the rule plant.sample_step_matrices applies
-        if not (math.isfinite(substeps) and substeps > 0.5
-                and abs(substeps - round(substeps)) <= 1e-9):
-            raise ScenarioError(f"dt={self.dt!r} s must divide t_s={self.t_s!r} s "
-                                "into a whole number of substeps")
+        try:
+            substep_count(self.t_s, self.dt)
+        except PlantError as exc:
+            raise ScenarioError(str(exc)) from None
         records = [("duration_s", self.duration_s),
                    ("identification.duration_s", self.identification.duration_s)]
         if self.continuous:
@@ -192,7 +193,7 @@ class Scenario:
                 raise ScenarioError(f"{name}={duration:g} s over t_s={self.t_s:g} s must "
                                     f"give between 1 and {MAX_SAMPLES} samples")
         ident = self.identification
-        n_ident = int(round(ident.duration_s / self.t_s)) + 1
+        n_ident = sample_count(ident.duration_s, self.t_s)
         if 2 * ident.p > n_ident:  # the Hankel pair reads 2p pulse blocks
             raise ScenarioError(f"identification.p={ident.p} needs 2p={2 * ident.p} pulse "
                                 f"blocks, more than the {n_ident} identification samples")
@@ -282,7 +283,7 @@ def generate_continuous_profile(seed: int, amplitude_pu: float, bandwidth_hz: fl
     if not 0.0 < bandwidth_hz < nyquist:
         raise ScenarioError(
             f"bandwidth {bandwidth_hz} Hz must be positive and below Nyquist {nyquist} Hz")
-    n = int(round(duration_s / t_s)) + 1
+    n = sample_count(duration_s, t_s)
     rng = np.random.default_rng(seed)
     white = rng.normal(size=(n, len(PROFILE_CHANNELS)))
     shaped = butter_lowpass_filter(white, 3, bandwidth_hz / nyquist)
@@ -294,7 +295,7 @@ def generate_continuous_profile(seed: int, amplitude_pu: float, bandwidth_hz: fl
 
 def build_disturbance_profile(scenario: Scenario) -> SignalRecord:
     """Three-channel (load i, load r, wind) profile on the scenario grid."""
-    n = int(round(scenario.duration_s / scenario.t_s)) + 1
+    n = sample_count(scenario.duration_s, scenario.t_s)
     if scenario.steps:
         samples = np.zeros((n, len(PROFILE_CHANNELS)))
         for ev in scenario.steps:

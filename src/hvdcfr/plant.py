@@ -352,15 +352,20 @@ def without_hvdc_droops_and_ire(params: PlantParams) -> PlantParams:
     return replace(without_hvdc_droops(params), W_i=0.0, W_r=0.0)
 
 
+def substep_count(t_s: float, dt: float) -> int:
+    """RK4 substeps ``dt`` per sample ``t_s``; PlantError unless a whole number."""
+    n_sub = t_s / dt
+    if not (math.isfinite(n_sub) and n_sub > 0.5 and abs(n_sub - round(n_sub)) <= 1e-9):
+        raise PlantError(f"dt={dt!r} s must divide t_s={t_s!r} s into a whole number of substeps")
+    return int(round(n_sub))
+
+
 def sample_step_matrices(a: np.ndarray, b: np.ndarray, t_s: float,
                          dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Pair (phi, gamma) advancing ``dx = a x + b u`` one sample ``t_s``
     with u held, folded from RK4 substeps ``dt``."""
-    n_sub = t_s / dt
-    if abs(n_sub - round(n_sub)) > 1e-9 or round(n_sub) < 1:
-        raise PlantError(f"dt={dt} must divide the sample time T_s={t_s}")
     phi, gamma = rk4_step_matrices(a, b, dt)
-    return compound_steps(phi, gamma, int(round(n_sub)))
+    return compound_steps(phi, gamma, substep_count(t_s, dt))
 
 
 def simulate(plant: ContinuousPlant, refs: SignalRecord, disturbances: SignalRecord,

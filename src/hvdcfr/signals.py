@@ -91,6 +91,10 @@ class SignalRecord:
         return SignalRecord(t_s=t_s, channels=tuple(header[1:]), samples=data[:, 1:])
 
 
+def sample_count(duration: float, t_s: float) -> int:
+    """Samples at t = 0, t_s, ... spanning ``duration``, both ends included."""
+    return int(round(duration / t_s)) + 1
+
+
 def zeros_record(t_s: float, channels: tuple[str, ...], duration: float) -> SignalRecord:
-    n = int(round(duration / t_s)) + 1
-    return SignalRecord(t_s, channels, np.zeros((n, len(channels))))
+    return SignalRecord(t_s, channels, np.zeros((sample_count(duration, t_s), len(channels))))

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import NumericsError, mat_exp
+from .signals import sample_count
 
 
 @dataclass(frozen=True)
@@ -59,17 +60,17 @@ class StateSpace:
         return self.dt is None
 
 
-def zoh_step_matrices(a: np.ndarray, b: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact zero-order-hold propagation pair (a_d, b_d) over one step.
-
-    Computed from the exponential of the augmented matrix [[a, b], [0, 0]],
-    which stays valid for singular ``a``.
-    """
+def _generator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[[a, b], [0, 0]]: ``dx = a x + b u`` with u held, whose exponential over
+    a step is [[phi, gamma], [0, I]] for any ``a`` (Van Loan 1978)."""
     n, m = b.shape
-    aug = np.zeros((n + m, n + m))
-    aug[:n, :n] = a
-    aug[:n, n:] = b
-    phi = mat_exp(aug, dt)
+    return np.block([[a, b], [np.zeros((m, n + m))]])
+
+
+def zoh_step_matrices(a: np.ndarray, b: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact zero-order-hold propagation pair (a_d, b_d) over one step."""
+    n = a.shape[0]
+    phi = mat_exp(_generator(a, b), dt)
     return phi[:n, :n], phi[:n, n:]
 
 
@@ -82,45 +83,44 @@ def discretize_zoh(ss: StateSpace, dt: float) -> StateSpace:
 
 
 def rk4_step_matrices(a: np.ndarray, b: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Classical RK4 one-step propagation pair for an LTI system with
-    the input held constant over the step.
-
-    For ``dx = a x + b u`` with constant u, one RK4 step is exactly
-    ``x+ = phi x + gamma u`` with phi the degree-4 Taylor polynomial of
-    ``expm(a dt)``.
-    """
+    """Classical RK4 one-step pair (phi, gamma) for ``dx = a x + b u`` with u
+    held: [[phi, gamma], [0, I]] is exactly the degree-4 Taylor polynomial
+    (here by Horner's rule) of the exponential of ``_generator(a, b) dt``."""
     n = a.shape[0]
-    eye = np.eye(n)
-    h = dt
-    a2 = a @ a
-    a3 = a2 @ a
-    a4 = a3 @ a
-    phi = eye + h * a + (h**2 / 2.0) * a2 + (h**3 / 6.0) * a3 + (h**4 / 24.0) * a4
-    gamma = (h * eye + (h**2 / 2.0) * a + (h**3 / 6.0) * a2 + (h**4 / 24.0) * a3) @ b
-    return phi, gamma
+    gen = _generator(a, b) * dt
+    eye = np.eye(len(gen))
+    taylor = eye
+    for k in (4, 3, 2, 1):
+        taylor = eye + (gen / k) @ taylor
+    return taylor[:n, :n], taylor[:n, n:]
 
 
 def compound_steps(phi: np.ndarray, gamma: np.ndarray, n_sub: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fold ``n_sub`` identical hold-input steps into a single pair."""
-    phi_total = np.eye(phi.shape[0])
-    gamma_total = np.zeros_like(gamma)
-    for _ in range(n_sub):
-        gamma_total = phi @ gamma_total + gamma
-        phi_total = phi @ phi_total
-    return phi_total, gamma_total
+    """Fold ``n_sub`` identical hold-input steps into a single pair: the
+    ``n_sub``-th power of [[phi, gamma], [0, I]], in O(log n_sub) products."""
+    n, m = gamma.shape
+    folded = np.linalg.matrix_power(np.block([[phi, gamma], [np.zeros((m, n)), np.eye(m)]]), n_sub)
+    return folded[:n, :n], folded[:n, n:]
 
 
 class SimulationDivergence(RuntimeError):
     """State norm exceeded the configured blow-up bound or became NaN."""
 
 
+def check_divergence(states: np.ndarray, t_s: float, blow_up_bound: float) -> None:
+    """Raise ``SimulationDivergence`` dated ``k * t_s`` at the first row k
+    of ``states`` that is NaN or has an entry above ``blow_up_bound``."""
+    with np.errstate(all="ignore"):
+        bad = ~(np.max(np.abs(states), axis=1, initial=0.0) <= blow_up_bound)
+    if bad.any():
+        raise SimulationDivergence(f"state norm exceeded {blow_up_bound:g} or is NaN "
+                                   f"at t={int(np.argmax(bad)) * t_s:.3f} s")
+
+
 def run_lti(a: np.ndarray, b: np.ndarray, u: np.ndarray, t_s: float,
             blow_up_bound: float = math.inf) -> np.ndarray:
-    """States of ``x[k+1] = a x[k] + b u[k]`` from rest, one row per sample.
-
-    Raises ``SimulationDivergence`` dated ``k * t_s`` at the first sample
-    k whose state is NaN or has an entry above ``blow_up_bound``.
-    """
+    """States of ``x[k+1] = a x[k] + b u[k]`` from rest, one row per sample,
+    checked by ``check_divergence`` once the run ends."""
     bu = (b @ u[:, :, None])[:, :, 0]  # one matvec per sample, rounded as b @ u[k]
     states = np.zeros_like(bu)
     x = np.zeros(a.shape[0])
@@ -128,11 +128,7 @@ def run_lti(a: np.ndarray, b: np.ndarray, u: np.ndarray, t_s: float,
         for k in range(len(bu) - 1):
             x = a @ x + bu[k]
             states[k + 1] = x
-        bad = ~(np.max(np.abs(states), axis=1, initial=0.0) <= blow_up_bound)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise SimulationDivergence(
-            f"state norm exceeded {blow_up_bound:g} or is NaN at t={k * t_s:.3f} s")
+    check_divergence(states, t_s, blow_up_bound)
     return states
 
 
@@ -168,7 +164,6 @@ def step_response(ss: StateSpace, channel: int, duration: float, dt: float,
     is exact at the sample instants. Returns (n_samples, n_outputs).
     """
     dss = discretize_zoh(ss, dt) if ss.is_continuous else ss
-    n_samples = int(round(duration / dt)) + 1
-    u = np.zeros((n_samples, dss.n_inputs))
+    u = np.zeros((sample_count(duration, dt), dss.n_inputs))
     u[:, channel] = magnitude
     return simulate_discrete(dss, u)

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .numerics import NumericsError, butter_lowpass_filter, mat_log_principal, svd
-from .signals import SignalRecord
+from .signals import SignalRecord, sample_count
 from .statespace import StateSpace, zoh_step_matrices
 
 
@@ -166,7 +166,7 @@ def generate_excitation(seed: int, channels: tuple[str, ...], t_s: float,
                         duration: float, amplitude: float = 0.05,
                         hold: float = 1.0) -> SignalRecord:
     """Zero-mean uniform random steps, held ``hold`` seconds per channel."""
-    n = int(round(duration / t_s)) + 1
+    n = sample_count(duration, t_s)
     per_hold = max(1, int(round(hold / t_s)))
     n_levels = n // per_hold + 1
     rng = np.random.default_rng(seed)
@@ -258,7 +258,8 @@ def recover_system_markov(obs: ObserverMarkov, m: int) -> MarkovSequence:
 
 
 def build_hankel(markov: MarkovSequence, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Block-Hankel matrix of the pulse response and its one-step shift.
+    """Block-Hankel matrix of the pulse response and its one-step shift:
+    two overlapping views of one array of one more block row.
 
     With fewer than 2p blocks available (2p-1 is still accepted) the
     last block row is dropped from both matrices so they stay aligned.
@@ -281,13 +282,10 @@ def build_hankel(markov: MarkovSequence, p: int) -> tuple[np.ndarray, np.ndarray
     if n_rows < 1:
         raise IdentificationError("need at least 2 pulse-response blocks")
     z, v = markov.n_outputs, markov.n_inputs
-    stack = markov.pulse_blocks  # (m, z, v)
-    idx = np.arange(n_rows)[:, None] + np.arange(p)[None, :]  # block (i, j) -> i + j
-
-    def assemble(offset: int) -> np.ndarray:
-        return stack[idx + offset].transpose(0, 2, 1, 3).reshape(n_rows * z, p * v)
-
-    return assemble(0), assemble(1)
+    # windows[i, :, :, j] is pulse block i + j, a view: one copy is made, by reshape
+    windows = np.lib.stride_tricks.sliding_window_view(markov.pulse_blocks, p, axis=0)
+    both = windows[:n_rows + 1].transpose(0, 1, 3, 2).reshape((n_rows + 1) * z, p * v)
+    return both[:-z], both[z:]
 
 
 def era_realize(h: np.ndarray, h_shift: np.ndarray, z: int, v: int,

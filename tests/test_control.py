@@ -367,7 +367,9 @@ class TestDivergence:
         w = np.zeros((51, 2))
         w[10, 0] = np.nan  # held over sample 10, so the state is NaN from t = 1.1 s
         dist = SignalRecord(0.1, DISTURBANCE_CHANNELS, w)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(SimulationDivergence, match=r"t=1\.100 s"):
-                closed_loop(jh_plant, either_controller, dist, dt=0.001)
+        for saturation in (None, 1e-3, 1e9):  # the LTI kernel and the clipping loop
+            controller = dataclasses.replace(either_controller, saturation=saturation)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SimulationDivergence, match=r"t=1\.100 s"):
+                    closed_loop(jh_plant, controller, dist, dt=0.001)

@@ -17,11 +17,13 @@ from hvdcfr.plant import (
     build_plant,
     dc_gain,
     load_preset,
+    sample_step_matrices,
     simulate,
     without_hvdc_droops_and_ire,
     without_rectifier_hvdc_loops,
 )
 from hvdcfr.signals import SignalRecord, zeros_record
+from hvdcfr.statespace import zoh_step_matrices
 
 
 def step_disturbance(t_s, duration, channel, magnitude, at):
@@ -125,6 +127,13 @@ class TestSimulate:
         dist = zeros_record(0.1, DISTURBANCE_CHANNELS, 1.0)
         with pytest.raises(PlantError, match="divide"):
             simulate(jh_plant, refs, dist, dt=0.03)
+
+    def test_hundred_million_substeps_fold_to_exact_zoh(self, jh_plant):
+        # the fold's cost grows with log(t_s/dt), so dt=1e-9 stays cheap
+        ss = jh_plant.state_space
+        folded = sample_step_matrices(ss.a, ss.b, 0.1, 1e-9)
+        for got, exact in zip(folded, zoh_step_matrices(ss.a, ss.b, 0.1)):
+            assert np.max(np.abs(got - exact)) <= 1e-7 * np.max(np.abs(exact))
 
     def test_blow_up_bound(self, jh_plant):
         refs = zeros_record(0.1, REFERENCE_CHANNELS, 5.0)

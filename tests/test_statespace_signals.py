@@ -64,13 +64,14 @@ class TestStateSpace:
         rng = np.random.default_rng(4)
         ss = random_stable_continuous(rng, 3, v=1)
         phi, gamma = rk4_step_matrices(ss.a, ss.b, 0.02)
-        phi5, gamma5 = compound_steps(phi, gamma, 5)
         x = rng.normal(size=3)
         u = rng.normal(size=1)
-        x_loop = x.copy()
-        for _ in range(5):
-            x_loop = phi @ x_loop + gamma @ u
-        np.testing.assert_allclose(phi5 @ x + gamma5 @ u, x_loop, rtol=1e-12)
+        for n_sub in (0, 1, 5, 37):
+            phi_n, gamma_n = compound_steps(phi, gamma, n_sub)
+            x_loop = x.copy()
+            for _ in range(n_sub):
+                x_loop = phi @ x_loop + gamma @ u
+            np.testing.assert_allclose(phi_n @ x + gamma_n @ u, x_loop, rtol=1e-12)
 
     def test_markov_parameters_definition(self):
         rng = np.random.default_rng(6)
