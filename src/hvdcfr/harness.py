@@ -8,7 +8,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -64,17 +64,25 @@ def _optional(rule):
     return lambda v: v is None or rule[0](v), f"None or {rule[1]}"
 
 
+def _one_of(*options):
+    return lambda v: any(type(v) is type(o) and v == o for o in options), f"one of {options}"
+
+
+def _instance(cls, want: str):
+    return lambda v: isinstance(v, cls), want
+
+
 def _entries(n: int, rule):
     return (lambda v: isinstance(v, (tuple, list)) and len(v) == n and all(map(rule[0], v)),
             f"{n} entries, each {rule[1]}")
 
 
-def _validate(section: str, spec, rules: dict) -> None:
-    """Raise a ``ScenarioError`` naming the first field its rule rejects."""
+def _validate(prefix: str, spec, rules: dict) -> None:
+    """Raise a ``ScenarioError`` naming (after ``prefix``) the first field its rule rejects."""
     for name, (ok, want) in rules.items():
         value = getattr(spec, name)
         if not ok(value):
-            raise ScenarioError(f"{section}.{name}={value!r} must be {want}")
+            raise ScenarioError(f"{prefix}{name}={value!r} must be {want}")
 
 
 @dataclass(frozen=True)
@@ -85,12 +93,8 @@ class StepEvent:
     duration_s: float
 
     def __post_init__(self):
-        if self.channel not in PROFILE_CHANNELS:
-            raise ScenarioError(f"step channel must be one of {PROFILE_CHANNELS}, got {self.channel!r}")
-        if not all(math.isfinite(v) for v in (self.time_s, self.magnitude_pu, self.duration_s)):
-            raise ScenarioError("step time, magnitude and duration must be finite")
-        if self.duration_s <= 0 or self.time_s < 0:
-            raise ScenarioError("step times and durations must be positive")
+        _validate("step.", self, {"channel": _one_of(*PROFILE_CHANNELS), "time_s": _NON_NEGATIVE,
+                                  "magnitude_pu": _FINITE, "duration_s": _POSITIVE})
 
 
 @dataclass(frozen=True)
@@ -101,8 +105,8 @@ class ContinuousSpec:
     duration_s: float = 200.0
 
     def __post_init__(self):
-        _validate("continuous", self, {"seed": _count(0), "amplitude_pu": _POSITIVE,
-                                       "bandwidth_hz": _POSITIVE, "duration_s": _POSITIVE})
+        _validate("continuous.", self, {"seed": _count(0), "amplitude_pu": _POSITIVE,
+                                        "bandwidth_hz": _POSITIVE, "duration_s": _POSITIVE})
 
 
 @dataclass(frozen=True)
@@ -121,7 +125,7 @@ class IdentificationSpec:
     prefilter_hz: float | None = 2.0
 
     def __post_init__(self):
-        _validate("identification", self, {
+        _validate("identification.", self, {
             "seed": _count(0), "duration_s": _POSITIVE, "amplitude_pu": _POSITIVE,
             "hold_s": _POSITIVE, "l": _count(1), "p": _count(1),
             "energy_threshold": (lambda v: _finite(v) and 0 < v <= 1, "in (0, 1]"),
@@ -150,11 +154,15 @@ class ControllerSpec:
     ki_gen: float = 0.2
 
     def __post_init__(self):
-        _validate("controller", self, {
+        _validate("controller.", self, {
             "q": _entries(6, _NON_NEGATIVE), "r": _entries(4, _POSITIVE),
             "sigma_process": _POSITIVE, "v_meas_scale": _POSITIVE, "w_proc_floor": _POSITIVE,
             "saturation": _optional(_POSITIVE), "kp_hvdc": _FINITE, "ki_hvdc": _FINITE,
             "kp_gen": _FINITE, "ki_gen": _FINITE})
+
+
+# document keys under "disturbance" and the Scenario fields they fill
+_DISTURBANCE_KEYS = {"steps": "steps", "continuous": "continuous", "file": "disturbance_file"}
 
 
 @dataclass(frozen=True)
@@ -172,14 +180,15 @@ class Scenario:
     controller: ControllerSpec = field(default_factory=ControllerSpec)
 
     def __post_init__(self):
-        if self.plant not in PRESETS:
-            raise ScenarioError(f"plant must be one of {PRESETS}, got {self.plant!r}")
-        if self.case not in (1, 2, 3):
-            raise ScenarioError(f"case must be 1, 2 or 3, got {self.case}")
-        if not all(math.isfinite(v) for v in (self.t_s, self.dt, self.duration_s)):
-            raise ScenarioError("t_s, dt and duration_s must be finite")
-        if self.t_s <= 0 or self.dt <= 0 or self.duration_s <= 0:
-            raise ScenarioError("t_s, dt and duration_s must be positive")
+        _validate("", self, {
+            "name": _instance(str, "a string"), "plant": _one_of(*PRESETS),
+            "case": _one_of(1, 2, 3), "t_s": _POSITIVE, "dt": _POSITIVE, "duration_s": _POSITIVE,
+            "steps": (lambda v: isinstance(v, tuple) and all(isinstance(e, StepEvent) for e in v),
+                      "a tuple of StepEvent"),
+            "continuous": _optional(_instance(ContinuousSpec, "a ContinuousSpec")),
+            "disturbance_file": _optional(_instance(str, "a string")),
+            "identification": _instance(IdentificationSpec, "an IdentificationSpec"),
+            "controller": _instance(ControllerSpec, "a ControllerSpec")})
         try:
             substep_count(self.t_s, self.dt)
         except PlantError as exc:
@@ -199,9 +208,8 @@ class Scenario:
                                 f"blocks, more than the {n_ident} identification samples")
         sources = sum(bool(x) for x in (self.steps, self.continuous, self.disturbance_file))
         if sources != 1:
-            raise ScenarioError(
-                "exactly one disturbance source required: steps, continuous, or file"
-            )
+            raise ScenarioError("exactly one disturbance source required: "
+                                "steps, continuous, or file")
         late = [ev for ev in self.steps if ev.time_s >= self.duration_s]
         if late:
             raise ScenarioError(f"{late[0]} starts at or after the end of the run "
@@ -212,62 +220,47 @@ class Scenario:
         return scenario_from_dict(json.loads(Path(path).read_text()))
 
     def to_json_dict(self) -> dict:
-        d = {
-            "name": self.name, "plant": self.plant, "case": self.case,
-            "t_s": self.t_s, "dt": self.dt, "duration_s": self.duration_s,
-            "identification": asdict(self.identification),
-            "controller": asdict(self.controller),
-        }
-        if self.steps:
-            d["disturbance"] = {"steps": [asdict(s) for s in self.steps]}
-        elif self.continuous:
-            d["disturbance"] = {"continuous": asdict(self.continuous)}
-        else:
-            d["disturbance"] = {"file": self.disturbance_file}
+        """The JSON document ``scenario_from_dict`` reads back to this scenario."""
+        d = asdict(self)
+        d["disturbance"] = {key: v for key, f in _DISTURBANCE_KEYS.items() if (v := d.pop(f))}
         return d
 
 
-def _section(raw: dict, key: str) -> dict:
-    value = raw.get(key, {})
-    if not isinstance(value, dict):
-        raise ScenarioError(f"{key} must be an object, got {value!r}")
-    return value
-
-
-def _number(raw: dict, key: str, default, kind=float):
-    value = raw.get(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"{key} must be a number, got {value!r}") from exc
-
-
-def scenario_from_dict(raw: dict) -> Scenario:
-    """Scenario from a parsed JSON document; any defect is a ``ScenarioError``."""
+def _fields(raw, section: str, names) -> dict:
+    """The JSON object ``raw`` with lists as tuples; a key outside ``names`` is refused."""
     if not isinstance(raw, dict):
-        raise ScenarioError(f"scenario document must be an object, got {raw!r}")
-    dist = _section(raw, "disturbance")
-    try:
-        steps = tuple(StepEvent(**s) for s in dist.get("steps", []))
-        continuous = ContinuousSpec(**dist["continuous"]) if "continuous" in dist else None
-        return Scenario(
-            name=raw["name"],
-            plant=raw.get("plant", "jh"),
-            case=_number(raw, "case", 1, int),
-            t_s=_number(raw, "t_s", 0.1),
-            dt=_number(raw, "dt", 0.001),
-            duration_s=_number(raw, "duration_s", 60.0),
-            steps=steps,
-            continuous=continuous,
-            disturbance_file=dist.get("file"),
-            identification=IdentificationSpec(**_section(raw, "identification")),
-            controller=ControllerSpec(
-                **{k: tuple(v) if isinstance(v, list) else v
-                   for k, v in _section(raw, "controller").items()}
-            ),
-        )
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise ScenarioError(f"bad scenario document: {exc}") from exc
+        raise ScenarioError(f"{section} must be an object, got {raw!r}")
+    for key in raw:
+        if key not in names:
+            raise ScenarioError(f"{section} has unknown key {key!r}; known: {', '.join(names)}")
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
+
+
+def _build(cls, raw, section: str):
+    """``cls`` from the JSON object ``raw``, one key per field; ``cls`` checks each value."""
+    spec = fields(cls)
+    kwargs = _fields(raw, section, [f.name for f in spec])
+    for f in spec:
+        if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
+            raise ScenarioError(f"{section} is missing the key {f.name!r}")
+    return cls(**kwargs)
+
+
+def scenario_from_dict(raw) -> Scenario:
+    """Scenario from a parsed JSON document of its fields, the disturbance source under
+    ``disturbance``; any defect is a ``ScenarioError`` naming the key or field."""
+    doc = _fields(raw, "scenario document", ("name", "plant", "case", "t_s", "dt", "duration_s",
+                                             "disturbance", "identification", "controller"))
+    dist = _fields(doc.pop("disturbance", {}), "disturbance", tuple(_DISTURBANCE_KEYS))
+    doc.update((_DISTURBANCE_KEYS[key], value) for key, value in dist.items())
+    for key, cls in (("identification", IdentificationSpec), ("controller", ControllerSpec),
+                     ("continuous", ContinuousSpec)):
+        if key in doc:
+            doc[key] = _build(cls, doc[key], key)
+    if isinstance(doc.get("steps"), tuple):  # any other value is refused by Scenario
+        doc["steps"] = tuple(_build(StepEvent, e, f"disturbance.steps[{i}]")
+                             for i, e in enumerate(doc["steps"]))
+    return _build(Scenario, doc, "scenario document")
 
 
 def generate_continuous_profile(seed: int, amplitude_pu: float, bandwidth_hz: float,

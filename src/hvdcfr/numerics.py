@@ -78,14 +78,15 @@ def mat_exp(a, t: float = 1.0) -> np.ndarray:
 
 
 def mat_log_principal(a) -> np.ndarray:
-    """Principal matrix logarithm of a real square matrix.
+    """Principal matrix logarithm ``Re(V diag(log λ) V⁻¹)`` of a real
+    square matrix from one eigendecomposition.
 
     Requires every eigenvalue off the closed negative real axis (and
-    nonzero); otherwise the principal branch is undefined and the caller
-    should shrink its sample time.
+    nonzero), else the caller should shrink its sample time, and an
+    eigenvector matrix with condition at most 1e8 (not near-defective).
     """
     a = _as_square(a)
-    eigs = np.linalg.eigvals(a)
+    eigs, vecs = np.linalg.eig(a)
     scale = max(1.0, float(np.max(np.abs(eigs))))
     bad = (eigs.real <= 0.0) & (np.abs(eigs.imag) <= 1e-12 * scale)
     if np.any(bad):
@@ -93,13 +94,13 @@ def mat_log_principal(a) -> np.ndarray:
             "matrix has an eigenvalue on the closed negative real axis "
             f"({eigs[bad][0]:.6g}); no principal logarithm - reduce the sample time T_s"
         )
-    out = scipy.linalg.logm(a)
+    if not (cond := np.linalg.cond(vecs)) <= 1e8:  # NaN fails too
+        raise NumericsError(f"eigenvector matrix condition {cond:.3g} is above 1e8")
+    # X V = V diag(log λ), solved for X as V^T X^T = (V diag(log λ))^T
+    out = np.linalg.solve(vecs.T, (vecs * np.log(eigs)).T).T
     if np.linalg.norm(np.imag(out)) > 1e-8 * max(1.0, np.linalg.norm(np.real(out))):
         raise NumericsError("matrix logarithm returned a significantly complex result")
-    out = np.real(out)
-    if not np.all(np.isfinite(out)):
-        raise NumericsError(f"matrix logarithm diverged on a {a.shape[0]}x{a.shape[0]} matrix")
-    return out
+    return np.real(out)
 
 
 def eig_real_parts(a) -> np.ndarray:

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -195,13 +196,13 @@ class ContinuousPlant:
 
     state_space: StateSpace
     params: PlantParams
-    input_labels: tuple[str, ...] = REFERENCE_CHANNELS
-    disturbance_labels: tuple[str, ...] = DISTURBANCE_CHANNELS
-    output_labels: tuple[str, ...] = OUTPUT_CHANNELS
-    aux_labels: tuple[str, ...] = AUX_CHANNELS
-    aux_c: np.ndarray = field(default=None)
-    state_labels: tuple[str, ...] = _STATE_LABELS
-    integrator_states: tuple[int, ...] = _INTEGRATOR_STATES
+    aux_c: np.ndarray
+    input_labels: ClassVar[tuple[str, ...]] = REFERENCE_CHANNELS
+    disturbance_labels: ClassVar[tuple[str, ...]] = DISTURBANCE_CHANNELS
+    output_labels: ClassVar[tuple[str, ...]] = OUTPUT_CHANNELS
+    aux_labels: ClassVar[tuple[str, ...]] = AUX_CHANNELS
+    state_labels: ClassVar[tuple[str, ...]] = _STATE_LABELS
+    integrator_states: ClassVar[tuple[int, ...]] = _INTEGRATOR_STATES
 
     @property
     def state_dimension(self) -> int:

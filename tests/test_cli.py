@@ -157,13 +157,15 @@ class TestCli:
 
 
 def test_pipeline_does_not_import_scipy_signal(tmp_path):
-    """scipy.signal costs about a second of every fresh process; keep it
+    """scipy.signal costs about a second of every fresh process, and
+    scipy.special (pulled in by scipy.linalg.logm) about 0.1 s; keep both
     off the import and run path of a whole pipeline."""
     script = textwrap.dedent(f"""
         import sys
         from hvdcfr import cli
         code = cli.main(["pipeline", "--scenario", {STEP!r}, "--out", {str(tmp_path)!r}])
-        print(code, sorted(m for m in sys.modules if m.startswith("scipy.signal")))
+        print(code, sorted(m for m in sys.modules
+                           if m.startswith(("scipy.signal", "scipy.special"))))
     """)
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,

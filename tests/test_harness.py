@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -300,10 +301,27 @@ class TestScenarioDocuments:
         ({"name": "x", "disturbance": ONE_STEP, "dt": 0.2}, r"^dt=0\.2 s must divide t_s=0\.1 s"),
         ({"name": "x", "disturbance": ONE_STEP, "identification": {"p": 10000000}},
          r"^identification\.p=10000000 needs 2p=20000000 pulse blocks, more than the 2001 "),
+        ({"name": "x", "disturbance": ONE_STEP, "case": 1.7}, r"^case=1\.7 "),
+        ({"name": "x", "disturbance": ONE_STEP, "case": "2"}, "^case='2' "),
+        ({"name": "x", "disturbance": ONE_STEP, "duration_s": "30"}, "^duration_s='30' "),
+        ({"name": "x", "disturbance": ONE_STEP, "t_s": True}, "^t_s=True "),
+        ({"name": "x", "disturbance": ONE_STEP, "duration": 30.0}, "unknown key 'duration'"),
+        ({"name": "x", "disturbance": {**ONE_STEP, "contnuous": {}}}, "unknown key 'contnuous'"),
+        ({"name": "x", "disturbance": {"steps": [{**ONE_STEP["steps"][0], "time_s": True}]}},
+         "^step.time_s=True "),
+        ({"name": "x", "disturbance": {"file": 5}}, "^disturbance_file=5 "),
+        ({"name": 5, "disturbance": ONE_STEP}, "^name=5 "),
     ])
     def test_bad_document_is_a_scenario_error(self, doc, message):
         with pytest.raises(ScenarioError, match=message):
             scenario_from_dict(doc)
+
+    def test_readme_schema_example_is_accepted(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme[readme.index("## Scenario schema"):]
+        example = section[section.index("```json") + len("```json"):section.index("```\n\n")]
+        scenario = scenario_from_dict(json.loads(re.sub(r"\s*//.*", "", example)))
+        assert scenario.steps == (StepEvent("p_li", 5.0, 0.3, 15.0),)
 
     def test_optional_fields_accept_none(self):
         IdentificationSpec(r_override=None, max_feedthrough=None, prefilter_hz=None)

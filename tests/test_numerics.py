@@ -118,6 +118,11 @@ class TestMatLog:
         with pytest.raises(NumericsError, match="T_s"):
             mat_log_principal(np.diag([0.0, 1.0]))
 
+    def test_defective_matrix_rejected(self):
+        # a Jordan block has one eigenvector: no logarithm from the eigenpairs
+        with pytest.raises(NumericsError, match="condition"):
+            mat_log_principal(np.array([[0.9, 1.0], [0.0, 0.9]]))
+
 
 class TestEig:
     def test_diagonal(self):
