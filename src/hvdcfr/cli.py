@@ -2,7 +2,9 @@
 
 Subcommands: simulate (open loop), identify, design, evaluate (one
 case), pipeline (cases 1-3 plus comparison), sweep (loop-condition and
-preset variations). All outputs are deterministic CSV/JSON files.
+preset variations). Each subcommand only computes; ``main`` writes the
+files it returns once the run has succeeded, so a failed run leaves no
+output directory. All outputs are deterministic CSV/JSON files.
 """
 
 from __future__ import annotations
@@ -30,13 +32,18 @@ from .harness import (
     SWEEP_CONDITIONS,
 )
 from .plant import REFERENCE_CHANNELS, build_plant, load_preset, simulate
-from .signals import zeros_record
+from .signals import SignalRecord, csv_text, zeros_record
 from .statespace import StateSpace
 
 
+SWEEP_TOGGLES = {
+    "no-pfc": ("no_pfc", "no_ire_no_pfc"),
+    "cigre": ("cigre",),
+    "all": SWEEP_CONDITIONS,
+}
+
+
 def _load_scenario(args) -> Scenario:
-    if not args.scenario:
-        raise ScenarioError("--scenario <path> is required for this subcommand")
     scenario = Scenario.from_json(args.scenario)
     if args.seed is not None:
         scenario = replace(scenario,
@@ -44,22 +51,6 @@ def _load_scenario(args) -> Scenario:
         if scenario.continuous is not None:
             scenario = replace(scenario, continuous=replace(scenario.continuous, seed=args.seed))
     return scenario
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _dump(path: Path, payload: dict, fmt: str) -> None:
-    if fmt == "json":
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
-    else:
-        lines = [",".join(str(k) for k in payload)]
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
-                              for v in payload.values()))
-        path.with_suffix(".csv").write_text("\n".join(lines) + "\n")
 
 
 def _model_json(model: StateSpace) -> dict:
@@ -70,46 +61,37 @@ def _model_json(model: StateSpace) -> dict:
     }
 
 
-def cmd_simulate(args) -> int:
-    scenario = _load_scenario(args)
-    out = _out_dir(args)
-    params = case_plant_params(load_preset(scenario.plant), scenario.case)
-    plant = build_plant(params)
+# Each subcommand takes the scenario and the parsed arguments and returns
+# (files, message): the files to write under --out by name, each a
+# SignalRecord, a JSON object (dict) or text (str), and the line to print.
+
+def cmd_simulate(scenario: Scenario, args):
+    plant = build_plant(case_plant_params(load_preset(scenario.plant), scenario.case))
     profile = build_disturbance_profile(scenario)
     w = to_plant_disturbance(profile)
     refs = zeros_record(scenario.t_s, REFERENCE_CHANNELS, scenario.duration_s)
     trace = simulate(plant, refs, w, dt=scenario.dt)
-    trace.to_csv(out / "openloop_trace.csv")
-    profile.to_csv(out / "disturbance.csv")
-    print(f"wrote {out / 'openloop_trace.csv'}")
-    return 0
+    files = {"openloop_trace.csv": trace, "disturbance.csv": profile}
+    return files, f"wrote {Path(args.out) / 'openloop_trace.csv'}"
 
 
-def cmd_identify(args) -> int:
-    scenario = _load_scenario(args)
-    out = _out_dir(args)
+def cmd_identify(scenario: Scenario, args):
     plant = build_plant(load_preset(scenario.plant))
     report, model = identify_plant_model(plant, scenario.identification,
                                          scenario.t_s, scenario.dt)
-    report.to_json(out / "era_report.json")
-    (out / "model.json").write_text(json.dumps(_model_json(model), indent=2) + "\n")
-    cumulative = report.cumulative_energy
-    lines = ["index,singular_value,cumulative_energy"]
-    for i, (s, e) in enumerate(zip(report.singular_values, cumulative), start=1):
-        lines.append(f"{i},{float(s)!r},{float(e)!r}")
-    (out / "hsv.csv").write_text("\n".join(lines) + "\n")
-    print(f"retained order {report.retained_order} "
-          f"(cumulative energy {report.cumulative_energy_at_r:.6f}); wrote {out}/")
-    return 0
+    hsv = zip(range(1, len(report.singular_values) + 1), report.singular_values.tolist(),
+              report.cumulative_energy.tolist())
+    files = {"era_report.json": report.to_json_dict(), "model.json": _model_json(model),
+             "hsv.csv": csv_text(("index", "singular_value", "cumulative_energy"), hsv)}
+    return files, (f"retained order {report.retained_order} "
+                   f"(cumulative energy {report.cumulative_energy_at_r:.6f}); "
+                   f"wrote {Path(args.out)}/")
 
 
-def cmd_design(args) -> int:
-    scenario = _load_scenario(args)
-    out = _out_dir(args)
+def cmd_design(scenario: Scenario, args):
     plant = build_plant(load_preset(scenario.plant))
-    scenario = replace(scenario, case=1)
-    controller = build_controller(scenario, plant)
-    payload = {
+    controller = build_controller(replace(scenario, case=1), plant)
+    gains = {
         "k": controller.k.tolist(),
         "k_f": controller.k_f.tolist(),
         "q_weights": controller.q_weights.tolist(),
@@ -120,55 +102,47 @@ def cmd_design(args) -> int:
         "regulator_abscissa": controller.regulator_abscissa,
         "estimator_abscissa": controller.estimator_abscissa,
     }
-    (out / "gains.json").write_text(json.dumps(payload, indent=2) + "\n")
-    (out / "model.json").write_text(json.dumps(_model_json(controller.model), indent=2) + "\n")
-    print(f"wrote {out / 'gains.json'}")
-    return 0
+    files = {"gains.json": gains, "model.json": _model_json(controller.model)}
+    return files, f"wrote {Path(args.out) / 'gains.json'}"
 
 
-def cmd_evaluate(args) -> int:
-    scenario = _load_scenario(args)
-    out = _out_dir(args)
+def cmd_evaluate(scenario: Scenario, args):
     report = run_scenario(scenario)
     if report.trace is None:
         raise ScenarioError(f"case {scenario.case}: the closed loop diverged")
-    report.trace.to_csv(out / f"case{scenario.case}_trace.csv")
-    _dump(out / "metrics.json", report.to_json_dict(), "json")
+    metrics = report.to_json_dict()
+    files = {f"case{scenario.case}_trace.csv": report.trace,
+             "metrics.json": dict(sorted(metrics.items()))}
     if args.format == "csv":
-        _dump(out / "metrics", report.to_json_dict(), "csv")
-    print(f"case {scenario.case}: sum max |f| = {report.sum_max_f:.5f} pu, "
-          f"rms sum = {report.sum_rms_f:.5f} pu")
-    return 0
+        files["metrics.csv"] = csv_text(metrics, [metrics.values()])
+    return files, (f"case {scenario.case}: sum max |f| = {report.sum_max_f:.5f} pu, "
+                   f"rms sum = {report.sum_rms_f:.5f} pu")
 
 
-def cmd_pipeline(args) -> int:
-    scenario = _load_scenario(args)
-    out = _out_dir(args)
+def cmd_pipeline(scenario: Scenario, args):
     reports = run_cases(scenario)
     table = compare_cases(reports)  # refuses a diverged (all-inf) case
+    text = table.to_text()
+    files = {"comparison.csv": table.to_csv_text(), "comparison.txt": text}
     for report in reports:
-        report.trace.to_csv(out / f"case{report.case}_trace.csv")
-        _dump(out / f"case{report.case}_metrics.json", report.to_json_dict(), "json")
-    (out / "comparison.csv").write_text(table.to_csv_text())
-    (out / "comparison.txt").write_text(table.to_text())
-    print(table.to_text())
-    return 0
+        files[f"case{report.case}_trace.csv"] = report.trace
+        files[f"case{report.case}_metrics.json"] = dict(sorted(report.to_json_dict().items()))
+    return files, text
 
 
-def cmd_sweep(args) -> int:
-    scenario = _load_scenario(args)
-    out = _out_dir(args)
-    toggle_map = {
-        "no-pfc": ("no_pfc", "no_ire_no_pfc"),
-        "cigre": ("cigre",),
-        "all": SWEEP_CONDITIONS,
-    }
-    conditions = toggle_map[args.toggle]
-    results = run_sweep(scenario, conditions=conditions)
-    (out / "sweep.csv").write_text(sweep_table_csv(results))
-    (out / "sweep.txt").write_text(sweep_table_text(results))
-    print(sweep_table_text(results))
-    return 0
+def cmd_sweep(scenario: Scenario, args):
+    results = run_sweep(scenario, conditions=SWEEP_TOGGLES[args.toggle])
+    text = sweep_table_text(results)
+    return {"sweep.csv": sweep_table_csv(results), "sweep.txt": text}, text
+
+
+def _write(path: Path, payload) -> None:
+    if isinstance(payload, SignalRecord):
+        payload.to_csv(path)
+    elif isinstance(payload, dict):
+        path.write_text(json.dumps(payload, indent=2) + "\n")
+    else:
+        path.write_text(payload)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -193,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=("csv", "json"), default="json",
                            help="also write metrics.csv when csv")
         if name == "sweep":
-            p.add_argument("--toggle", choices=("no-pfc", "cigre", "all"), default="all")
+            p.add_argument("--toggle", choices=SWEEP_TOGGLES, default="all")
         p.set_defaults(handler=handler)
     return parser
 
@@ -205,7 +179,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        files, message = args.handler(_load_scenario(args), args)
+        out = Path(args.out)  # created only once the run has succeeded
+        out.mkdir(parents=True, exist_ok=True)
+        for name, payload in files.items():
+            _write(out / name, payload)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -215,6 +193,8 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - last-resort diagnostics
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 1
+    print(message)
+    return 0
 
 
 if __name__ == "__main__":

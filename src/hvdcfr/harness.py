@@ -32,8 +32,8 @@ from .plant import (
     without_rectifier_hvdc_loops,
 )
 from .numerics import butter_lowpass_filter
-from .signals import SignalRecord, sample_count
-from .sysid import EraReport, IdentifyConfig, generate_excitation, identify
+from .signals import SignalRecord, csv_text, sample_count
+from .sysid import EraReport, IdentifyConfig, generate_excitation, identify, observer_samples
 from .statespace import StateSpace
 
 PROFILE_CHANNELS = ("p_li", "p_lr", "p_w")
@@ -193,19 +193,34 @@ class Scenario:
             substep_count(self.t_s, self.dt)
         except PlantError as exc:
             raise ScenarioError(str(exc)) from None
-        records = [("duration_s", self.duration_s),
-                   ("identification.duration_s", self.identification.duration_s)]
+        ident = self.identification
+        records = [("duration_s", self.duration_s), ("identification.duration_s", ident.duration_s)]
+        cutoffs = [("identification.prefilter_hz", ident.prefilter_hz)]
         if self.continuous:
             records.append(("continuous.duration_s", self.continuous.duration_s))
+            cutoffs.append(("continuous.bandwidth_hz", self.continuous.bandwidth_hz))
         for name, duration in records:  # NaN fails the comparison too
             if not 0 < duration / self.t_s <= MAX_SAMPLES:
                 raise ScenarioError(f"{name}={duration:g} s over t_s={self.t_s:g} s must "
                                     f"give between 1 and {MAX_SAMPLES} samples")
-        ident = self.identification
         n_ident = sample_count(ident.duration_s, self.t_s)
         if 2 * ident.p > n_ident:  # the Hankel pair reads 2p pulse blocks
             raise ScenarioError(f"identification.p={ident.p} needs 2p={2 * ident.p} pulse "
                                 f"blocks, more than the {n_ident} identification samples")
+        # the regression sees every input and the non-integral half of the outputs
+        needed = observer_samples(ident.l, len(REFERENCE_CHANNELS + DISTURBANCE_CHANNELS),
+                                  len(OUTPUT_CHANNELS) // 2)
+        if needed > n_ident:
+            raise ScenarioError(f"identification.l={ident.l} needs {needed} samples, more "
+                                f"than the {n_ident} identification samples")
+        if self.continuous and self.continuous.duration_s < self.duration_s:
+            raise ScenarioError(f"continuous.duration_s={self.continuous.duration_s:g} s "
+                                f"must cover duration_s={self.duration_s:g} s")
+        nyquist = 0.5 / self.t_s
+        for name, hz in cutoffs:
+            if hz is not None and hz >= nyquist:
+                raise ScenarioError(f"{name}={hz:g} Hz must be below the Nyquist "
+                                    f"frequency {nyquist:g} Hz of t_s={self.t_s:g} s")
         sources = sum(bool(x) for x in (self.steps, self.continuous, self.disturbance_file))
         if sources != 1:
             raise ScenarioError("exactly one disturbance source required: "
@@ -301,8 +316,6 @@ def build_disturbance_profile(scenario: Scenario) -> SignalRecord:
         c = scenario.continuous
         profile = generate_continuous_profile(c.seed, c.amplitude_pu, c.bandwidth_hz,
                                               c.duration_s, scenario.t_s)
-        if profile.n_samples < n:
-            raise ScenarioError("continuous profile shorter than scenario duration")
         return SignalRecord(scenario.t_s, PROFILE_CHANNELS, profile.samples[:n])
     try:
         record = SignalRecord.from_csv(scenario.disturbance_file)
@@ -515,14 +528,11 @@ class ComparisonTable:
     reductions: tuple[dict, ...]
 
     def to_csv_text(self) -> str:
-        lines = ["case," + ",".join(METRIC_COLUMNS)]
-        for row in self.rows:
-            lines.append(str(row["case"]) + "," + ",".join(repr(row[c]) for c in METRIC_COLUMNS))
-        lines.append("")
-        lines.append("reduction_vs_case," + ",".join(METRIC_COLUMNS))
-        for row in self.reductions:
-            lines.append(str(row["case"]) + "," + ",".join(repr(row[c]) for c in METRIC_COLUMNS))
-        return "\n".join(lines) + "\n"
+        """The metric rows, a blank line, then the reduction rows."""
+        def section(first, rows):
+            return csv_text((first, *METRIC_COLUMNS),
+                            [[row["case"], *(row[c] for c in METRIC_COLUMNS)] for row in rows])
+        return section("case", self.rows) + "\n" + section("reduction_vs_case", self.reductions)
 
     def to_text(self) -> str:
         width = 11
@@ -608,9 +618,8 @@ def sweep_table_text(results: dict[str, list[ScenarioReport]]) -> str:
 
 
 def sweep_table_csv(results: dict[str, list[ScenarioReport]]) -> str:
-    lines = ["condition,case,rms_f_i,rms_f_r,sum_rms_f,rms_p_gi,rms_p_gr,sum_rms_p_g"]
-    for condition, reports in results.items():
-        for r in sorted(reports, key=lambda r: r.case):
-            lines.append(f"{condition},{r.case},{r.rms_f_i!r},{r.rms_f_r!r},"
-                         f"{r.sum_rms_f!r},{r.rms_p_gi!r},{r.rms_p_gr!r},{r.sum_rms_p_g!r}")
-    return "\n".join(lines) + "\n"
+    columns = ("rms_f_i", "rms_f_r", "sum_rms_f", "rms_p_gi", "rms_p_gr", "sum_rms_p_g")
+    return csv_text(("condition", "case", *columns),
+                    [[condition, r.case, *(getattr(r, c) for c in columns)]
+                     for condition, reports in results.items()
+                     for r in sorted(reports, key=lambda r: r.case)])

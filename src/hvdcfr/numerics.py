@@ -169,6 +169,15 @@ def solve_care(a, b, q, r, *, full_output: bool = False):
     iterate is returned. Each iterate's residual and closed-loop
     spectrum are computed once, in the loop; the post-checks and, with
     ``full_output``, the returned ``CareSolution`` reuse them.
+
+    Refinement stays because the Schur solution alone can miss badly: on
+    one random 10-state, 1-input system of the test suite its residual is
+    4.4e3 against a bound of 7.3e2 (1e-7 of the solution's norm), and
+    refinement brings it to 0.096. On the 84 identified models of the
+    model-fit benchmarks (20 from noisy records, 64 from clean ones; 168
+    solves) the Schur residual is at most 1.3e-11 and refinement moves the
+    solution by at most 1.6e-12 relative, so it costs little where it is
+    not needed.
     """
     a = _as_square(a)
     b = _as_matrix(b, "b")

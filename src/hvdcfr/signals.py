@@ -58,13 +58,8 @@ class SignalRecord:
         Path(path).write_text(self.to_csv_text())
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        buf.write("time_s," + ",".join(self.channels) + "\n")
-        times = self.times
-        for k in range(self.n_samples):
-            row = ",".join(repr(float(v)) for v in self.samples[k])
-            buf.write(f"{repr(float(times[k]))},{row}\n")
-        return buf.getvalue()
+        return csv_text(("time_s", *self.channels),
+                        np.column_stack([self.times, self.samples]).tolist())
 
     @staticmethod
     def from_csv(path: str | Path) -> "SignalRecord":
@@ -89,6 +84,19 @@ class SignalRecord:
         if not np.allclose(steps, t_s, rtol=1e-9, atol=1e-12):
             raise ValueError("CSV record is not uniformly sampled")
         return SignalRecord(t_s=t_s, channels=tuple(header[1:]), samples=data[:, 1:])
+
+
+def csv_text(header, rows) -> str:
+    """One header line, then one line per row: the one CSV rule.
+
+    A ``str`` cell is written as-is, every other cell as its ``repr`` (so a
+    float reads back exactly).
+    """
+    buf = io.StringIO()
+    buf.write(",".join(header) + "\n")
+    for row in rows:
+        buf.write(",".join([v if isinstance(v, str) else repr(v) for v in row]) + "\n")
+    return buf.getvalue()
 
 
 def sample_count(duration: float, t_s: float) -> int:

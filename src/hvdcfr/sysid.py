@@ -15,10 +15,7 @@ chosen.
 
 from __future__ import annotations
 
-import json
-import warnings
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -119,9 +116,6 @@ class EraReport:
             "model_order": self.realized.n_states,
         }
 
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n")
-
 
 @dataclass(frozen=True)
 class IdentifyConfig:
@@ -175,6 +169,11 @@ def generate_excitation(seed: int, channels: tuple[str, ...], t_s: float,
     return SignalRecord(t_s, channels, samples)
 
 
+def observer_samples(l: int, n_inputs: int, n_outputs: int) -> int:
+    """Fewest record samples the least-squares fit of ``l`` observer blocks accepts."""
+    return 4 * l * (n_inputs + n_outputs)
+
+
 def estimate_observer_markov(u: SignalRecord, y: SignalRecord, l: int) -> ObserverMarkov:
     """Least-squares observer pulse-response parameters from general I/O data.
 
@@ -192,7 +191,7 @@ def estimate_observer_markov(u: SignalRecord, y: SignalRecord, l: int) -> Observ
     v = len(u.channels)
     z = len(y.channels)
     n_samples = u.n_samples
-    required = 4 * l * (v + z)
+    required = observer_samples(l, v, z)
     if n_samples < required:
         raise IdentificationError(
             f"record too short: {n_samples} samples, need at least {required} "
@@ -258,33 +257,21 @@ def recover_system_markov(obs: ObserverMarkov, m: int) -> MarkovSequence:
 
 
 def build_hankel(markov: MarkovSequence, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Block-Hankel matrix of the pulse response and its one-step shift:
-    two overlapping views of one array of one more block row.
-
-    With fewer than 2p blocks available (2p-1 is still accepted) the
-    last block row is dropped from both matrices so they stay aligned.
+    """Block-Hankel matrix (p by p blocks) of the pulse response and its
+    one-step shift: two overlapping views of one array of one more block
+    row. Needs 2p pulse blocks.
     """
     if p < 1:
         raise IdentificationError("hankel size p must be at least 1")
     m = len(markov)
-    if m < 2 * p - 1:
+    if m < 2 * p:
         raise IdentificationError(
-            f"need at least {2 * p - 1} pulse-response blocks for p={p}, have {m}"
+            f"need at least {2 * p} pulse-response blocks for p={p}, have {m}"
         )
-    n_rows = p
-    if m == 2 * p - 1:
-        warnings.warn(
-            f"only {m} pulse blocks for p={p}: dropping the last block row "
-            "of the Hankel pair",
-            stacklevel=2,
-        )
-        n_rows = p - 1
-    if n_rows < 1:
-        raise IdentificationError("need at least 2 pulse-response blocks")
     z, v = markov.n_outputs, markov.n_inputs
     # windows[i, :, :, j] is pulse block i + j, a view: one copy is made, by reshape
     windows = np.lib.stride_tricks.sliding_window_view(markov.pulse_blocks, p, axis=0)
-    both = windows[:n_rows + 1].transpose(0, 1, 3, 2).reshape((n_rows + 1) * z, p * v)
+    both = windows[:p + 1].transpose(0, 1, 3, 2).reshape((p + 1) * z, p * v)
     return both[:-z], both[z:]
 
 
@@ -296,7 +283,8 @@ def era_realize(h: np.ndarray, h_shift: np.ndarray, z: int, v: int,
 
     The retained order is the smallest one whose cumulative squared
     singular-value energy reaches ``energy_threshold`` (or
-    ``r_override``). ``feedthrough`` becomes the model's direct term.
+    ``r_override``), at most the numerical rank; ``threshold_order``
+    records it. ``feedthrough`` becomes the model's direct term.
 
     The SVD runs on the row space of ``h``'s leading ``observer_blocks``
     block rows (all rows when None); pass the block count l of the
@@ -333,15 +321,10 @@ def era_realize(h: np.ndarray, h_shift: np.ndarray, z: int, v: int,
     if r_override is not None:
         if r_override < 1:
             raise IdentificationError("r_override must be positive")
-        r = min(r_override, numerical_rank)
-        if r < r_override:
-            warnings.warn(
-                f"r_override={r_override} exceeds numerical rank {numerical_rank}; clamped",
-                stacklevel=2,
-            )
+        r = r_override
     else:
         r = int(np.searchsorted(cumulative, energy_threshold) + 1)
-        r = min(r, numerical_rank)
+    r = min(r, numerical_rank)
 
     s_r = s[:r]
     left = res.left[:, :r]
@@ -429,6 +412,8 @@ def identify(u: SignalRecord, y: SignalRecord,
     would leave them slightly off the unit circle with spurious residues
     that ramp under step inputs.
     """
+    if config.t_s != u.t_s:
+        raise IdentificationError(f"config T_s {config.t_s} != record T_s {u.t_s}")
     y_fit = y
     if config.integral_outputs:
         if len(y.channels) % 2 != 0:

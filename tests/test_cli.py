@@ -153,7 +153,21 @@ class TestCli:
                         "--out", str(tmp_path / command)])
             assert code == 1
             assert "diverged" in capsys.readouterr().err
-            assert not list((tmp_path / command).glob("*_trace.csv"))
+            assert not (tmp_path / command).exists()  # files are written only after success
+
+
+def _files(directory: Path) -> dict:
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+@pytest.mark.parametrize("args", [["simulate"], ["identify"], ["design"],
+                                  ["evaluate", "--format", "csv"], ["pipeline"],
+                                  ["sweep", "--toggle", "all"]], ids=lambda a: a[0])
+def test_every_subcommand_writes_the_same_bytes_twice(args, tmp_path, capsys):
+    for run_dir in ("first", "second"):
+        assert run([*args, "--scenario", STEP, "--out", str(tmp_path / run_dir)]) == 0
+    first, second = _files(tmp_path / "first"), _files(tmp_path / "second")
+    assert first and first == second
 
 
 def test_pipeline_does_not_import_scipy_signal(tmp_path):

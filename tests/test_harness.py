@@ -311,6 +311,14 @@ class TestScenarioDocuments:
          "^step.time_s=True "),
         ({"name": "x", "disturbance": {"file": 5}}, "^disturbance_file=5 "),
         ({"name": 5, "disturbance": ONE_STEP}, "^name=5 "),
+        ({"name": "x", "disturbance": ONE_STEP, "identification": {"duration_s": 100.0, "l": 30}},
+         r"^identification\.l=30 needs 1080 samples, more than the 1001 "),
+        ({"name": "x", "disturbance": ONE_STEP, "identification": {"prefilter_hz": 5.0}},
+         r"^identification\.prefilter_hz=5 Hz must be below the Nyquist frequency 5 Hz"),
+        ({"name": "x", "disturbance": {"continuous": {"bandwidth_hz": 6.0}}},
+         r"^continuous\.bandwidth_hz=6 Hz must be below the Nyquist frequency 5 Hz"),
+        ({"name": "x", "duration_s": 60.0, "disturbance": {"continuous": {"duration_s": 59.9}}},
+         r"^continuous\.duration_s=59\.9 s must cover duration_s=60 s"),
     ])
     def test_bad_document_is_a_scenario_error(self, doc, message):
         with pytest.raises(ScenarioError, match=message):
@@ -359,9 +367,10 @@ class TestRecordLength:
 
     @pytest.mark.parametrize("p, accepted", [(100, True), (101, False)])
     def test_hankel_size_is_bounded_by_the_identification_record(self, p, accepted):
-        # 20 s at t_s=0.1 s is 201 samples: 2p may not exceed them
+        # 20 s at t_s=0.1 s is 201 samples: 2p may not exceed them (nor may the
+        # 4 l (v + z) = 180 samples the observer fit needs at l=5)
         scenario = dict(name="x", steps=(StepEvent("p_li", 1.0, 0.2, 5.0),),
-                        identification=IdentificationSpec(duration_s=20.0, p=p))
+                        identification=IdentificationSpec(duration_s=20.0, p=p, l=5))
         if accepted:
             Scenario(**scenario)
         else:
@@ -369,9 +378,11 @@ class TestRecordLength:
                 Scenario(**scenario)
 
     def test_bound_itself_accepted(self):
+        # the 2 Hz default prefilter is above the 0.5 Hz Nyquist frequency of t_s=1 s
         Scenario(name="x", t_s=1.0, duration_s=float(MAX_SAMPLES),
                  continuous=ContinuousSpec(duration_s=float(MAX_SAMPLES)),
-                 identification=IdentificationSpec(duration_s=float(MAX_SAMPLES)))
+                 identification=IdentificationSpec(duration_s=float(MAX_SAMPLES),
+                                                   prefilter_hz=None))
 
 
 @pytest.fixture(scope="module")

@@ -203,14 +203,12 @@ class TestHankel:
         with pytest.raises(IdentificationError, match="need at least"):
             build_hankel(markov, p=5)
 
-    def test_one_missing_block_drops_row_with_note(self):
+    def test_one_missing_block_is_refused(self):
         rng = np.random.default_rng(9)
         ss = random_stable_discrete(rng, 3, 2, 2)
         markov = markov_from_system(ss, 9)  # 2p-1 for p=5
-        with pytest.warns(UserWarning, match="dropping"):
-            h, h_shift = build_hankel(markov, p=5)
-        assert h.shape == (4 * 2, 5 * 2)
-        assert h.shape == h_shift.shape
+        with pytest.raises(IdentificationError, match="need at least 10 pulse-response blocks"):
+            build_hankel(markov, p=5)
 
 
 class TestEra:
@@ -281,15 +279,13 @@ class TestEra:
         with pytest.raises(IdentificationError, match="achievable energy"):
             era_realize(np.zeros((4, 4)), np.zeros((4, 4)), 2, 2)
 
-    def test_report_json_round_trip(self, tmp_path):
+    def test_report_json_round_trip(self):
         rng = np.random.default_rng(13)
         ss = random_stable_discrete(rng, 3, 2, 2)
         markov = markov_from_system(ss, 20)
         h, h_shift = build_hankel(markov, p=10)
         report = era_realize(h, h_shift, 2, 2, feedthrough=markov.feedthrough, t_s=ss.dt)
-        path = tmp_path / "report.json"
-        report.to_json(path)
-        loaded = json.loads(path.read_text())
+        loaded = json.loads(json.dumps(report.to_json_dict()))
         assert loaded["retained_order"] == report.retained_order
         assert len(loaded["singular_values"]) == len(report.singular_values)
         cum = loaded["cumulative_energy"]
@@ -475,6 +471,18 @@ class TestIdentifyPipeline:
         report, _ = identify(u, y, IdentifyConfig(l=6, p=10, r_override=3))
         assert report.feedthrough_norm == pytest.approx(np.linalg.norm(ss.d, "fro"), rel=1e-8)
         assert report.to_json_dict()["feedthrough_norm"] == report.feedthrough_norm
+
+    def test_config_sample_time_must_match_the_record(self):
+        # ERA and the logarithm use config.t_s while the prefilter uses the
+        # record's: a mismatch would scale every identified pole silently
+        rng = np.random.default_rng(8)
+        ss = StateSpace(a=np.diag([0.9, 0.6, 0.3]), b=rng.normal(size=(3, 2)),
+                        c=rng.normal(size=(2, 3)), d=np.zeros((2, 2)), dt=0.05)
+        u, y = io_records(ss, rng.normal(size=(600, 2)), t_s=0.05)
+        with pytest.raises(IdentificationError, match=r"config T_s 0\.1 != record T_s 0\.05"):
+            identify(u, y, IdentifyConfig(l=6, p=10, r_override=3, t_s=0.1))
+        report, _ = identify(u, y, IdentifyConfig(l=6, p=10, r_override=3, t_s=0.05))
+        assert report.realized.dt == 0.05
 
     def test_d2c_round_trip_under_default_config(self, jh_identified):
         _, model = jh_identified
