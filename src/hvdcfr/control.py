@@ -27,10 +27,13 @@ import numpy as np
 from .numerics import NumericsError, solve_care
 from .plant import BLOW_UP_BOUND, ContinuousPlant, PlantError, sample_step_matrices
 from .signals import SignalRecord
-from .statespace import StateSpace, check_divergence, run_lti
+from .statespace import SimulationDivergence, StateSpace, check_divergence, run_lti
 
 N_REFERENCES = 4
 N_MEASUREMENTS = 6
+# an unclipped sampled loop whose spectral radius exceeds 1 + RADIUS_TOL has
+# diverged; poles at exactly 1 (pure integrators) still count as stable
+RADIUS_TOL = 1e-9
 
 
 class ControlDesignError(RuntimeError):
@@ -210,7 +213,9 @@ def closed_loop(plant: ContinuousPlant, controller, disturbances: SignalRecord,
     as one discrete LTI system by ``run_lti`` or, when
     ``controller.saturation`` is set, stepped per sample with the clipped
     command. A NaN plant or controller state, or one above
-    ``BLOW_UP_BOUND``, raises ``SimulationDivergence``. Returns model
+    ``BLOW_UP_BOUND``, raises ``SimulationDivergence``; so does an
+    unclipped loop whose spectral radius exceeds ``1 + RADIUS_TOL``,
+    checked after the amplitude bound. Returns model
     outputs, auxiliary channels and the four commands.
     """
     if disturbances.channels != plant.disturbance_labels:
@@ -232,7 +237,12 @@ def closed_loop(plant: ContinuousPlant, controller, disturbances: SignalRecord,
     out_map = np.block([[c_full, np.zeros((len(c_full), ctrl.n_states))], [c_cmd]])
     limit = controller.saturation
     if limit is None:
-        z = run_lti(a_open + b_cmd @ c_cmd, b_w, w, t_s, BLOW_UP_BOUND)
+        a_closed = a_open + b_cmd @ c_cmd
+        z = run_lti(a_closed, b_w, w, t_s, BLOW_UP_BOUND)
+        # an unstable loop can stay under the amplitude bound for the whole run
+        rho = float(np.max(np.abs(np.linalg.eigvals(a_closed)), initial=0.0))
+        if rho > 1.0 + RADIUS_TOL:
+            raise SimulationDivergence(f"sampled closed loop has spectral radius {rho:.6f} > 1")
     else:  # clipping is not LTI: step per sample
         z, w_in = np.zeros((len(w), len(a_open))), w @ b_w.T
         with np.errstate(all="ignore"):  # a diverging run may overflow before the check

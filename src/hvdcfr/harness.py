@@ -6,9 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
-import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +30,8 @@ from .plant import (
     without_rectifier_hvdc_loops,
 )
 from .numerics import butter_lowpass_filter
+from .schema import (FINITE, NON_NEGATIVE, POSITIVE, build, count, entries, finite, instance,
+                     object_fields, one_of, optional, validate)
 from .signals import SignalRecord, csv_text, sample_count
 from .sysid import EraReport, IdentifyConfig, generate_excitation, identify, observer_samples
 from .statespace import StateSpace
@@ -44,47 +44,6 @@ class ScenarioError(ValueError):
     """Malformed scenario description."""
 
 
-def _finite(v) -> bool:
-    """A real number, not a bool, that converts to a finite float."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
-
-
-# a field rule is (predicate, description of a valid value)
-_POSITIVE = (lambda v: _finite(v) and v > 0, "positive and finite")
-_NON_NEGATIVE = (lambda v: _finite(v) and v >= 0, "non-negative and finite")
-_FINITE = (_finite, "finite")
-
-
-def _count(low: int):
-    return (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= low,
-            f"an integer >= {low}")
-
-
-def _optional(rule):
-    return lambda v: v is None or rule[0](v), f"None or {rule[1]}"
-
-
-def _one_of(*options):
-    return lambda v: any(type(v) is type(o) and v == o for o in options), f"one of {options}"
-
-
-def _instance(cls, want: str):
-    return lambda v: isinstance(v, cls), want
-
-
-def _entries(n: int, rule):
-    return (lambda v: isinstance(v, (tuple, list)) and len(v) == n and all(map(rule[0], v)),
-            f"{n} entries, each {rule[1]}")
-
-
-def _validate(prefix: str, spec, rules: dict) -> None:
-    """Raise a ``ScenarioError`` naming (after ``prefix``) the first field its rule rejects."""
-    for name, (ok, want) in rules.items():
-        value = getattr(spec, name)
-        if not ok(value):
-            raise ScenarioError(f"{prefix}{name}={value!r} must be {want}")
-
-
 @dataclass(frozen=True)
 class StepEvent:
     channel: str
@@ -93,8 +52,9 @@ class StepEvent:
     duration_s: float
 
     def __post_init__(self):
-        _validate("step.", self, {"channel": _one_of(*PROFILE_CHANNELS), "time_s": _NON_NEGATIVE,
-                                  "magnitude_pu": _FINITE, "duration_s": _POSITIVE})
+        validate(ScenarioError, "step.", self, {
+            "channel": one_of(*PROFILE_CHANNELS), "time_s": NON_NEGATIVE,
+            "magnitude_pu": FINITE, "duration_s": POSITIVE})
 
 
 @dataclass(frozen=True)
@@ -105,8 +65,9 @@ class ContinuousSpec:
     duration_s: float = 200.0
 
     def __post_init__(self):
-        _validate("continuous.", self, {"seed": _count(0), "amplitude_pu": _POSITIVE,
-                                        "bandwidth_hz": _POSITIVE, "duration_s": _POSITIVE})
+        validate(ScenarioError, "continuous.", self, {
+            "seed": count(0), "amplitude_pu": POSITIVE, "bandwidth_hz": POSITIVE,
+            "duration_s": POSITIVE})
 
 
 @dataclass(frozen=True)
@@ -125,12 +86,12 @@ class IdentificationSpec:
     prefilter_hz: float | None = 2.0
 
     def __post_init__(self):
-        _validate("identification.", self, {
-            "seed": _count(0), "duration_s": _POSITIVE, "amplitude_pu": _POSITIVE,
-            "hold_s": _POSITIVE, "l": _count(1), "p": _count(1),
-            "energy_threshold": (lambda v: _finite(v) and 0 < v <= 1, "in (0, 1]"),
-            "r_override": _optional(_count(1)), "max_feedthrough": _optional(_POSITIVE),
-            "prefilter_hz": _optional(_POSITIVE)})
+        validate(ScenarioError, "identification.", self, {
+            "seed": count(0), "duration_s": POSITIVE, "amplitude_pu": POSITIVE,
+            "hold_s": POSITIVE, "l": count(1), "p": count(1),
+            "energy_threshold": (lambda v: finite(v) and 0 < v <= 1, "in (0, 1]"),
+            "r_override": optional(count(1)), "max_feedthrough": optional(POSITIVE),
+            "prefilter_hz": optional(POSITIVE)})
 
     def to_config(self, t_s: float) -> IdentifyConfig:
         return IdentifyConfig(
@@ -154,11 +115,11 @@ class ControllerSpec:
     ki_gen: float = 0.2
 
     def __post_init__(self):
-        _validate("controller.", self, {
-            "q": _entries(6, _NON_NEGATIVE), "r": _entries(4, _POSITIVE),
-            "sigma_process": _POSITIVE, "v_meas_scale": _POSITIVE, "w_proc_floor": _POSITIVE,
-            "saturation": _optional(_POSITIVE), "kp_hvdc": _FINITE, "ki_hvdc": _FINITE,
-            "kp_gen": _FINITE, "ki_gen": _FINITE})
+        validate(ScenarioError, "controller.", self, {
+            "q": entries(6, NON_NEGATIVE), "r": entries(4, POSITIVE),
+            "sigma_process": POSITIVE, "v_meas_scale": POSITIVE, "w_proc_floor": POSITIVE,
+            "saturation": optional(POSITIVE), "kp_hvdc": FINITE, "ki_hvdc": FINITE,
+            "kp_gen": FINITE, "ki_gen": FINITE})
 
 
 # document keys under "disturbance" and the Scenario fields they fill
@@ -180,15 +141,15 @@ class Scenario:
     controller: ControllerSpec = field(default_factory=ControllerSpec)
 
     def __post_init__(self):
-        _validate("", self, {
-            "name": _instance(str, "a string"), "plant": _one_of(*PRESETS),
-            "case": _one_of(1, 2, 3), "t_s": _POSITIVE, "dt": _POSITIVE, "duration_s": _POSITIVE,
+        validate(ScenarioError, "", self, {
+            "name": instance(str, "a string"), "plant": one_of(*PRESETS),
+            "case": one_of(1, 2, 3), "t_s": POSITIVE, "dt": POSITIVE, "duration_s": POSITIVE,
             "steps": (lambda v: isinstance(v, tuple) and all(isinstance(e, StepEvent) for e in v),
                       "a tuple of StepEvent"),
-            "continuous": _optional(_instance(ContinuousSpec, "a ContinuousSpec")),
-            "disturbance_file": _optional(_instance(str, "a string")),
-            "identification": _instance(IdentificationSpec, "an IdentificationSpec"),
-            "controller": _instance(ControllerSpec, "a ControllerSpec")})
+            "continuous": optional(instance(ContinuousSpec, "a ContinuousSpec")),
+            "disturbance_file": optional(instance(str, "a string")),
+            "identification": instance(IdentificationSpec, "an IdentificationSpec"),
+            "controller": instance(ControllerSpec, "a ControllerSpec")})
         try:
             substep_count(self.t_s, self.dt)
         except PlantError as exc:
@@ -241,41 +202,23 @@ class Scenario:
         return d
 
 
-def _fields(raw, section: str, names) -> dict:
-    """The JSON object ``raw`` with lists as tuples; a key outside ``names`` is refused."""
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{section} must be an object, got {raw!r}")
-    for key in raw:
-        if key not in names:
-            raise ScenarioError(f"{section} has unknown key {key!r}; known: {', '.join(names)}")
-    return {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
-
-
-def _build(cls, raw, section: str):
-    """``cls`` from the JSON object ``raw``, one key per field; ``cls`` checks each value."""
-    spec = fields(cls)
-    kwargs = _fields(raw, section, [f.name for f in spec])
-    for f in spec:
-        if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
-            raise ScenarioError(f"{section} is missing the key {f.name!r}")
-    return cls(**kwargs)
-
-
 def scenario_from_dict(raw) -> Scenario:
     """Scenario from a parsed JSON document of its fields, the disturbance source under
     ``disturbance``; any defect is a ``ScenarioError`` naming the key or field."""
-    doc = _fields(raw, "scenario document", ("name", "plant", "case", "t_s", "dt", "duration_s",
-                                             "disturbance", "identification", "controller"))
-    dist = _fields(doc.pop("disturbance", {}), "disturbance", tuple(_DISTURBANCE_KEYS))
+    doc = object_fields(ScenarioError, raw, "scenario document",
+                        ("name", "plant", "case", "t_s", "dt", "duration_s", "disturbance",
+                         "identification", "controller"))
+    dist = object_fields(ScenarioError, doc.pop("disturbance", {}), "disturbance",
+                         tuple(_DISTURBANCE_KEYS))
     doc.update((_DISTURBANCE_KEYS[key], value) for key, value in dist.items())
     for key, cls in (("identification", IdentificationSpec), ("controller", ControllerSpec),
                      ("continuous", ContinuousSpec)):
         if key in doc:
-            doc[key] = _build(cls, doc[key], key)
+            doc[key] = build(ScenarioError, cls, doc[key], key)
     if isinstance(doc.get("steps"), tuple):  # any other value is refused by Scenario
-        doc["steps"] = tuple(_build(StepEvent, e, f"disturbance.steps[{i}]")
+        doc["steps"] = tuple(build(ScenarioError, StepEvent, e, f"disturbance.steps[{i}]")
                              for i, e in enumerate(doc["steps"]))
-    return _build(Scenario, doc, "scenario document")
+    return build(ScenarioError, Scenario, doc, "scenario document")
 
 
 def generate_continuous_profile(seed: int, amplitude_pu: float, bandwidth_hz: float,

@@ -21,6 +21,7 @@ from typing import ClassVar
 import numpy as np
 
 from .numerics import eig_real_parts
+from .schema import FINITE, NON_NEGATIVE, POSITIVE, build, count, finite, validate
 from .signals import SignalRecord
 # SimulationDivergence is re-exported: simulate raises it
 from .statespace import SimulationDivergence, StateSpace, compound_steps, rk4_step_matrices, run_lti
@@ -38,19 +39,24 @@ BLOW_UP_BOUND = 1e6  # largest state magnitude a simulation accepts
 PRESETS = ("jh", "cigre")  # the parameter sets shipped under presets/
 
 
+# field rules of PlantParams beside the shared ones in schema
+_TIME_CONSTANT = (POSITIVE[0], "a positive, finite time constant")
+_DROOP = (lambda v: (finite(v) or v == math.inf) and v > 0,
+          "a positive droop constant (inf disables the loop)")
+
+
 @dataclass(frozen=True)
 class PlantParams:
-    """Physical and control parameters of the two-grid HVDC system.
+    """Physical and control parameters of the two-grid HVDC system;
+    ``build_plant`` reads every field.
 
     Droop fields store the droop constants themselves (gain = 1/value);
-    ``math.inf`` disables a loop. ``beta_n`` is the per-generator
-    participation factor; None means equal sharing 1/N per side.
-    ``B`` (bridge count) scales the dc current base, and ``X_cr`` sets
-    the rectifier's equivalent commutation resistance 3*X_cr/pi per
-    bridge; the remaining converter internals (X_ci, alpha0, gamma0,
-    mu0, TR) are carried for completeness but unused by the reduced
-    model. ``M_g``/``k_d`` are likewise carried: the grid-level M/D
-    values already aggregate the machine rotors.
+    ``math.inf`` disables a loop. ``B`` (bridge count) scales the dc
+    current base ``I_dc0 * B``, and ``X_cr`` sets the rectifier's
+    equivalent commutation resistance 3*X_cr/pi per bridge (0 leaves the
+    dc-link LC mode undamped). Each field must pass its ``schema`` rule
+    and the nominal dc power ``V_dcr0 * I_dc0 * B`` must lie within 1% of
+    ``power_base_MW``; a bad value is a ``PlantError`` naming the field.
     """
 
     # grid aggregates
@@ -60,9 +66,6 @@ class PlantParams:
     D_r: float
     N_i: int
     N_r: int
-    # synchronous machine (aggregated into the grid swing above)
-    M_g: float
-    k_d: float
     # governor / valve / gas turbine
     X_g: float
     Y_g: float
@@ -91,73 +94,38 @@ class PlantParams:
     k_pi: float
     k_ii: float
     V_dcr0: float
-    V_dci0: float
     I_dc0: float
-    # bases
     power_base_MW: float
-    frequency_base_Hz: float
-    beta_n: float | None = None
     B: int = 1
     T_c: float = 0.01
     T_ref: float = 0.05
     T_vm: float = 0.1
-    # converter internals, unused by the reduced model
-    X_cr: float | None = None
-    X_ci: float | None = None
-    alpha0: float | None = None
-    gamma0: float | None = None
-    mu0: float | None = None
-    TR: float | None = None
+    X_cr: float = 0.0
 
     def __post_init__(self):
-        problems = []
-        for name in ("M_i", "M_r", "M_g"):
-            if getattr(self, name) <= 0:
-                problems.append(f"inertia {name} must be strictly positive")
-        for name in ("Y_g", "u_g", "T_cr", "T_f", "T_cd", "T_fi", "T_fr", "T_c", "T_ref", "T_vm"):
-            if getattr(self, name) <= 0:
-                problems.append(f"time constant {name} must be strictly positive")
-        for name in ("R_gi", "R_gr", "R_i", "R_r", "K_i", "K_r"):
-            if getattr(self, name) <= 0:
-                problems.append(f"droop constant {name} must be strictly positive")
-        for name in ("D_i", "D_r", "k_d", "W_i", "W_r", "X_g", "e_g"):
-            if getattr(self, name) < 0:
-                problems.append(f"{name} must be non-negative")
-        if self.N_i < 1 or self.N_r < 1:
-            problems.append("generator counts N_i, N_r must be at least 1")
-        for name in ("R_dc", "L_dc", "C_dc", "V_dcr0", "V_dci0", "I_dc0", "power_base_MW",
-                     "frequency_base_Hz"):
-            if getattr(self, name) <= 0:
-                problems.append(f"{name} must be strictly positive")
-        if self.B < 1:
-            problems.append("bridge count B must be at least 1")
-        if not problems:
-            nominal_mw = self.V_dcr0 * 1e3 * self.I_dc0 * self.B / 1e6
-            if abs(nominal_mw / self.power_base_MW - 1.0) > 0.01:
-                problems.append(
-                    f"nominal dc power {nominal_mw:.2f} MW is inconsistent with the "
-                    f"{self.power_base_MW:.2f} MW base (>1% off)"
-                )
-        if problems:
-            raise PlantError("; ".join(problems))
-
-    @property
-    def dc_current_base_A(self) -> float:
-        return self.I_dc0 * self.B
-
-    def participation(self, side: str) -> float:
-        """Aggregate share of a secondary power reference taken per side."""
-        n = self.N_i if side == "i" else self.N_r
-        per_unit = (1.0 / n) if self.beta_n is None else self.beta_n
-        return per_unit * n
+        validate(PlantError, "", self, {
+            **dict.fromkeys(("N_i", "N_r", "B"), count(1)),
+            **dict.fromkeys(("M_i", "M_r", "R_dc", "L_dc", "C_dc", "V_dcr0", "I_dc0",
+                             "power_base_MW"), POSITIVE),
+            **dict.fromkeys(("Y_g", "u_g", "T_cr", "T_f", "T_cd", "T_fi", "T_fr", "T_c",
+                             "T_ref", "T_vm"), _TIME_CONSTANT),
+            **dict.fromkeys(("R_gi", "R_gr", "R_i", "R_r", "K_i", "K_r"), _DROOP),
+            **dict.fromkeys(("D_i", "D_r", "W_i", "W_r", "X_g", "e_g", "X_cr"), NON_NEGATIVE),
+            **dict.fromkeys(("k_pr", "k_ir", "k_pi", "k_ii"), FINITE)})
+        nominal_mw = self.V_dcr0 * 1e3 * self.I_dc0 * self.B / 1e6
+        if abs(nominal_mw / self.power_base_MW - 1.0) > 0.01:
+            raise PlantError(f"nominal dc power {nominal_mw:.2f} MW is inconsistent with the "
+                             f"{self.power_base_MW:.2f} MW base (>1% off)")
 
     def to_json(self, path: str | Path) -> None:
-        payload = {k: v for k, v in asdict(self).items() if v is not None}
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
 
     @staticmethod
     def from_json(path: str | Path) -> "PlantParams":
-        return PlantParams(**json.loads(Path(path).read_text()))
+        """Parameters from a JSON object of their fields; an unknown or
+        missing key, like a bad value, is a ``PlantError`` naming it."""
+        return build(PlantError, PlantParams, json.loads(Path(path).read_text()),
+                     f"plant parameters {path}")
 
 
 def load_preset(name: str) -> PlantParams:
@@ -165,7 +133,7 @@ def load_preset(name: str) -> PlantParams:
     ref = resources.files("hvdcfr.presets").joinpath(f"{name}.json")
     if not ref.is_file():
         raise PlantError(f"unknown plant preset {name!r}; shipped presets are {PRESETS}")
-    return PlantParams(**json.loads(ref.read_text()))
+    return build(PlantError, PlantParams, json.loads(ref.read_text()), f"plant preset {name!r}")
 
 
 # state layout of the assembled model
@@ -195,7 +163,6 @@ class ContinuousPlant:
     """
 
     state_space: StateSpace
-    params: PlantParams
     aux_c: np.ndarray
     input_labels: ClassVar[tuple[str, ...]] = REFERENCE_CHANNELS
     disturbance_labels: ClassVar[tuple[str, ...]] = DISTURBANCE_CHANNELS
@@ -237,13 +204,13 @@ def build_plant(params: PlantParams) -> ContinuousPlant:
     inv = lambda x: 0.0 if math.isinf(x) else 1.0 / x
 
     # per-unit dc-link constants (current base counts all bridges)
-    i_base = p.dc_current_base_A
+    i_base = p.I_dc0 * p.B
     v_base = p.V_dcr0 * 1e3
     t_cap = p.C_dc * 1e-6 * v_base / i_base
     t_ind = 0.5 * p.L_dc * i_base / v_base
     # the rectifier bridges contribute their equivalent commutation
     # resistance 3*X_c/pi each; this is what damps the dc-side LC mode
-    r_comm = 0.0 if p.X_cr is None else (3.0 / math.pi) * p.X_cr * p.B
+    r_comm = (3.0 / math.pi) * p.X_cr * p.B
     r_link = (0.5 * p.R_dc + r_comm) * i_base / v_base
 
     # filtered-derivative inertia emulation: gain * (f - filter_state) / T
@@ -261,8 +228,8 @@ def build_plant(params: PlantParams) -> ContinuousPlant:
     p_dcr = state("v_dcr") + state("i_dcr")
 
     # governor inputs: secondary reference share minus primary droop
-    gov_in_i = p.participation("i") * ref("p_gi_ref") - inv(p.R_gi) * state("f_i")
-    gov_in_r = p.participation("r") * ref("p_gr_ref") - inv(p.R_gr) * state("f_r")
+    gov_in_i = ref("p_gi_ref") - inv(p.R_gi) * state("f_i")
+    gov_in_r = ref("p_gr_ref") - inv(p.R_gr) * state("f_r")
     # lead-lag (X_g s + 1)/(Y_g s + 1) output from its single lag state
     lead = p.X_g / p.Y_g
     ll_i = lead * gov_in_i + (1.0 - lead) * state("gov_i")
@@ -333,7 +300,7 @@ def build_plant(params: PlantParams) -> ContinuousPlant:
         )
 
     ss = StateSpace(a=a, b=b, c=c, d=d, dt=None)
-    return ContinuousPlant(state_space=ss, params=params, aux_c=aux_c)
+    return ContinuousPlant(state_space=ss, aux_c=aux_c)
 
 
 def without_rectifier_hvdc_loops(params: PlantParams) -> PlantParams:

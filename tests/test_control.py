@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hvdcfr.control import (
     ControlDesignError,
@@ -19,6 +21,7 @@ from hvdcfr.plant import (
     REFERENCE_CHANNELS,
     SimulationDivergence,
     build_plant,
+    without_hvdc_droops_and_ire,
     without_rectifier_hvdc_loops,
 )
 from hvdcfr.signals import SignalRecord, zeros_record
@@ -355,6 +358,40 @@ class TestSaturatingLoop:
         assert np.max(np.abs(commands)) <= 1e-3
 
 
+def column_error(got: np.ndarray, want: np.ndarray) -> float:
+    """Largest deviation in each column relative to that column's peak."""
+    peak = np.max(np.abs(want), axis=0)
+    return float(np.max(np.abs(got - want) / np.where(peak > 0, peak, 1.0)))
+
+
+class TestInvariance:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_orthogonal_similarity_leaves_loop_unchanged(self, jh_plant, jh_lqg, seed):
+        # orthogonal T only: the w_proc_floor * I term is not invariant under a general T
+        model = jh_lqg.model
+        t, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(model.n_states,) * 2))
+        moved = StateSpace(a=t.T @ model.a @ t, b=t.T @ model.b, c=model.c @ t, d=model.d,
+                           dt=None)
+        dist = pulse_record(dur=30.0)
+        want = closed_loop(jh_plant, jh_lqg, dist, dt=0.001).samples
+        got = closed_loop(jh_plant, make_lqg(moved), dist, dt=0.001).samples
+        assert column_error(got, want) <= 1e-11
+
+    @given(st.integers(0, 2**32 - 1),
+           st.floats(1e-3, 1e3).flatmap(lambda s: st.sampled_from([s, -s])))
+    @settings(max_examples=20, deadline=None)
+    def test_scaled_disturbance_scales_unclipped_trace(self, jh_plant, jh_lqg, seed, scale):
+        w = np.random.default_rng(seed).normal(scale=0.1, size=(301, 2))
+        for controller in (jh_lqg, PiSfcController()):
+            base = closed_loop(jh_plant, controller, SignalRecord(0.1, DISTURBANCE_CHANNELS, w),
+                               dt=0.001).samples
+            scaled = closed_loop(jh_plant, controller,
+                                 SignalRecord(0.1, DISTURBANCE_CHANNELS, scale * w),
+                                 dt=0.001).samples
+            assert column_error(scaled, scale * base) <= 1e-12
+
+
 class TestDivergence:
     def test_sign_flipped_pi_raises_without_warning(self, jh_plant):
         flipped = PiSfcController(kp_hvdc=-3.0, ki_hvdc=-25.0, kp_gen=-0.8, ki_gen=-0.2)
@@ -362,6 +399,24 @@ class TestDivergence:
             warnings.simplefilter("error")
             with pytest.raises(SimulationDivergence, match=r"exceeded 1e\+06"):
                 closed_loop(jh_plant, flipped, pulse_record(), dt=0.001)
+
+    def test_spectral_radius_decides_unclipped_stability(self, jh_params):
+        # without droops and inertia emulation the case 2 and 3 PI loops have a
+        # pole pair at |lambda| = 1.0083 and 1.0057: 60 s grow it ~140-fold and
+        # ~30-fold, far below the 1e6 bound
+        bare = without_hvdc_droops_and_ire(jh_params)
+        for params, inverter_only, rho in ((bare, False, r"1\.008287"),
+                                           (without_rectifier_hvdc_loops(bare), True,
+                                            r"1\.005672")):
+            with pytest.raises(SimulationDivergence, match=rf"spectral radius {rho} > 1"):
+                closed_loop(build_plant(params), PiSfcController(inverter_only=inverter_only),
+                            pulse_record(), dt=0.001)
+        # baseline case 3 leaves the rectifier-side integrators unread: two
+        # poles at exactly 1, which count as stable
+        plant = build_plant(without_rectifier_hvdc_loops(jh_params))
+        trace = closed_loop(plant, PiSfcController(inverter_only=True), pulse_record(),
+                            dt=0.001)
+        assert np.all(np.isfinite(trace.samples))
 
     def test_nan_disturbance_raises_at_first_nan_state(self, jh_plant, either_controller):
         w = np.zeros((51, 2))

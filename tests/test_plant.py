@@ -58,6 +58,24 @@ class TestParams:
         with pytest.raises(PlantError, match="inconsistent"):
             dataclasses.replace(jh_params, power_base_MW=400.0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("M_i", math.nan), ("N_i", 1.5), ("N_i", True), ("M_i", "5"), ("k_pr", math.nan),
+        ("X_cr", -1.0)])
+    def test_bad_value_rejected_by_name(self, jh_params, name, value):
+        with pytest.raises(PlantError, match=rf"^{name}={value!r} must be"):
+            dataclasses.replace(jh_params, **{name: value})
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(M_g=0.4), "unknown key 'M_g'"),
+        (lambda d: d.pop("M_i"), "missing the key 'M_i'")], ids=["unknown", "missing"])
+    def test_from_json_names_unknown_and_missing_keys(self, jh_params, tmp_path, edit, message):
+        doc = dataclasses.asdict(jh_params)
+        edit(doc)
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PlantError, match=message):
+            PlantParams.from_json(path)
+
     def test_infinite_droop_disables_loop(self, jh_params):
         # inf is a valid droop constant (gain zero), used by the sweeps
         params = dataclasses.replace(jh_params, K_r=math.inf)

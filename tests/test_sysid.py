@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hvdcfr import sysid
 from hvdcfr.harness import IdentificationSpec, collect_identification_data
@@ -309,6 +311,14 @@ class TestToContinuous:
         back = to_continuous(discretize_zoh(cs, 0.05))
         assert np.linalg.norm(back.a - cs.a) / np.linalg.norm(cs.a) < 1e-6
         assert np.linalg.norm(back.b - cs.b) / np.linalg.norm(cs.b) < 1e-6
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 3), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_zoh_round_trip_returns_the_model(self, seed, n, v, z):
+        cs = random_stable_continuous(np.random.default_rng(seed), n, v=v, z=z)
+        back = to_continuous(discretize_zoh(cs, 0.1))
+        assert np.linalg.norm(back.a - cs.a) <= 1e-12 * np.linalg.norm(cs.a)
+        assert np.linalg.norm(back.b - cs.b) <= 1e-12 * np.linalg.norm(cs.b)
 
     def test_spectral_mapping(self):
         rng = np.random.default_rng(15)
