@@ -43,6 +43,8 @@ PRESETS = ("jh", "cigre")  # the parameter sets shipped under presets/
 _TIME_CONSTANT = (POSITIVE[0], "a positive, finite time constant")
 _DROOP = (lambda v: (finite(v) or v == math.inf) and v > 0,
           "a positive droop constant (inf disables the loop)")
+# a disabled droop is inf here and null in a JSON document
+_DROOP_FIELDS = ("R_gi", "R_gr", "R_i", "R_r", "K_i", "K_r")
 
 
 @dataclass(frozen=True)
@@ -109,7 +111,7 @@ class PlantParams:
                              "power_base_MW"), POSITIVE),
             **dict.fromkeys(("Y_g", "u_g", "T_cr", "T_f", "T_cd", "T_fi", "T_fr", "T_c",
                              "T_ref", "T_vm"), _TIME_CONSTANT),
-            **dict.fromkeys(("R_gi", "R_gr", "R_i", "R_r", "K_i", "K_r"), _DROOP),
+            **dict.fromkeys(_DROOP_FIELDS, _DROOP),
             **dict.fromkeys(("D_i", "D_r", "W_i", "W_r", "X_g", "e_g", "X_cr"), NON_NEGATIVE),
             **dict.fromkeys(("k_pr", "k_ir", "k_pi", "k_ii"), FINITE)})
         nominal_mw = self.V_dcr0 * 1e3 * self.I_dc0 * self.B / 1e6
@@ -118,14 +120,23 @@ class PlantParams:
                              f"{self.power_base_MW:.2f} MW base (>1% off)")
 
     def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
+        """Strict JSON: a disabled (inf) droop is written as null."""
+        doc = {k: None if k in _DROOP_FIELDS and v == math.inf else v
+               for k, v in asdict(self).items()}
+        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
     @staticmethod
     def from_json(path: str | Path) -> "PlantParams":
         """Parameters from a JSON object of their fields; an unknown or
         missing key, like a bad value, is a ``PlantError`` naming it."""
-        return build(PlantError, PlantParams, json.loads(Path(path).read_text()),
-                     f"plant parameters {path}")
+        return _from_document(json.loads(Path(path).read_text()), f"plant parameters {path}")
+
+
+def _from_document(raw, section: str) -> PlantParams:
+    """``PlantParams`` from a parsed JSON object; null is inf in a droop field only."""
+    if isinstance(raw, dict):
+        raw = {k: math.inf if k in _DROOP_FIELDS and v is None else v for k, v in raw.items()}
+    return build(PlantError, PlantParams, raw, section)
 
 
 def load_preset(name: str) -> PlantParams:
@@ -133,7 +144,7 @@ def load_preset(name: str) -> PlantParams:
     ref = resources.files("hvdcfr.presets").joinpath(f"{name}.json")
     if not ref.is_file():
         raise PlantError(f"unknown plant preset {name!r}; shipped presets are {PRESETS}")
-    return build(PlantError, PlantParams, json.loads(ref.read_text()), f"plant preset {name!r}")
+    return _from_document(json.loads(ref.read_text()), f"plant preset {name!r}")
 
 
 # state layout of the assembled model

@@ -1,7 +1,9 @@
 """Data-driven reduced-order modeling from sampled input/output records.
 
 The pipeline estimates observer pulse-response parameters by least
-squares on a block-Toeplitz regressor, unwinds them into the system's
+squares on a block-Toeplitz regressor, which is folded into one upper
+triangle a block of samples at a time and never formed whole (memory
+does not grow with record length), unwinds them into the system's
 pulse-response sequence, stacks a block-Hankel matrix, realizes a
 minimal discrete model from its dominant singular directions, and
 converts the result to continuous time. The Hankel matrix is decomposed
@@ -18,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg.lapack import dgelsd, dgelsd_lwork, dtpqrt
 
 from .numerics import NumericsError, butter_lowpass_filter, mat_log_principal, svd
 from .signals import SignalRecord, sample_count
@@ -169,6 +172,9 @@ def generate_excitation(seed: int, channels: tuple[str, ...], t_s: float,
     return SignalRecord(t_s, channels, samples)
 
 
+_QR_BLOCK = 32  # LAPACK blocking factor of the streamed QR, clipped to the triangle width
+
+
 def observer_samples(l: int, n_inputs: int, n_outputs: int) -> int:
     """Fewest record samples the least-squares fit of ``l`` observer blocks accepts."""
     return 4 * l * (n_inputs + n_outputs)
@@ -177,10 +183,18 @@ def observer_samples(l: int, n_inputs: int, n_outputs: int) -> int:
 def estimate_observer_markov(u: SignalRecord, y: SignalRecord, l: int) -> ObserverMarkov:
     """Least-squares observer pulse-response parameters from general I/O data.
 
-    Builds the block-Toeplitz regressor whose first block row holds the
-    inputs and whose following ``l`` block rows hold lagged input/output
-    pairs, then solves for the minimum-norm least-squares estimate. The
-    record must start from rest.
+    The regressor is block Toeplitz: its first block row holds the inputs
+    and its following ``l`` block rows hold lagged input/output pairs
+    (lag i is zero before sample i, so the record must start from rest).
+    It is never formed whole. ``[regressorᵀ | y]`` is folded into one
+    upper triangle a block of samples at a time by sequential Householder
+    QR (LAPACK ``dtpqrt``), so memory does not grow with record length.
+    The triangle's leading part is R of the regressor alone, with the
+    regressor's singular values, and its trailing columns hold Qᵀy; the
+    minimum-norm least-squares estimate solves that triangle with
+    ``dgelsd``, counting singular values at or below 1e-10 of the
+    largest as zero, exactly as on the regressor itself. A non-finite
+    sample is refused before any LAPACK call.
     """
     if u.t_s != y.t_s:
         raise IdentificationError(f"input T_s {u.t_s} != output T_s {y.t_s}")
@@ -197,22 +211,39 @@ def estimate_observer_markov(u: SignalRecord, y: SignalRecord, l: int) -> Observ
             f"record too short: {n_samples} samples, need at least {required} "
             f"for l={l} with {v} inputs and {z} outputs"
         )
+    for kind, record in (("input", u), ("output", y)):
+        bad = np.argwhere(~np.isfinite(record.samples))
+        if len(bad):
+            k, c = bad[0]
+            raise IdentificationError(
+                f"{kind} record channel {record.channels[c]!r} is {record.samples[k, c]} "
+                f"at sample {k}; identification needs finite records"
+            )
 
-    uu = u.samples.T  # (v, N)
-    yy = y.samples.T  # (z, N)
-    vy = np.vstack([uu, yy])  # (v+z, N)
-    regressor = np.zeros((v + l * (v + z), n_samples))
-    regressor[:v] = uu
-    for i in range(1, l + 1):
-        rows = slice(v + (i - 1) * (v + z), v + i * (v + z))
-        regressor[rows, i:] = vy[:, : n_samples - i]
+    n = v + l * (v + z)  # regressor rows: the unknowns per output
+    w = n + z  # triangle width: the regressor columns, then y as right-hand sides
+    tri = np.zeros((w, w), order="F")
+    nb = min(_QR_BLOCK, w)
+    for start in range(0, n_samples, w):
+        stop = min(start + w, n_samples)
+        block = np.zeros((stop - start, w), order="F")
+        block[:, :v] = u.samples[start:stop]
+        block[:, n:] = y.samples[start:stop]
+        for i in range(1, l + 1):
+            lo = max(start, i)  # lag i is zero before sample i
+            col = v + (i - 1) * (v + z)
+            block[lo - start:, col:col + v] = u.samples[lo - i:stop - i]
+            block[lo - start:, col + v:col + v + z] = y.samples[lo - i:stop - i]
+        tri, _, _, info = dtpqrt(0, nb, tri, block, overwrite_a=True, overwrite_b=True)
+        if info != 0:
+            raise NumericsError(f"QR update of the {n}-column observer regressor "
+                                f"failed (info={info})")
 
-    # minimum-norm solution; singular values at or below 1e-10 of the largest count as zero
-    try:
-        theta_t, _, rank, _ = np.linalg.lstsq(regressor.T, yy.T, rcond=1e-10)
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(f"SVD failed to converge on the {regressor.shape[0]}x"
-                            f"{regressor.shape[1]} observer regressor") from exc
+    work, iwork, _ = dgelsd_lwork(n, n, z, cond=1e-10)
+    theta_t, _, rank, info = dgelsd(tri[:n, :n], tri[:n, n:], int(work), iwork, cond=1e-10)
+    if info != 0:
+        raise NumericsError(f"SVD failed to converge on the {n}x{n} observer "
+                            f"regressor triangle (info={info})")
     if rank < v + z:
         raise IdentificationError(
             f"regressor rank {rank} is degenerate (need at least {v + z}); "

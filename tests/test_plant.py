@@ -19,11 +19,16 @@ from hvdcfr.plant import (
     load_preset,
     sample_step_matrices,
     simulate,
+    without_hvdc_droops,
     without_hvdc_droops_and_ire,
     without_rectifier_hvdc_loops,
 )
 from hvdcfr.signals import SignalRecord, zeros_record
 from hvdcfr.statespace import zoh_step_matrices
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
 
 
 def step_disturbance(t_s, duration, channel, magnitude, at):
@@ -45,8 +50,24 @@ class TestParams:
 
     def test_json_round_trip(self, jh_params, tmp_path):
         path = tmp_path / "params.json"
-        jh_params.to_json(path)
-        assert PlantParams.from_json(path) == jh_params
+        for params in (jh_params, without_hvdc_droops(jh_params),
+                       without_hvdc_droops_and_ire(jh_params)):
+            params.to_json(path)
+            json.loads(path.read_text(), parse_constant=_refuse_constant)
+            assert PlantParams.from_json(path) == params
+
+    @pytest.mark.parametrize("name, droop", [("K_i", True), ("R_gi", True), ("M_i", False),
+                                             ("k_pr", False), ("N_i", False)])
+    def test_null_is_inf_for_droops_only(self, jh_params, tmp_path, name, droop):
+        doc = dataclasses.asdict(jh_params)
+        doc[name] = None
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(doc))
+        if droop:
+            assert PlantParams.from_json(path) == dataclasses.replace(jh_params, **{name: math.inf})
+        else:
+            with pytest.raises(PlantError, match=rf"^{name}=None must be"):
+                PlantParams.from_json(path)
 
     def test_invariants_rejected(self, jh_params):
         with pytest.raises(PlantError, match="N_i"):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -96,6 +97,93 @@ class TestObserverMarkov:
         y = SignalRecord(0.1, ("y0",), np.zeros((400, 1)))
         with pytest.raises(IdentificationError, match="excitation"):
             estimate_observer_markov(u, y, l=4)
+
+
+def _one_shot_observer_ls(u, y, l):
+    """Reference solve: the whole regressor, then one minimum-norm ``lstsq``."""
+    v, z, n_samples = len(u.channels), len(y.channels), u.n_samples
+    vy = np.hstack([u.samples, y.samples]).T
+    regressor = np.zeros((v + l * (v + z), n_samples))
+    regressor[:v] = u.samples.T
+    for i in range(1, l + 1):
+        regressor[v + (i - 1) * (v + z): v + i * (v + z), i:] = vy[:, :n_samples - i]
+    theta_t, _, rank, _ = np.linalg.lstsq(regressor.T, y.samples, rcond=1e-10)
+    return theta_t.T, rank, regressor
+
+
+def _theta(obs):
+    """The (z, v + l(v+z)) parameter matrix an ``ObserverMarkov`` splits."""
+    return np.hstack([obs.feedthrough] + [np.hstack(pair) for pair in obs.blocks])
+
+
+def _block_rows(v, z, l):
+    """Samples per streamed block: as many as the triangle is wide."""
+    return (l + 1) * (v + z)
+
+
+class TestStreamedLeastSquares:
+    @pytest.mark.parametrize("l", [2, 5, 9])
+    @pytest.mark.parametrize("length", ["short", "multiple", "ragged"])
+    def test_full_rank_matches_the_one_shot_solve(self, monkeypatch, l, length):
+        v, z = 2, 3
+        rows = _block_rows(v, z, l)
+        n_samples = {"short": rows - 4, "multiple": 4 * rows, "ragged": 4 * rows + 13}[length]
+        if length == "short":  # shorter than one block: below the length guard
+            monkeypatch.setattr(sysid, "observer_samples", lambda *_: 1)
+        rng = np.random.default_rng(l)
+        u = SignalRecord(0.1, ("u0", "u1"), rng.normal(size=(n_samples, v)))
+        y = SignalRecord(0.1, ("y0", "y1", "y2"), rng.normal(size=(n_samples, z)))
+        obs = estimate_observer_markov(u, y, l)
+        want, rank, _ = _one_shot_observer_ls(u, y, l)
+        assert obs.rank == rank == min(n_samples, v + l * (v + z))
+        got = _theta(obs)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)  # seen: 8.1e-15
+
+    @pytest.mark.parametrize("l", [4, 7])
+    @pytest.mark.parametrize("extra", [0, 29])
+    def test_rank_deficient_fit_matches_the_one_shot_solve(self, l, extra):
+        rng = np.random.default_rng(30 + l)
+        ss = random_stable_discrete(rng, 3, 2, 2)
+        n_samples = 4 * _block_rows(2, 2, l) + extra
+        u, y = io_records(ss, rng.normal(size=(n_samples, 2)))
+        obs = estimate_observer_markov(u, y, l)
+        want, rank, regressor = _one_shot_observer_ls(u, y, l)
+        assert obs.rank == rank < regressor.shape[0]
+        got = _theta(obs)
+        scale = np.max(np.abs(y.samples))
+        assert np.max(np.abs(got @ regressor - want @ regressor)) <= 1e-12 * scale  # seen: 2.9e-15
+        assert abs(np.linalg.norm(got) - np.linalg.norm(want)) <= 1e-12 * np.linalg.norm(want)
+
+    def test_memory_does_not_grow_with_the_regressor(self):
+        rng = np.random.default_rng(40)
+        n_samples, v, z, l = 20001, 6, 3, 40
+        u = SignalRecord(0.1, tuple(f"u{i}" for i in range(v)), rng.normal(size=(n_samples, v)))
+        y = SignalRecord(0.1, tuple(f"y{i}" for i in range(z)), rng.normal(size=(n_samples, z)))
+        regressor_bytes = (v + l * (v + z)) * n_samples * 8
+        tracemalloc.start()
+        try:
+            obs = estimate_observer_markov(u, y, l)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert obs.rank == v + l * (v + z)
+        assert peak < regressor_bytes / 4
+
+    @pytest.mark.parametrize("kind, value, channel, sample", [
+        ("input", np.nan, 1, 57), ("input", np.inf, 0, 0),
+        ("output", np.nan, 0, 399), ("output", -np.inf, 1, 120)])
+    def test_non_finite_record_is_refused_by_name(self, capfd, kind, value, channel, sample):
+        rng = np.random.default_rng(41)
+        records = {"input": rng.normal(size=(400, 2)), "output": rng.normal(size=(400, 2))}
+        records[kind][sample, channel] = value
+        records[kind][sample + 1:, :] = value  # later bad samples are not the first
+        u = SignalRecord(0.1, ("u0", "u1"), records["input"])
+        y = SignalRecord(0.1, ("y0", "y1"), records["output"])
+        name = f"{'u' if kind == 'input' else 'y'}{channel}"
+        message = rf"^{kind} record channel '{name}' is {value} at sample {sample};"
+        with pytest.raises(IdentificationError, match=message):
+            estimate_observer_markov(u, y, l=4)
+        assert capfd.readouterr().err == ""
 
 
 class TestRecovery:
