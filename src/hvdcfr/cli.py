@@ -96,6 +96,9 @@ def cmd_design(scenario: Scenario, args):
         "k_f": controller.k_f.tolist(),
         "q_weights": controller.q_weights.tolist(),
         "r_weights": controller.r_weights.tolist(),
+        "sigma_process": controller.sigma_process,
+        "v_meas_scale": controller.v_meas_scale,
+        "w_proc_floor": controller.w_proc_floor,
         "model_order": controller.model.n_states,
         "regulator_residual": controller.regulator_residual,
         "estimator_residual": controller.estimator_residual,

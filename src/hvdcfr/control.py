@@ -102,6 +102,15 @@ def design_kalman(model: StateSpace, w_proc: np.ndarray, v_meas: np.ndarray) -> 
     return _estimator(model, w_proc, v_meas)[0]
 
 
+def _noise_covariances(model: StateSpace, sigma_process: float, v_meas_scale: float,
+                       w_proc_floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Disturbance-driven process covariance plus a diagonal floor, and the
+    diagonal measurement covariance."""
+    _, b_w = _split_inputs(model)
+    w_proc = (b_w @ b_w.T) * sigma_process**2 + w_proc_floor * np.eye(model.n_states)
+    return w_proc, v_meas_scale * np.eye(model.n_outputs)
+
+
 @dataclass(frozen=True)
 class LqgController:
     """LQ state feedback on a Kalman estimate of the identified model."""
@@ -111,8 +120,11 @@ class LqgController:
     k_f: np.ndarray
     q_weights: np.ndarray
     r_weights: np.ndarray
-    w_proc: np.ndarray
-    v_meas: np.ndarray
+    # noise scalars: the ``w_proc`` and ``v_meas`` properties rebuild the
+    # covariances the estimator was designed with from them
+    sigma_process: float
+    v_meas_scale: float
+    w_proc_floor: float
     # design diagnostics: Frobenius CARE residuals of both Riccati
     # solutions and the largest eigenvalue real part of a - b_r K and
     # a - K_f c (negative: both loops stable)
@@ -122,6 +134,18 @@ class LqgController:
     estimator_abscissa: float
     saturation: float | None = None
     substep: float = 0.001
+
+    @property
+    def w_proc(self) -> np.ndarray:
+        """Process-noise covariance of the Kalman design."""
+        return _noise_covariances(self.model, self.sigma_process, self.v_meas_scale,
+                                  self.w_proc_floor)[0]
+
+    @property
+    def v_meas(self) -> np.ndarray:
+        """Measurement-noise covariance of the Kalman design."""
+        return _noise_covariances(self.model, self.sigma_process, self.v_meas_scale,
+                                  self.w_proc_floor)[1]
 
     def sampled_system(self, t_s: float) -> StateSpace:
         """Estimator advanced over ``t_s`` from input [r; y]; output ``-K`` times its state."""
@@ -153,12 +177,12 @@ def make_lqg(model: StateSpace,
     _, b_w = _split_inputs(model)
     if b_w.shape[1] == 0:
         raise ControlDesignError("model carries no disturbance inputs for process noise")
-    w_proc = (b_w @ b_w.T) * sigma_process**2 + w_proc_floor * np.eye(model.n_states)
-    v_meas = v_meas_scale * np.eye(model.n_outputs)
     k, reg_residual, reg_abscissa = _regulator(model, q, r)
-    k_f, est_residual, est_abscissa = _estimator(model, w_proc, v_meas)
+    k_f, est_residual, est_abscissa = _estimator(
+        model, *_noise_covariances(model, sigma_process, v_meas_scale, w_proc_floor))
     return LqgController(model=model, k=k, k_f=k_f, q_weights=q, r_weights=r,
-                         w_proc=w_proc, v_meas=v_meas, regulator_residual=reg_residual,
+                         sigma_process=sigma_process, v_meas_scale=v_meas_scale,
+                         w_proc_floor=w_proc_floor, regulator_residual=reg_residual,
                          estimator_residual=est_residual, regulator_abscissa=reg_abscissa,
                          estimator_abscissa=est_abscissa, saturation=saturation,
                          substep=substep)

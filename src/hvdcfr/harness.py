@@ -33,11 +33,15 @@ from .numerics import butter_lowpass_filter
 from .schema import (FINITE, NON_NEGATIVE, POSITIVE, build, count, entries, finite, instance,
                      object_fields, one_of, optional, validate)
 from .signals import SignalRecord, csv_text, sample_count
-from .sysid import EraReport, IdentifyConfig, generate_excitation, identify, observer_samples
+from .sysid import (EraReport, IdentifyConfig, generate_excitation, hankel_bytes, identify,
+                    observer_samples, observer_triangle_bytes)
 from .statespace import StateSpace
 
 PROFILE_CHANNELS = ("p_li", "p_lr", "p_w")
 MAX_SAMPLES = 1_000_000  # longest record a scenario may ask for; shipped ones use 2001
+# largest single array identification may ask for (observer triangle, Hankel
+# pair); shipped scenarios need 0.6 and 1.5 MB, and peak memory is a few such arrays
+MAX_ARRAY_BYTES = 1 << 28
 
 
 class ScenarioError(ValueError):
@@ -169,11 +173,17 @@ class Scenario:
             raise ScenarioError(f"identification.p={ident.p} needs 2p={2 * ident.p} pulse "
                                 f"blocks, more than the {n_ident} identification samples")
         # the regression sees every input and the non-integral half of the outputs
-        needed = observer_samples(ident.l, len(REFERENCE_CHANNELS + DISTURBANCE_CHANNELS),
-                                  len(OUTPUT_CHANNELS) // 2)
+        v, z = len(REFERENCE_CHANNELS + DISTURBANCE_CHANNELS), len(OUTPUT_CHANNELS) // 2
+        needed = observer_samples(ident.l, v, z)
         if needed > n_ident:
             raise ScenarioError(f"identification.l={ident.l} needs {needed} samples, more "
                                 f"than the {n_ident} identification samples")
+        for name, value, array, size in (
+                ("l", ident.l, "observer triangle", observer_triangle_bytes(ident.l, v, z)),
+                ("p", ident.p, "Hankel pair", hankel_bytes(ident.p, v, z))):
+            if size > MAX_ARRAY_BYTES:
+                raise ScenarioError(f"identification.{name}={value} needs a {size}-byte "
+                                    f"{array}, more than the {MAX_ARRAY_BYTES}-byte limit")
         if self.continuous and self.continuous.duration_s < self.duration_s:
             raise ScenarioError(f"continuous.duration_s={self.continuous.duration_s:g} s "
                                 f"must cover duration_s={self.duration_s:g} s")

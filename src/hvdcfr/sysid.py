@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dgelsd, dgelsd_lwork, dtpqrt
+from scipy.linalg.lapack import dgelsd, dgelsd_lwork, dlange, dtpqrt, dtrtri
 
 from .numerics import NumericsError, butter_lowpass_filter, mat_log_principal, svd
 from .signals import SignalRecord, sample_count
@@ -173,11 +173,24 @@ def generate_excitation(seed: int, channels: tuple[str, ...], t_s: float,
 
 
 _QR_BLOCK = 32  # LAPACK blocking factor of the streamed QR, clipped to the triangle width
+# regressor singular values at or below this fraction of the largest count as zero
+_RANK_CUT = 1e-10
 
 
 def observer_samples(l: int, n_inputs: int, n_outputs: int) -> int:
     """Fewest record samples the least-squares fit of ``l`` observer blocks accepts."""
     return 4 * l * (n_inputs + n_outputs)
+
+
+def observer_triangle_bytes(l: int, n_inputs: int, n_outputs: int) -> int:
+    """Bytes of the triangle the least-squares fit of ``l`` observer blocks folds into."""
+    width = n_inputs + l * (n_inputs + n_outputs) + n_outputs
+    return 8 * width * width
+
+
+def hankel_bytes(p: int, n_inputs: int, n_outputs: int) -> int:
+    """Bytes of the one array ``build_hankel`` holds a ``p``-block Hankel pair in."""
+    return 8 * (p + 1) * n_outputs * p * n_inputs
 
 
 def estimate_observer_markov(u: SignalRecord, y: SignalRecord, l: int) -> ObserverMarkov:
@@ -190,11 +203,16 @@ def estimate_observer_markov(u: SignalRecord, y: SignalRecord, l: int) -> Observ
     upper triangle a block of samples at a time by sequential Householder
     QR (LAPACK ``dtpqrt``), so memory does not grow with record length.
     The triangle's leading part is R of the regressor alone, with the
-    regressor's singular values, and its trailing columns hold Qᵀy; the
-    minimum-norm least-squares estimate solves that triangle with
-    ``dgelsd``, counting singular values at or below 1e-10 of the
-    largest as zero, exactly as on the regressor itself. A non-finite
-    sample is refused before any LAPACK call.
+    regressor's singular values, and its trailing columns hold Qᵀy. The
+    estimate is the minimum-norm least-squares one, counting singular
+    values at or below 1e-10 of the largest as zero, exactly as on the
+    regressor itself, and one of two solves gives it. R is inverted
+    (``dtrtri``); when ‖R‖_F ‖R⁻¹‖_F, an upper bound on the condition
+    number κ₂(R) (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 8), is below 1e10, no singular value is cut, R has
+    full rank and the estimate is R⁻¹ Qᵀy. Otherwise (noise-free records,
+    whose regressor is rank-deficient) ``dgelsd`` solves the triangle
+    through its SVD. A non-finite sample is refused before any LAPACK call.
     """
     if u.t_s != y.t_s:
         raise IdentificationError(f"input T_s {u.t_s} != output T_s {y.t_s}")
@@ -239,11 +257,20 @@ def estimate_observer_markov(u: SignalRecord, y: SignalRecord, l: int) -> Observ
             raise NumericsError(f"QR update of the {n}-column observer regressor "
                                 f"failed (info={info})")
 
-    work, iwork, _ = dgelsd_lwork(n, n, z, cond=1e-10)
-    theta_t, _, rank, info = dgelsd(tri[:n, :n], tri[:n, n:], int(work), iwork, cond=1e-10)
-    if info != 0:
-        raise NumericsError(f"SVD failed to converge on the {n}x{n} observer "
-                            f"regressor triangle (info={info})")
+    r, qty = tri[:n, :n], tri[:n, n:]
+    r_inv, info = dtrtri(r)
+    # kappa_2(r) <= |r|_F |r^-1|_F: below 1/_RANK_CUT no singular value is cut
+    # and the unique solution is the minimum-norm one. dlange scales, so the
+    # norms and their Python-float product overflow silently to inf, and an
+    # inf or NaN inverse fails the test.
+    if info == 0 and dlange("F", r) * dlange("F", r_inv) < 1.0 / _RANK_CUT:
+        theta_t, rank = r_inv @ qty, n
+    else:
+        work, iwork, _ = dgelsd_lwork(n, n, z, cond=_RANK_CUT)
+        theta_t, _, rank, info = dgelsd(r, qty, int(work), iwork, cond=_RANK_CUT)
+        if info != 0:
+            raise NumericsError(f"SVD failed to converge on the {n}x{n} observer "
+                                f"regressor triangle (info={info})")
     if rank < v + z:
         raise IdentificationError(
             f"regressor rank {rank} is degenerate (need at least {v + z}); "

@@ -58,6 +58,12 @@ class TestCli:
         assert len(gains["k"]) == 4
         assert len(gains["k_f"]) == gains["model_order"]
 
+    def test_design_noise_scalars_are_written(self, tmp_path):
+        assert run(["design", "--scenario", STEP, "--out", str(tmp_path)]) == 0
+        gains = json.loads((tmp_path / "gains.json").read_text())
+        assert (gains["sigma_process"], gains["v_meas_scale"], gains["w_proc_floor"]) == \
+            (0.1, 1e-5, 1e-5)
+
     def test_design_decisions_are_written(self, tmp_path):
         assert run(["identify", "--scenario", STEP, "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "era_report.json").read_text())

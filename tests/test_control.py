@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hvdcfr import control
 from hvdcfr.control import (
     ControlDesignError,
     LqgController,
@@ -174,6 +175,26 @@ class TestDesignDiagnostics:
         assert jh_lqg.regulator_abscissa == pytest.approx(max(eig_real_parts(closed[0])), rel=1e-9)
         assert jh_lqg.estimator_abscissa == pytest.approx(max(eig_real_parts(closed[1])), rel=1e-9)
         assert jh_lqg.regulator_abscissa < 0.0 and jh_lqg.estimator_abscissa < 0.0
+
+
+class TestNoiseCovariances:
+    def test_controller_rebuilds_the_designed_covariances(self, jh_identified, monkeypatch):
+        designed = []
+        estimator = control._estimator
+
+        def recorded(model, w_proc, v_meas):
+            designed.append((w_proc, v_meas))
+            return estimator(model, w_proc, v_meas)
+
+        monkeypatch.setattr(control, "_estimator", recorded)
+        ctrl = make_lqg(jh_identified[1], sigma_process=0.2, v_meas_scale=3e-5,
+                        w_proc_floor=2e-5)
+        (w_proc, v_meas), = designed
+        np.testing.assert_array_equal(ctrl.w_proc, w_proc)
+        np.testing.assert_array_equal(ctrl.v_meas, v_meas)
+        # only the scalars are stored
+        assert (ctrl.sigma_process, ctrl.v_meas_scale, ctrl.w_proc_floor) == (0.2, 3e-5, 2e-5)
+        assert {"w_proc", "v_meas"}.isdisjoint(f.name for f in dataclasses.fields(ctrl))
 
 
 class TestLqgStep:

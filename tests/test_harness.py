@@ -319,6 +319,18 @@ class TestScenarioDocuments:
          r"^continuous\.bandwidth_hz=6 Hz must be below the Nyquist frequency 5 Hz"),
         ({"name": "x", "duration_s": 60.0, "disturbance": {"continuous": {"duration_s": 59.9}}},
          r"^continuous\.duration_s=59\.9 s must cover duration_s=60 s"),
+        ({"name": "x", "disturbance": ONE_STEP,
+          "identification": {"duration_s": 100000, "l": 20000, "p": 400000}},
+         r"^identification\.l=20000 needs a 259225920648-byte observer triangle, "
+         r"more than the 268435456-byte limit"),
+        ({"name": "x", "disturbance": ONE_STEP, "identification": {"duration_s": 3000, "l": 643}},
+         r"^identification\.l=643 needs a 268748928-byte observer triangle"),
+        ({"name": "x", "disturbance": ONE_STEP,
+          "identification": {"duration_s": 100000, "p": 400000}},
+         r"^identification\.p=400000 needs a 23040057600000-byte Hankel pair, "
+         r"more than the 268435456-byte limit"),
+        ({"name": "x", "disturbance": ONE_STEP, "identification": {"duration_s": 1000, "p": 1365}},
+         r"^identification\.p=1365 needs a 268500960-byte Hankel pair"),
     ])
     def test_bad_document_is_a_scenario_error(self, doc, message):
         with pytest.raises(ScenarioError, match=message):
@@ -376,6 +388,13 @@ class TestRecordLength:
         else:
             with pytest.raises(ScenarioError, match=r"^identification\.p=101 .* 201 "):
                 Scenario(**scenario)
+
+    def test_largest_identification_arrays_accepted(self):
+        # l=642 folds into a 5787-wide triangle and p=1364 holds its Hankel
+        # pair in a 4095x8184 array, each just under MAX_ARRAY_BYTES
+        steps = (StepEvent("p_li", 1.0, 0.2, 5.0),)
+        Scenario(name="x", steps=steps, identification=IdentificationSpec(duration_s=3000.0, l=642))
+        Scenario(name="x", steps=steps, identification=IdentificationSpec(duration_s=1000.0, p=1364))
 
     def test_bound_itself_accepted(self):
         # the 2 Hz default prefilter is above the 0.5 Hz Nyquist frequency of t_s=1 s

@@ -116,6 +116,18 @@ def _theta(obs):
     return np.hstack([obs.feedthrough] + [np.hstack(pair) for pair in obs.blocks])
 
 
+def _dgelsd_calls(monkeypatch) -> list:
+    """Shapes of the triangles ``sysid`` solves through ``dgelsd``'s SVD, in call order."""
+    calls, dgelsd = [], sysid.dgelsd
+
+    def recorded(*args, **kwargs):
+        calls.append(args[0].shape)
+        return dgelsd(*args, **kwargs)
+
+    monkeypatch.setattr(sysid, "dgelsd", recorded)
+    return calls
+
+
 def _block_rows(v, z, l):
     """Samples per streamed block: as many as the triangle is wide."""
     return (l + 1) * (v + z)
@@ -168,6 +180,65 @@ class TestStreamedLeastSquares:
             tracemalloc.stop()
         assert obs.rank == v + l * (v + z)
         assert peak < regressor_bytes / 4
+
+    @pytest.mark.parametrize("l", [2, 5, 9])
+    def test_full_rank_record_is_solved_without_the_svd(self, monkeypatch, l):
+        calls = _dgelsd_calls(monkeypatch)
+        rng = np.random.default_rng(50 + l)
+        n_samples = 4 * _block_rows(2, 3, l) + 7
+        u = SignalRecord(0.1, ("u0", "u1"), rng.normal(size=(n_samples, 2)))
+        y = SignalRecord(0.1, ("y0", "y1", "y2"), rng.normal(size=(n_samples, 3)))
+        assert estimate_observer_markov(u, y, l).rank == 2 + l * 5
+        assert calls == []
+
+    def test_noisy_jh_record_is_solved_without_the_svd(self, monkeypatch, jh_noisy_data):
+        calls = _dgelsd_calls(monkeypatch)
+        cfg = IdentifyConfig(l=40, energy_threshold=1 - 1e-7, integral_outputs=True,
+                             prefilter_hz=2.0, r_override=30)
+        report, _ = identify(*jh_noisy_data, cfg)
+        assert report.regressor_rank == 6 + 40 * 9
+        assert calls == []
+
+    @pytest.mark.parametrize("l", [4, 7])
+    def test_rank_deficient_record_calls_the_svd_once(self, monkeypatch, l):
+        calls = _dgelsd_calls(monkeypatch)
+        rng = np.random.default_rng(30 + l)
+        ss = random_stable_discrete(rng, 3, 2, 2)
+        u, y = io_records(ss, rng.normal(size=(4 * _block_rows(2, 2, l), 2)))
+        assert estimate_observer_markov(u, y, l).rank < 2 + l * 4
+        assert len(calls) == 1
+
+    def test_noise_free_jh_record_calls_the_svd_once(self, monkeypatch, jh_id_data):
+        calls = _dgelsd_calls(monkeypatch)
+        cfg = IdentifyConfig(integral_outputs=True, energy_threshold=1 - 1e-7,
+                             max_feedthrough=1e-6, prefilter_hz=2.0)
+        report, _ = identify(*jh_id_data, cfg)
+        assert report.regressor_rank == 204
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("scale", [10.0**-k for k in range(4, 13)] + [1e-200, 1e-300])
+    def test_scaled_input_keeps_the_one_shot_rank_and_residual(self, monkeypatch, scale):
+        # a weak input channel drives the regressor's condition number up
+        # through the 1e10 bound and its singular values through the cut;
+        # the estimate itself moves by about kappa * eps on either path.
+        # Past 1e-154 the squared entries of the inverse overflow: no warning.
+        calls = _dgelsd_calls(monkeypatch)
+        rng = np.random.default_rng(60)
+        v, z, l = 2, 3, 3
+        n_samples = 4 * _block_rows(v, z, l) + 5
+        u_samples = rng.normal(size=(n_samples, v)) * [1.0, scale]
+        u = SignalRecord(0.1, ("u0", "u1"), u_samples)
+        y = SignalRecord(0.1, ("y0", "y1", "y2"), rng.normal(size=(n_samples, z)))
+        obs = estimate_observer_markov(u, y, l)
+        want, rank, regressor = _one_shot_observer_ls(u, y, l)
+        assert obs.rank == rank
+        residual = np.linalg.norm(_theta(obs) @ regressor - y.samples.T)
+        want_residual = np.linalg.norm(want @ regressor - y.samples.T)
+        assert abs(residual - want_residual) <= 1e-12 * want_residual
+        if scale == 1e-4:
+            assert calls == [] and rank == v + l * (v + z)
+        if scale == 1e-12:
+            assert len(calls) == 1 and rank < v + l * (v + z)
 
     @pytest.mark.parametrize("kind, value, channel, sample", [
         ("input", np.nan, 1, 57), ("input", np.inf, 0, 0),
