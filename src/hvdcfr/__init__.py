@@ -4,7 +4,17 @@ A small-signal truth plant of two grids coupled by a line-commutated
 HVDC link, pulse-response identification of a reduced model from I/O
 records, an LQG secondary-frequency regulator designed on that model,
 and a scenario harness comparing it against conventional PI baselines.
+
+Importing ``hvdcfr`` before numpy makes one BLAS/OpenMP thread the default:
+OpenBLAS reads its thread count once, when it loads, and on small machines
+a second thread slows the dense kernels here and changes the last bits of
+their results. A count the caller set in the environment is kept.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .control import (
     LqgController,
@@ -35,6 +45,7 @@ from .numerics import (
     eig_real_parts,
     mat_exp,
     mat_log_principal,
+    reduced_qr,
     solve_care,
     svd,
 )

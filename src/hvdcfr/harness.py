@@ -3,6 +3,7 @@ metric computation and cross-case comparison tables."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .control import PiSfcController, closed_loop, make_lqg
+from .control import RADIUS_TOL, PiSfcController, closed_loop, make_lqg
 from .plant import (
     DISTURBANCE_CHANNELS,
     OUTPUT_CHANNELS,
@@ -35,7 +36,7 @@ from .schema import (FINITE, NON_NEGATIVE, POSITIVE, build, count, entries, fini
 from .signals import SignalRecord, csv_text, sample_count
 from .sysid import (EraReport, IdentifyConfig, generate_excitation, hankel_bytes, identify,
                     observer_samples, observer_triangle_bytes)
-from .statespace import StateSpace
+from .statespace import StateSpace, rk4_step_matrices
 
 PROFILE_CHANNELS = ("p_li", "p_lr", "p_w")
 MAX_SAMPLES = 1_000_000  # longest record a scenario may ask for; shipped ones use 2001
@@ -200,6 +201,14 @@ class Scenario:
         if late:
             raise ScenarioError(f"{late[0]} starts at or after the end of the run "
                                 f"(duration_s={self.duration_s})")
+        # RK4 is stable only for |lambda| dt up to ~2.785, and the presets' fastest
+        # modes (~640 rad/s) pass that from dt ~0.0044 s: refuse it before any run
+        for case in (1, 3):
+            rho = _rk4_substep_radius(self.plant, case, self.dt)
+            if rho > 1.0 + RADIUS_TOL:
+                raise ScenarioError(f"dt={self.dt:g} s makes the RK4 substep unstable on the "
+                                    f"{self.plant} case-{case} plant (spectral radius "
+                                    f"{rho:.6f} > 1); use a smaller dt")
 
     @staticmethod
     def from_json(path: str | Path) -> "Scenario":
@@ -210,6 +219,13 @@ class Scenario:
         d = asdict(self)
         d["disturbance"] = {key: v for key, f in _DISTURBANCE_KEYS.items() if (v := d.pop(f))}
         return d
+
+
+@functools.lru_cache(maxsize=32)  # a run rebuilds its Scenario once per case
+def _rk4_substep_radius(plant: str, case: int, dt: float) -> float:
+    """Spectral radius of one RK4 substep ``dt`` on a preset's case plant."""
+    ss = build_plant(case_plant_params(load_preset(plant), case)).state_space
+    return float(np.max(np.abs(np.linalg.eigvals(rk4_step_matrices(ss.a, ss.b, dt)[0]))))
 
 
 def scenario_from_dict(raw) -> Scenario:

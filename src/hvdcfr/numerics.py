@@ -1,6 +1,6 @@
 """Dense linear-algebra kernels used by identification and control design.
 
-SVD, matrix exponential/logarithm, a continuous
+Reduced QR, SVD, matrix exponential/logarithm, a continuous
 algebraic Riccati solver and a digital Butterworth low-pass filter.
 Everything operates on plain numpy arrays and raises ``NumericsError``
 with a diagnostic message on failure.
@@ -14,8 +14,11 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgemqrt, dgeqrt
 
 
+# LAPACK panel width of reduced_qr's recursive-panel factorization
+_QR_PANEL = 32
 # most Kleinman-Newton refinement steps after the Schur-method Riccati solve
 NEWTON_STEPS = 5
 
@@ -56,14 +59,44 @@ class SvdResult:
         return (self.left * self.singular_values) @ self.right.T
 
 
-def svd(a) -> SvdResult:
-    """Thin singular value decomposition of a real matrix."""
+def reduced_qr(a) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced QR ``a = q @ r`` of an m x n matrix, k = min(m, n): ``q``
+    (m x k) has orthonormal columns and ``r`` (k x n) is upper triangular.
+
+    Householder QR with recursive panels and level-3 block updates (LAPACK
+    ``dgeqrt``; Elmroth & Gustavson, IBM J. Res. Dev. 2000); ``q`` is the
+    compact-WY product applied to the first k columns of the identity
+    (``dgemqrt``). A non-finite entry is a ``NumericsError``.
+    """
     a = _as_matrix(a)
+    m, n = a.shape
+    k = min(m, n)
+    v, t, info = dgeqrt(min(_QR_PANEL, k), a)
+    if info != 0:
+        raise NumericsError(f"QR of a {m}x{n} matrix failed (info={info})")
+    q, info = dgemqrt(v[:, :k], t, np.eye(m, k, order="F"), overwrite_c=True)
+    if info != 0:
+        raise NumericsError(f"forming Q of a {m}x{n} matrix failed (info={info})")
+    return q, np.triu(v[:k])
+
+
+def svd(a) -> SvdResult:
+    """Thin singular value decomposition of a real matrix.
+
+    A tall input (more rows than columns) is first reduced by
+    ``reduced_qr``, so the SVD runs on its square triangle and the left
+    vectors are ``q`` times the triangle's.
+    """
+    a = _as_matrix(a)
+    m, n = a.shape
+    q = None
+    if m > n:
+        q, a = reduced_qr(a)
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
-        raise NumericsError(f"SVD failed to converge on a {a.shape[0]}x{a.shape[1]} matrix") from exc
-    return SvdResult(left=u, singular_values=s, right=vt.T)
+        raise NumericsError(f"SVD failed to converge on a {m}x{n} matrix") from exc
+    return SvdResult(left=u if q is None else q @ u, singular_values=s, right=vt.T)
 
 
 def mat_exp(a, t: float = 1.0) -> np.ndarray:
@@ -164,10 +197,13 @@ def solve_care(a, b, q, r, *, full_output: bool = False):
     Schur-method solution (scipy) refined by Kleinman-Newton steps, each
     a Lyapunov solve on the closed loop. Refinement stops at the first
     iterate whose residual does not fall below the best so far (the
-    round-off floor, usually after 0-1 steps) or whose closed loop is not
-    Hurwitz, and after ``NEWTON_STEPS`` steps at most; the best Hurwitz
-    iterate is returned. Each iterate's residual and closed-loop
-    spectrum are computed once, in the loop; the post-checks and, with
+    round-off floor) or whose closed loop is not Hurwitz, and after
+    ``NEWTON_STEPS`` steps at most; the best Hurwitz iterate is returned.
+    So a solve that stops on the residual has computed one iterate that
+    it discards: on the 20 noisy model-fit designs the 40 solves took 74
+    Lyapunov solves (one in 20 solves, two in 10, three in 8 and the cap
+    of five in 2). Each iterate's residual and closed-loop spectrum are
+    computed once, in the loop; the post-checks and, with
     ``full_output``, the returned ``CareSolution`` reuse them.
 
     Refinement stays because the Schur solution alone can miss badly: on

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg.lapack import dgelsd, dgelsd_lwork, dlange, dtpqrt, dtrtri
 
-from .numerics import NumericsError, butter_lowpass_filter, mat_log_principal, svd
+from .numerics import NumericsError, butter_lowpass_filter, mat_log_principal, reduced_qr, svd
 from .signals import SignalRecord, sample_count
 from .statespace import StateSpace, zoh_step_matrices
 
@@ -240,18 +240,19 @@ def estimate_observer_markov(u: SignalRecord, y: SignalRecord, l: int) -> Observ
 
     n = v + l * (v + z)  # regressor rows: the unknowns per output
     w = n + z  # triangle width: the regressor columns, then y as right-hand sides
+    # [u y] after l zero rows: lag i of samples start..stop is rows l+start-i..l+stop-i
+    uy = np.zeros((l + n_samples, v + z), order="F")
+    uy[l:, :v], uy[l:, v:] = u.samples, y.samples
     tri = np.zeros((w, w), order="F")
     nb = min(_QR_BLOCK, w)
     for start in range(0, n_samples, w):
         stop = min(start + w, n_samples)
-        block = np.zeros((stop - start, w), order="F")
+        block = np.empty((stop - start, w), order="F")
         block[:, :v] = u.samples[start:stop]
         block[:, n:] = y.samples[start:stop]
         for i in range(1, l + 1):
-            lo = max(start, i)  # lag i is zero before sample i
             col = v + (i - 1) * (v + z)
-            block[lo - start:, col:col + v] = u.samples[lo - i:stop - i]
-            block[lo - start:, col + v:col + v + z] = y.samples[lo - i:stop - i]
+            block[:, col:col + v + z] = uy[l + start - i:l + stop - i]
         tri, _, _, info = dtpqrt(0, nb, tri, block, overwrite_a=True, overwrite_b=True)
         if info != 0:
             raise NumericsError(f"QR update of the {n}-column observer regressor "
@@ -349,13 +350,14 @@ def era_realize(h: np.ndarray, h_shift: np.ndarray, z: int, v: int,
     observer whose pulse response ``h`` holds. That response obeys an
     l-term recursion past step l, so every block row after the first l
     combines the l before it and the leading l z rows span the whole
-    row space (``h`` has rank at most l z): one reduced
-    Householder QR of their transpose gives an orthonormal basis Q
-    (which spans them even when they are rank-deficient), the thin SVD
-    of ``h @ Q`` gives the singular values and left vectors, and ``Q``
-    times its right vectors gives those of ``h``. Singular values past
-    the basis size are exact zeros, so ``singular_values`` keeps the
-    length of the full decomposition.
+    row space (``h`` has rank at most l z): the reduced QR of their
+    transpose (``numerics.reduced_qr``, recursive-panel Householder)
+    gives an orthonormal basis Q (which spans them even when they are
+    rank-deficient), the thin SVD of ``h @ Q`` (tall, so ``numerics.svd``
+    takes it on the triangle of a second reduced QR) gives the singular
+    values and left vectors, and ``Q`` times its right vectors gives
+    those of ``h``. Singular values past the basis size are exact zeros,
+    so ``singular_values`` keeps the length of the full decomposition.
     """
     if not 0.0 < energy_threshold <= 1.0:
         raise IdentificationError(f"energy threshold must lie in (0,1], got {energy_threshold}")
@@ -364,7 +366,7 @@ def era_realize(h: np.ndarray, h_shift: np.ndarray, z: int, v: int,
     if observer_blocks is not None and observer_blocks < 1:
         raise IdentificationError("need at least one observer parameter block")
     n_basis = h.shape[0] if observer_blocks is None else min(observer_blocks * z, h.shape[0])
-    basis, _ = np.linalg.qr(h[:n_basis].T)
+    basis, _ = reduced_qr(h[:n_basis].T)
     res = svd(h @ basis)
     s = np.zeros(min(h.shape))
     s[:len(res.singular_values)] = res.singular_values

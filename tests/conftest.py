@@ -1,3 +1,10 @@
+import os
+
+# one BLAS/OpenMP thread unless the caller set a count, as importing hvdcfr
+# does; it must be in place before numpy loads, which this file does first
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

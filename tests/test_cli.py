@@ -192,3 +192,18 @@ def test_pipeline_does_not_import_scipy_signal(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "0 []"
+
+
+def test_pipeline_bytes_do_not_depend_on_the_thread_setting(tmp_path):
+    """Importing hvdcfr defaults BLAS to one thread, so a fresh pipeline with
+    the thread variables unset writes what one with them set to 1 writes."""
+    thread_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    base = {k: v for k, v in os.environ.items() if k not in thread_vars}
+    base["PYTHONPATH"] = str(ROOT / "src")
+    for name, env in (("unset", base), ("one", {**base, **dict.fromkeys(thread_vars, "1")})):
+        proc = subprocess.run([sys.executable, "-m", "hvdcfr.cli", "pipeline", "--scenario", STEP,
+                               "--out", str(tmp_path / name)], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+    unset, one = _files(tmp_path / "unset"), _files(tmp_path / "one")
+    assert unset and unset == one

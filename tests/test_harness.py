@@ -331,10 +331,25 @@ class TestScenarioDocuments:
          r"more than the 268435456-byte limit"),
         ({"name": "x", "disturbance": ONE_STEP, "identification": {"duration_s": 1000, "p": 1365}},
          r"^identification\.p=1365 needs a 268500960-byte Hankel pair"),
+        ({"name": "x", "disturbance": ONE_STEP, "dt": 0.01},
+         r"^dt=0\.01 s makes the RK4 substep unstable on the jh case-1 plant "
+         r"\(spectral radius 39\.22"),
+        ({"name": "x", "disturbance": ONE_STEP, "dt": 0.1}, r"^dt=0\.1 s makes the RK4 substep"),
+        ({"name": "x", "disturbance": ONE_STEP, "t_s": 0.11, "dt": 0.0044},
+         r"^dt=0\.0044 s makes the RK4 substep unstable on the jh case-3 plant "
+         r"\(spectral radius 1\.0959"),
+        ({"name": "x", "disturbance": ONE_STEP, "plant": "cigre", "dt": 0.005},
+         r"^dt=0\.005 s makes the RK4 substep unstable on the cigre case-1 plant"),
     ])
     def test_bad_document_is_a_scenario_error(self, doc, message):
         with pytest.raises(ScenarioError, match=message):
             scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("plant", ["jh", "cigre"])
+    def test_largest_rk4_stable_dt_is_accepted(self, plant):
+        scenario = scenario_from_dict({"name": "x", "disturbance": ONE_STEP, "plant": plant,
+                                       "dt": 0.004})
+        assert scenario.dt == 0.004
 
     def test_readme_schema_example_is_accepted(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

@@ -13,6 +13,7 @@ from hvdcfr.numerics import (
     is_hurwitz,
     mat_exp,
     mat_log_principal,
+    reduced_qr,
     solve_care,
     solve_lyapunov,
     svd,
@@ -56,6 +57,35 @@ class TestSvd:
     def test_rejects_non_finite(self):
         with pytest.raises(NumericsError):
             svd(np.array([[1.0, np.nan]]))
+
+
+class TestReducedQr:
+    @pytest.mark.parametrize("shape", [(600, 120), (40, 7), (9, 9), (5, 12), (1, 1)])
+    def test_orthonormal_q_and_triangle_reproduce_a(self, shape):
+        a = np.random.default_rng(sum(shape)).normal(size=shape)
+        q, r = reduced_qr(a)
+        k = min(shape)
+        assert q.shape == (shape[0], k) and r.shape == (k, shape[1])
+        assert np.max(np.abs(q.T @ q - np.eye(k))) <= 1e-14
+        assert np.max(np.abs(q @ r - a)) <= 1e-14 * np.max(np.abs(a))
+        assert np.array_equal(r, np.triu(r))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, value):
+        a = np.ones((6, 3))
+        a[4, 1] = value
+        with pytest.raises(NumericsError, match="non-finite"):
+            reduced_qr(a)
+
+    @pytest.mark.parametrize("shape", [(300, 120), (600, 30), (10, 9)])
+    def test_tall_svd_matches_lapack_singular_values(self, shape):
+        rng = np.random.default_rng(shape[0])
+        # graded columns: singular values over ten decades
+        a = rng.normal(size=shape) * np.logspace(0, -10, shape[1])
+        want = np.linalg.svd(a, compute_uv=False)
+        res = svd(a)
+        assert np.max(np.abs(res.singular_values - want)) <= 1e-14 * want[0]
+        assert frob(res.reconstruct() - a) <= 1e-13 * frob(a)
 
 
 class TestMatExp:

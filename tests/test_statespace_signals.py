@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hvdcfr.plant import build_plant, load_preset, sample_step_matrices
 from hvdcfr.signals import SignalRecord, zeros_record
 from hvdcfr.statespace import (
     SimulationDivergence,
@@ -119,6 +120,52 @@ class TestRunLti:
             with pytest.raises(SimulationDivergence, match=r"t=0\.400 s"):
                 simulate_discrete(StateSpace(a=[[0.5]], b=[[1.0]], c=[[1.0]], d=[[0.0]],
                                              dt=0.1), u)
+
+
+def reference_run(a, b, u):
+    """The per-sample recursion run_lti lifts: x[0] = 0, x[k+1] = a x[k] + b u[k]."""
+    x, rows = np.zeros(len(a)), []
+    for k in range(len(u)):
+        rows.append(x)
+        x = a @ x + b @ u[k]
+    return np.array(rows).reshape(len(u), len(a))
+
+
+def lifted_systems():
+    """A stable random system, the marginal jh plant (integrators at z = 1)
+    and that plant scaled to spectral radius 1.02, each as its pair (a, b)."""
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(5, 5))
+    stable = (0.9 / np.max(np.abs(np.linalg.eigvals(a))) * a, rng.normal(size=(5, 2)))
+    ss = build_plant(load_preset("jh")).state_space
+    phi, gamma = sample_step_matrices(ss.a, ss.b, 0.1, 0.001)
+    scaled = 1.02 / np.max(np.abs(np.linalg.eigvals(phi))) * phi
+    return {"stable": stable, "jh": (phi, gamma), "jh_rho_1.02": (scaled, gamma)}
+
+
+class TestLiftedRunLti:
+    SYSTEMS = lifted_systems()
+
+    @pytest.mark.parametrize("n_samples", [1, 31, 32, 33, 2001])
+    @pytest.mark.parametrize("system", ["stable", "jh", "jh_rho_1.02"])
+    def test_matches_per_sample_recursion(self, system, n_samples):
+        a, b = self.SYSTEMS[system]
+        u = np.random.default_rng(n_samples).uniform(-0.05, 0.05, size=(n_samples, b.shape[1]))
+        got, want = run_lti(a, b, u, 0.1), reference_run(a, b, u)
+        assert got.shape == want.shape
+        # the first block is stepped exactly as the recursion does
+        assert np.array_equal(got[:32], want[:32])
+        scale = np.max(np.abs(want), axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    def test_scaled_loop_diverges_at_the_reference_sample(self):
+        a, b = self.SYSTEMS["jh_rho_1.02"]
+        u = np.random.default_rng(2001).uniform(-0.05, 0.05, size=(2001, b.shape[1]))
+        want = reference_run(a, b, u)
+        first = int(np.argmax(np.max(np.abs(want), axis=1) > 1e6))
+        assert first > 32  # past the first block, so the lifted steps decide it
+        with pytest.raises(SimulationDivergence, match=rf"t={first * 0.1:.3f} s"):
+            run_lti(a, b, u, 0.1, blow_up_bound=1e6)
 
 
 class TestSignalRecord:
