@@ -67,7 +67,7 @@ def _regulator(model: StateSpace, q: np.ndarray,
     except NumericsError as exc:
         raise ControlDesignError(f"regulator Riccati solve failed: {exc}") from exc
     # solve_care's closed loop a - b_r r^-1 b_r.T p is a - b_r K, already checked Hurwitz
-    return np.linalg.solve(r_u, b_r.T @ sol.p), sol.residual, sol.abscissa
+    return sol.gain, sol.residual, sol.abscissa
 
 
 def _estimator(model: StateSpace, w_proc: np.ndarray,
@@ -84,8 +84,8 @@ def _estimator(model: StateSpace, w_proc: np.ndarray,
         sol = solve_care(model.a.T, model.c.T, w_proc, v_meas, full_output=True)
     except NumericsError as exc:
         raise ControlDesignError(f"estimator Riccati solve failed: {exc}") from exc
-    # the dual closed loop a.T - c.T v^-1 c p_f is the transpose of a - K_f c
-    return sol.p @ model.c.T @ np.linalg.inv(v_meas), sol.residual, sol.abscissa
+    # the dual gain v^-1 c p_f is K_f.T, and the dual closed loop the transpose of a - K_f c
+    return sol.gain.T, sol.residual, sol.abscissa
 
 
 def design_lqr(model: StateSpace, q: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -43,6 +43,8 @@ MAX_SAMPLES = 1_000_000  # longest record a scenario may ask for; shipped ones u
 # largest single array identification may ask for (observer triangle, Hankel
 # pair); shipped scenarios need 0.6 and 1.5 MB, and peak memory is a few such arrays
 MAX_ARRAY_BYTES = 1 << 28
+SETTLE_BAND = 1e-3  # pu; a frequency inside it for SETTLE_HOLD_S seconds has settled
+SETTLE_HOLD_S = 5.0
 
 
 class ScenarioError(ValueError):
@@ -197,10 +199,15 @@ class Scenario:
         if sources != 1:
             raise ScenarioError("exactly one disturbance source required: "
                                 "steps, continuous, or file")
-        late = [ev for ev in self.steps if ev.time_s >= self.duration_s]
-        if late:
-            raise ScenarioError(f"{late[0]} starts at or after the end of the run "
-                                f"(duration_s={self.duration_s})")
+        n = sample_count(self.duration_s, self.t_s)
+        for ev in self.steps:
+            if ev.time_s >= self.duration_s:
+                raise ScenarioError(f"{ev} starts at or after the end of the run "
+                                    f"(duration_s={self.duration_s})")
+            k0, k1 = _step_samples(ev, self.t_s, n)
+            if k1 <= k0:
+                raise ScenarioError(f"{ev} covers no sample: duration_s={ev.duration_s:g} s "
+                                    f"is too short at t_s={self.t_s:g} s")
         # RK4 is stable only for |lambda| dt up to ~2.785, and the presets' fastest
         # modes (~640 rad/s) pass that from dt ~0.0044 s: refuse it before any run
         for case in (1, 3):
@@ -270,16 +277,20 @@ def generate_continuous_profile(seed: int, amplitude_pu: float, bandwidth_hz: fl
     return SignalRecord(t_s, PROFILE_CHANNELS, shaped * (amplitude_pu / peaks))
 
 
+def _step_samples(ev: StepEvent, t_s: float, n: int) -> tuple[int, int]:
+    """Samples ``[k0, k1)`` that a step holds on a grid of ``n`` samples of ``t_s``."""
+    end = (ev.time_s + ev.duration_s) / t_s
+    return int(round(ev.time_s / t_s)), n if end >= n else int(round(end))
+
+
 def build_disturbance_profile(scenario: Scenario) -> SignalRecord:
     """Three-channel (load i, load r, wind) profile on the scenario grid."""
     n = sample_count(scenario.duration_s, scenario.t_s)
     if scenario.steps:
         samples = np.zeros((n, len(PROFILE_CHANNELS)))
         for ev in scenario.steps:
-            col = PROFILE_CHANNELS.index(ev.channel)
-            k0 = int(round(ev.time_s / scenario.t_s))
-            k1 = min(n, int(round((ev.time_s + ev.duration_s) / scenario.t_s)))
-            samples[k0:k1, col] += ev.magnitude_pu
+            k0, k1 = _step_samples(ev, scenario.t_s, n)
+            samples[k0:k1, PROFILE_CHANNELS.index(ev.channel)] += ev.magnitude_pu
         return SignalRecord(scenario.t_s, PROFILE_CHANNELS, samples)
     if scenario.continuous:
         c = scenario.continuous
@@ -345,10 +356,10 @@ class ScenarioReport:
         return d
 
 
-def _settling_time(signal: np.ndarray, t_s: float, band: float, hold_s: float) -> float | None:
-    """Earliest time after which |signal| stays inside the band for hold_s."""
-    hold = max(1, int(round(hold_s / t_s)))
-    inside = np.abs(signal) <= band
+def _settling_time(signal: np.ndarray, t_s: float) -> float | None:
+    """Earliest time after which |signal| stays within SETTLE_BAND for SETTLE_HOLD_S."""
+    hold = max(1, int(round(SETTLE_HOLD_S / t_s)))
+    inside = np.abs(signal) <= SETTLE_BAND
     run = 0
     for k in range(len(inside)):
         run = run + 1 if inside[k] else 0
@@ -360,7 +371,6 @@ def _settling_time(signal: np.ndarray, t_s: float, band: float, hold_s: float) -
 def compute_metrics(trace: SignalRecord, name: str = "", case: int = 0,
                     n_gens: tuple[int, int] = (1, 1),
                     disturbance_sha256: str = "",
-                    settle_band: float = 1e-3, settle_hold_s: float = 5.0,
                     keep_trace: bool = True) -> ScenarioReport:
     """Peak and rms metrics of a closed-loop trace.
 
@@ -390,8 +400,8 @@ def compute_metrics(trace: SignalRecord, name: str = "", case: int = 0,
         rms_f_r=rms(f_r),
         rms_p_gi=rms(trace.channel("p_gi")) / math.sqrt(n_i),
         rms_p_gr=rms(trace.channel("p_gr")) / math.sqrt(n_r),
-        settle_f_i_s=_settling_time(f_i, trace.t_s, settle_band, settle_hold_s),
-        settle_f_r_s=_settling_time(f_r, trace.t_s, settle_band, settle_hold_s),
+        settle_f_i_s=_settling_time(f_i, trace.t_s),
+        settle_f_r_s=_settling_time(f_r, trace.t_s),
         disturbance_sha256=disturbance_sha256,
         trace=trace if keep_trace else None,
     )
@@ -504,7 +514,7 @@ class ComparisonTable:
         return section("case", self.rows) + "\n" + section("reduction_vs_case", self.reductions)
 
     def to_text(self) -> str:
-        width = 11
+        width = 12  # one more than the longest column name, so the header splits
         header = "case".ljust(6) + "".join(c.rjust(width) for c in METRIC_COLUMNS)
         lines = [header]
         for row in self.rows:

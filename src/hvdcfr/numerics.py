@@ -19,8 +19,6 @@ from scipy.linalg.lapack import dgemqrt, dgeqrt
 
 # LAPACK panel width of reduced_qr's recursive-panel factorization
 _QR_PANEL = 32
-# most Kleinman-Newton refinement steps after the Schur-method Riccati solve
-NEWTON_STEPS = 5
 
 
 class NumericsError(RuntimeError):
@@ -179,41 +177,40 @@ def care_residual(a, b, q, r, p) -> float:
 
 
 class CareSolution(NamedTuple):
-    """A Riccati solution with the diagnostics its refinement computed.
-
-    ``residual`` is the Frobenius residual of the equation with ``q`` as
-    the caller gave it (the solve uses its symmetric part) and
-    ``abscissa`` the largest eigenvalue real part of ``a - b r^-1 b.T p``.
-    """
+    """A Riccati solution ``p``, its gain ``r^-1 b.T p``, the Frobenius
+    ``residual`` of the equation with ``q`` as the caller gave it (the solve
+    uses its symmetric part) and ``abscissa``, the largest eigenvalue real
+    part of ``a - b gain``."""
 
     p: np.ndarray
+    gain: np.ndarray
     residual: float
     abscissa: float
+
+
+def _care_candidate(a, b, q, r, p) -> CareSolution:
+    """``p`` with its gain, residual and closed-loop abscissa."""
+    gain = np.linalg.solve(r, b.T @ p)
+    return CareSolution(p, gain, care_residual(a, b, q, r, p),
+                        float(np.max(eig_real_parts(a - b @ gain))))
 
 
 def solve_care(a, b, q, r, *, full_output: bool = False):
     """Stabilizing solution of ``a.T p + p a + q - p b r^-1 b.T p = 0``.
 
-    Schur-method solution (scipy) refined by Kleinman-Newton steps, each
-    a Lyapunov solve on the closed loop. Refinement stops at the first
-    iterate whose residual does not fall below the best so far (the
-    round-off floor) or whose closed loop is not Hurwitz, and after
-    ``NEWTON_STEPS`` steps at most; the best Hurwitz iterate is returned.
-    So a solve that stops on the residual has computed one iterate that
-    it discards: on the 20 noisy model-fit designs the 40 solves took 74
-    Lyapunov solves (one in 20 solves, two in 10, three in 8 and the cap
-    of five in 2). Each iterate's residual and closed-loop spectrum are
-    computed once, in the loop; the post-checks and, with
-    ``full_output``, the returned ``CareSolution`` reuse them.
+    Schur-method solution (scipy), then one Kleinman-Newton step (a
+    Lyapunov solve on its closed loop, when that loop is Hurwitz), kept
+    only if its own closed loop is Hurwitz and its residual is lower.
+    With ``full_output`` the ``CareSolution`` gives the gain and the
+    diagnostics the solve computed.
 
-    Refinement stays because the Schur solution alone can miss badly: on
-    one random 10-state, 1-input system of the test suite its residual is
-    4.4e3 against a bound of 7.3e2 (1e-7 of the solution's norm), and
-    refinement brings it to 0.096. On the 84 identified models of the
-    model-fit benchmarks (20 from noisy records, 64 from clean ones; 168
-    solves) the Schur residual is at most 1.3e-11 and refinement moves the
-    solution by at most 1.6e-12 relative, so it costs little where it is
-    not needed.
+    The Schur solution alone can miss badly: on one random 10-state,
+    1-input system of the test suite its residual is 4.4e3 against a bound
+    of 7.3e2 (1e-7 of the solution's norm), and the step brings it to
+    0.096. Where it does not miss, the step still takes the residual to
+    round-off (2.4e-13 to 1.1e-15 on the identified jh model's estimator):
+    without it, LQG loops designed on orthogonally similar jh models
+    differed by up to 9.2e-12 of a trace column's peak, against 7.7e-13.
     """
     a = _as_square(a)
     b = _as_matrix(b, "b")
@@ -239,27 +236,20 @@ def solve_care(a, b, q, r, *, full_output: bool = False):
         raise NumericsError(
             f"could not stabilize the pair (a, b): system appears not stabilizable ({exc})"
         ) from exc
-    best = None
-    for step in range(NEWTON_STEPS + 1):
-        res = care_residual(a, b, q, r, p)
-        if best is not None and not res < best.residual:
-            break  # at the floor: a further step only rounds differently
-        k = np.linalg.solve(r, b.T @ p)
-        a_cl = a - b @ k
-        current = CareSolution(p, res, float(np.max(eig_real_parts(a_cl))))
-        if best is None or current.abscissa < 0.0:
-            best = current  # the Schur solution stays even if the post-checks reject it
-        if not current.abscissa < 0.0 or step == NEWTON_STEPS:
-            break
-        p = solve_lyapunov(a_cl, q_sym + k.T @ r @ k)
+    sol = _care_candidate(a, b, q, r, p)
+    if sol.abscissa < 0.0:
+        k = sol.gain
+        step = _care_candidate(a, b, q, r, solve_lyapunov(a - b @ k, q_sym + k.T @ r @ k))
+        if step.abscissa < 0.0 and step.residual < sol.residual:
+            sol = step
 
-    if best.residual > 1e-7 * max(1.0, np.linalg.norm(best.p, "fro")):
+    if sol.residual > 1e-7 * max(1.0, np.linalg.norm(sol.p, "fro")):
         raise NumericsError(
-            f"Riccati solve did not converge: residual {best.residual:.3e} after Newton refinement"
+            f"Riccati solve did not converge: residual {sol.residual:.3e} is above its bound"
         )
-    if not best.abscissa < 0.0:
+    if not sol.abscissa < 0.0:
         raise NumericsError("Riccati solution is not stabilizing (detectability of (a, q) may fail)")
-    return best if full_output else best.p
+    return sol if full_output else sol.p
 
 
 def butter_lowpass_filter(x, order: int, wn: float) -> np.ndarray:

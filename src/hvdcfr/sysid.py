@@ -408,8 +408,8 @@ def era_realize(h: np.ndarray, h_shift: np.ndarray, z: int, v: int,
     )
 
 
-def to_continuous(dss: StateSpace, t_s: float | None = None) -> StateSpace:
-    """Continuous-time model whose zero-order-hold sampling matches ``dss``.
+def to_continuous(dss: StateSpace) -> StateSpace:
+    """Continuous-time model whose zero-order-hold sampling (at ``dss.dt``) matches ``dss``.
 
     The state matrix is the scaled principal logarithm; the input matrix
     inverts the hold integral, computed through the augmented-exponential
@@ -417,16 +417,15 @@ def to_continuous(dss: StateSpace, t_s: float | None = None) -> StateSpace:
     """
     if dss.is_continuous:
         raise IdentificationError("to_continuous expects a discrete-time model")
-    t_s = dss.dt if t_s is None else t_s
     try:
-        a = mat_log_principal(dss.a) / t_s
+        a = mat_log_principal(dss.a) / dss.dt
     except NumericsError as exc:
         raise IdentificationError(
             f"discrete state matrix has no principal logarithm ({exc}); "
             "reduce the sample time T_s"
         ) from exc
     # hold integral M = int_0^Ts expm(a tau) dtau; b solves M b = b_d
-    _, hold = zoh_step_matrices(a, np.eye(a.shape[0]), t_s)
+    _, hold = zoh_step_matrices(a, np.eye(a.shape[0]), dss.dt)
     b = np.linalg.solve(hold, dss.b)
     return StateSpace(a=a, b=b, c=dss.c.copy(), d=dss.d.copy(), dt=None)
 

@@ -176,6 +176,16 @@ class TestDesignDiagnostics:
         assert jh_lqg.estimator_abscissa == pytest.approx(max(eig_real_parts(closed[1])), rel=1e-9)
         assert jh_lqg.regulator_abscissa < 0.0 and jh_lqg.estimator_abscissa < 0.0
 
+    def test_gains_are_the_riccati_gains(self, jh_lqg):
+        model = jh_lqg.model
+        b_r = model.b[:, :4]
+        r = np.diag(jh_lqg.r_weights)
+        p = solve_care(model.a, b_r, model.c.T @ np.diag(jh_lqg.q_weights) @ model.c, r)
+        p_f = solve_care(model.a.T, model.c.T, jh_lqg.w_proc, jh_lqg.v_meas)
+        for got, want in ((jh_lqg.k, np.linalg.solve(r, b_r.T @ p)),
+                          (jh_lqg.k_f, p_f @ model.c.T @ np.linalg.inv(jh_lqg.v_meas))):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
 
 class TestNoiseCovariances:
     def test_controller_rebuilds_the_designed_covariances(self, jh_identified, monkeypatch):

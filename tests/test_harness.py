@@ -190,6 +190,20 @@ class TestScenario:
         with pytest.raises(ScenarioError, match="channel"):
             StepEvent("bogus", 1.0, 0.2, 5.0)
 
+    # a step holds samples round(time_s/t_s) up to round((time_s+duration_s)/t_s),
+    # cut at the end of the record: 1.05/0.1 rounds to 10, so (1.0, 0.05) holds
+    # none, and 1.04/0.1 to 10 but 1.08/0.1 to 11, so (1.04, 0.04) holds one
+    @pytest.mark.parametrize("time_s, duration_s, samples", [
+        (1.0, 0.05, 0), (1.0, 0.06, 1), (1.0, 0.14, 1), (1.04, 0.04, 1), (9.9, 100.0, 2)])
+    def test_step_is_refused_exactly_when_its_profile_is_empty(self, time_s, duration_s, samples):
+        steps = (StepEvent("p_li", time_s, 0.3, duration_s),)
+        if samples == 0:
+            with pytest.raises(ScenarioError, match="covers no sample"):
+                Scenario(name="x", duration_s=10.0, steps=steps)
+        else:
+            profile = build_disturbance_profile(Scenario(name="x", duration_s=10.0, steps=steps))
+            assert np.count_nonzero(profile.channel("p_li")) == samples
+
     def test_step_profile_layout(self):
         s = Scenario(name="x", duration_s=10.0, t_s=0.1,
                      steps=(StepEvent("p_w", 2.0, 0.4, 3.0),))
@@ -340,6 +354,14 @@ class TestScenarioDocuments:
          r"\(spectral radius 1\.0959"),
         ({"name": "x", "disturbance": ONE_STEP, "plant": "cigre", "dt": 0.005},
          r"^dt=0\.005 s makes the RK4 substep unstable on the cigre case-1 plant"),
+        ({"name": "x", "disturbance": {"steps": [
+            {"channel": "p_li", "time_s": 1.0, "magnitude_pu": 0.1, "duration_s": 0.04}]}},
+         r"^StepEvent\(channel='p_li', time_s=1\.0, .* covers no sample: "
+         r"duration_s=0\.04 s is too short at t_s=0\.1 s"),
+        ({"name": "x", "disturbance": {"steps": [
+            ONE_STEP["steps"][0],
+            {"channel": "p_w", "time_s": 2.0, "magnitude_pu": 0.1, "duration_s": 0.02}]}},
+         r"^StepEvent\(channel='p_w', time_s=2\.0, .* duration_s=0\.02 s .* t_s=0\.1 s"),
     ])
     def test_bad_document_is_a_scenario_error(self, doc, message):
         with pytest.raises(ScenarioError, match=message):
@@ -482,6 +504,10 @@ class TestCompare:
         diverged = dataclasses.replace(step_reports[2], max_f_i=math.inf, rms_f_r=math.inf)
         with pytest.raises(ScenarioError, match=r"case 3 .*max_f_i, rms_f_r, sum_rms_f"):
             compare_cases([step_reports[0], step_reports[1], diverged])
+
+    def test_text_header_splits_into_columns(self, step_reports):
+        text = compare_cases(list(step_reports)).to_text()
+        assert text.splitlines()[0].split() == ["case", *METRIC_COLUMNS]
 
     def test_csv_layout(self, step_reports):
         text = compare_cases(list(step_reports)).to_csv_text()

@@ -285,8 +285,24 @@ def test_newton_refinement_stops_at_the_residual_floor(monkeypatch):
         p = solve_care(a, b, q, r)
         p_schur = scipy.linalg.solve_continuous_are(a, b, q, r)
         assert care_residual(a, b, q, r, p) <= care_residual(a, b, q, r, p_schur)
-    assert max(counts) <= numerics.NEWTON_STEPS
+    assert max(counts) <= 1
     assert sum(counts) < 3 * len(counts)
+
+
+def test_one_newton_step_per_solve_with_a_hurwitz_schur_loop(monkeypatch):
+    counts = []
+
+    def counted(a, c):
+        counts[-1] += 1
+        return solve_lyapunov(a, c)
+
+    monkeypatch.setattr(numerics, "solve_lyapunov", counted)
+    for a, b, q, r in care_test_systems():
+        counts.append(0)
+        solve_care(a, b, q, r)
+        q, r = 0.5 * (q + q.T), 0.5 * (r + r.T)
+        p_schur = scipy.linalg.solve_continuous_are(a, b, q, r)
+        assert counts[-1] == is_hurwitz(a - b @ np.linalg.solve(r, b.T @ p_schur))
 
 
 class TestButterLowpass:
