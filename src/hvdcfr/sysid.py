@@ -1,18 +1,21 @@
 """Data-driven reduced-order modeling from sampled input/output records.
 
 The pipeline estimates observer pulse-response parameters by least
-squares on a block-Toeplitz regressor, which is folded into one upper
-triangle a block of samples at a time and never formed whole (memory
-does not grow with record length), unwinds them into the system's
-pulse-response sequence, stacks a block-Hankel matrix, realizes a
-minimal discrete model from its dominant singular directions, and
-converts the result to continuous time. The Hankel matrix is decomposed
-once: ERA models nest (order r is the leading block of any higher order),
-so a lower order is a slice. The decomposition runs on the row space of
-the leading l block rows, which the observer's l-term recursion makes
-the row space of the whole matrix (rank at most l z); singular values
-past l z are reported as exact zeros. ``EraReport`` records the orders
-chosen.
+squares on a block-Toeplitz regressor, which is never formed whole: a
+full-rank record is solved from the regressor's Gram matrix, built from
+the lag products of the record and refined against the record itself,
+and any other is folded into one upper triangle a block of samples at a
+time (memory does not grow with record length in either). It then
+unwinds them into the system's pulse-response sequence, stacks a
+block-Hankel matrix, realizes a minimal discrete model from its dominant
+singular directions, and converts the result to continuous time. The
+Hankel matrix is decomposed once: ERA models nest (order r is the
+leading block of any higher order), so a lower order is a slice. The
+decomposition runs on the row space of the leading l block rows, which
+the observer's l-term recursion makes the row space of the whole matrix
+(rank at most l z); singular values past l z are reported as exact
+zeros. ``EraReport`` records the orders chosen and which least-squares
+solve ran.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dgelsd, dgelsd_lwork, dlange, dtpqrt, dtrtri
+from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dgelsd, dgelsd_lwork, dlange, dpotrf, dtpqrt, dtrtri
 
 from .numerics import NumericsError, butter_lowpass_filter, mat_log_principal, reduced_qr, svd
 from .signals import SignalRecord, sample_count
@@ -67,12 +71,15 @@ class ObserverMarkov:
     at step k; ``feedthrough`` is the direct z-by-v term. ``rank`` is the
     effective rank of the least-squares regressor (below its row count
     on noise-free records, where the minimum-norm estimate is exact).
+    ``condition_bound`` is the certified bound ‖R‖_F ‖R⁻¹‖_F when the
+    Gram solve gave the estimate, None when the QR fold and ``dgelsd`` did.
     """
 
     t_s: float
     feedthrough: np.ndarray
     blocks: list[tuple[np.ndarray, np.ndarray]]
     rank: int | None = None
+    condition_bound: float | None = None
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -84,8 +91,10 @@ class EraReport:
 
     ``threshold_order`` is the energy rule's (or clamped override's) order,
     ``retained_order`` the model's, lower if ``identify`` shed states.
-    ``regressor_rank`` and ``feedthrough_norm`` (Frobenius norm of the
-    estimated direct term) are set by ``identify``.
+    ``regressor_rank``, ``regressor_condition_bound`` (the observer
+    solve's certified bound, None when the record went to the QR fold) and
+    ``feedthrough_norm`` (Frobenius norm of the estimated direct term) are
+    set by ``identify``.
     """
 
     hankel_size: int
@@ -95,6 +104,7 @@ class EraReport:
     cumulative_energy_at_r: float
     realized: StateSpace
     regressor_rank: int | None = None
+    regressor_condition_bound: float | None = None
     feedthrough_norm: float | None = None
 
     @property
@@ -109,6 +119,7 @@ class EraReport:
         return {
             "hankel_size": self.hankel_size,
             "regressor_rank": self.regressor_rank,
+            "regressor_condition_bound": self.regressor_condition_bound,
             "feedthrough_norm": self.feedthrough_norm,
             "threshold_order": self.threshold_order,
             "retained_order": self.retained_order,
@@ -175,6 +186,9 @@ def generate_excitation(seed: int, channels: tuple[str, ...], t_s: float,
 _QR_BLOCK = 32  # LAPACK blocking factor of the streamed QR, clipped to the triangle width
 # regressor singular values at or below this fraction of the largest count as zero
 _RANK_CUT = 1e-10
+# largest condition bound the Gram solve certifies: kappa² u <= 1e-4 (see _gram_solve)
+_GRAM_CONDITION = 1e6
+_REFINE_STEPS = 2  # of the Gram solve
 
 
 def observer_samples(l: int, n_inputs: int, n_outputs: int) -> int:
@@ -183,7 +197,8 @@ def observer_samples(l: int, n_inputs: int, n_outputs: int) -> int:
 
 
 def observer_triangle_bytes(l: int, n_inputs: int, n_outputs: int) -> int:
-    """Bytes of the triangle the least-squares fit of ``l`` observer blocks folds into."""
+    """Bytes of the one square array the least-squares fit of ``l`` observer blocks
+    holds: the Gram and its Cholesky factor, or the triangle the QR fold fills."""
     width = n_inputs + l * (n_inputs + n_outputs) + n_outputs
     return 8 * width * width
 
@@ -193,26 +208,144 @@ def hankel_bytes(p: int, n_inputs: int, n_outputs: int) -> int:
     return 8 * (p + 1) * n_outputs * p * n_inputs
 
 
+def _lag_gram(x: np.ndarray, l: int) -> np.ndarray:
+    """Upper triangle of the Gram matrix of the prewindowed lag matrix of ``x``.
+
+    Row k of the lag matrix is [x_{k-l} ... x_{k-1} x_k] for k = 0..N-1
+    (x is N by d, N > l, and zero outside its samples), so its
+    ((l+1)d)² Gram never needs the matrix itself. Had the rows run on to
+    k = N+l-1, block (r, c), c >= r, would be the whole record's lag
+    product sum_m x_m x_{m+c-r}ᵀ: the Gram is that block-Toeplitz matrix
+    less the Gram of those l extra rows (``dsyrk``, in place), the end
+    terms the prewindowed sums leave out.
+    """
+    n_samples, d = x.shape
+    w = (l + 1) * d
+    g = np.zeros((w, w), order="F")
+    blocks = g.reshape(d, l + 1, d, l + 1, order="F")  # blocks[:, r, :, c] is block (r, c) of g
+    for s in range(l + 1):
+        rows = np.arange(l + 1 - s)
+        blocks[:, rows, :, rows + s] = x[:n_samples - s].T @ x[s:]
+    tail = np.zeros((2 * l + 1, d))
+    tail[:l] = x[n_samples - l:]
+    past_end = np.lib.stride_tricks.sliding_window_view(tail, l + 1, axis=0)[:l]
+    return dsyrk(-1.0, past_end.transpose(0, 2, 1).reshape(l, w), beta=1.0, c=g,
+                 trans=1, overwrite_c=True)
+
+
+def _gram_solve(uy: np.ndarray, l: int, v: int) -> tuple[np.ndarray, float] | None:
+    """Full-rank observer least squares from the regressor's Gram matrix.
+
+    ``uy`` is [u y] after ``l`` zero rows. The unknowns are taken in
+    reversed lag order, [lag l ... lag 1, u_k], so that with y_k appended
+    they are the columns of the lag matrix of [u y] and ``_lag_gram`` gives
+    the Gram of [regressorᵀ | y] in one array. Its Cholesky factor
+    (``dpotrf``) holds R of the regressor in its leading block and R⁻ᵀ
+    regressor y beside it. R is inverted in place (``dtrtri``) and
+    certified by ‖R‖_F ‖R⁻¹‖_F >= κ₂(R) (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, ch. 8) below ``_GRAM_CONDITION``: then the
+    Gram's rounding, about u of its largest eigenvalue and so at most
+    κ₂² u <= 1e-4 of its smallest, cannot hide a singular value under the
+    rank cut, and the solution is unique. Two steps of fixed-precision
+    refinement, θ += G⁻¹ Φᵀ(y - Φθ) with the residual formed from lagged
+    slices of the record, each shrink the error of the normal equations by
+    about κ₂² u, down to the QR solve's (Björck,
+    *Numerical Methods for Least Squares Problems*, SIAM 1996, §2.9 and
+    §6.6). Returns θ (n by z, reversed lag order) and the bound, or None
+    when the Gram overflows or underflows, is not positive definite, misses
+    the bound, or the second correction exceeds ``_RANK_CUT`` of θ.
+    """
+    n_samples, d = uy.shape[0] - l, uy.shape[1]
+    z = d - v
+    n = (l + 1) * d - z
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _lag_gram(uy[l:], l)
+    # a product that underflows loses at most tiny: N of them stay within
+    # one rounding of the Gram while its largest entry is at least N tiny/eps
+    limits = np.finfo(float)
+    if not (np.isfinite(g).all() and g.diagonal().max() >= n_samples * limits.tiny / limits.eps):
+        return None
+    g, info = dpotrf(g, overwrite_a=True)  # the strict lower triangle is cleared
+    if info != 0:
+        return None
+    qty = g[:n, n:].copy()
+    # the first n columns hold R, then R⁻¹, over zeros: no copy for dlange
+    # (which scales, so an overflowing norm is inf and fails the test)
+    norm_r = dlange("F", g[:, :n])
+    g, info = dtrtri(g, overwrite_c=True)
+    bound = norm_r * dlange("F", g[:, :n])
+    if info != 0 or not bound < _GRAM_CONDITION:
+        return None
+    r_inv = g[:n, :n]
+    theta = r_inv @ qty
+    fit = np.zeros((l + 1, d, z))  # θ as blocks of the lag matrix's columns; y_k's stays zero
+    for _ in range(_REFINE_STEPS):
+        fit.reshape(-1, z)[:n] = theta
+        resid = uy[l:, v:] - sum(uy[c:c + n_samples] @ fit[c] for c in range(l + 1))
+        grad = np.concatenate([uy[c:c + n_samples].T @ resid for c in range(l + 1)])[:n]
+        correction = r_inv @ (r_inv.T @ grad)
+        theta += correction
+    if np.max(np.abs(correction)) > _RANK_CUT * np.max(np.abs(theta)):
+        return None
+    return theta, bound
+
+
+def _fold_solve(uy: np.ndarray, l: int, v: int) -> tuple[np.ndarray, int]:
+    """Minimum-norm observer least squares through the QR fold and ``dgelsd``.
+
+    ``[regressorᵀ | y]`` is folded into one upper triangle a block of
+    samples at a time by sequential Householder QR (LAPACK ``dtpqrt``), so
+    memory does not grow with record length. The triangle's leading part
+    is R of the regressor alone, with the regressor's singular values, and
+    its trailing columns hold Qᵀy; ``dgelsd`` solves it through its SVD.
+    Returns θᵀ (unknowns [u_k, lag 1 ... lag l] by z) and the rank.
+    """
+    n_samples, d = uy.shape[0] - l, uy.shape[1]
+    z = d - v
+    n = v + l * d
+    w = n + z
+    tri = np.zeros((w, w), order="F")
+    nb = min(_QR_BLOCK, w)
+    for start in range(0, n_samples, w):
+        stop = min(start + w, n_samples)
+        block = np.empty((stop - start, w), order="F")
+        block[:, :v] = uy[l + start:l + stop, :v]
+        block[:, n:] = uy[l + start:l + stop, v:]
+        for i in range(1, l + 1):
+            col = v + (i - 1) * d
+            block[:, col:col + d] = uy[l + start - i:l + stop - i]
+        tri, _, _, info = dtpqrt(0, nb, tri, block, overwrite_a=True, overwrite_b=True)
+        if info != 0:
+            raise NumericsError(f"QR update of the {n}-column observer regressor "
+                                f"failed (info={info})")
+    work, iwork, _ = dgelsd_lwork(n, n, z, cond=_RANK_CUT)
+    theta_t, _, rank, info = dgelsd(tri[:n, :n], tri[:n, n:], int(work), iwork, cond=_RANK_CUT)
+    if info != 0:
+        raise NumericsError(f"SVD failed to converge on the {n}x{n} observer "
+                            f"regressor triangle (info={info})")
+    return theta_t, rank
+
+
 def estimate_observer_markov(u: SignalRecord, y: SignalRecord, l: int) -> ObserverMarkov:
     """Least-squares observer pulse-response parameters from general I/O data.
 
     The regressor is block Toeplitz: its first block row holds the inputs
     and its following ``l`` block rows hold lagged input/output pairs
     (lag i is zero before sample i, so the record must start from rest).
-    It is never formed whole. ``[regressorᵀ | y]`` is folded into one
-    upper triangle a block of samples at a time by sequential Householder
-    QR (LAPACK ``dtpqrt``), so memory does not grow with record length.
-    The triangle's leading part is R of the regressor alone, with the
-    regressor's singular values, and its trailing columns hold Qᵀy. The
-    estimate is the minimum-norm least-squares one, counting singular
-    values at or below 1e-10 of the largest as zero, exactly as on the
-    regressor itself, and one of two solves gives it. R is inverted
-    (``dtrtri``); when ‖R‖_F ‖R⁻¹‖_F, an upper bound on the condition
-    number κ₂(R) (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, ch. 8), is below 1e10, no singular value is cut, R has
-    full rank and the estimate is R⁻¹ Qᵀy. Otherwise (noise-free records,
-    whose regressor is rank-deficient) ``dgelsd`` solves the triangle
-    through its SVD. A non-finite sample is refused before any LAPACK call.
+    It is never formed whole. The estimate is the minimum-norm
+    least-squares one, counting singular values at or below 1e-10 of the
+    largest as zero, exactly as on the regressor itself, and one of two
+    solves gives it, each in one square array of the regressor's row count
+    plus z. A record with at least as many samples as unknowns first tries
+    ``_gram_solve``: the Gram of [regressorᵀ | y] from the l+1 lag products
+    of [u y], Cholesky, a certificate that the regressor has full rank
+    (‖R‖_F ‖R⁻¹‖_F < 1e6) and two refinement steps. That takes noisy
+    measured records, and ``condition_bound`` records the bound. Every
+    other record (noise-free ones, whose regressor is rank-deficient, and
+    records whose Gram overflows or underflows) goes to ``_fold_solve``:
+    the QR fold of [regressorᵀ | y] a block of samples at a time, so memory
+    does not grow with record length, and ``dgelsd`` on its triangle. A
+    non-finite sample is refused before any LAPACK call.
     """
     if u.t_s != y.t_s:
         raise IdentificationError(f"input T_s {u.t_s} != output T_s {y.t_s}")
@@ -220,6 +353,8 @@ def estimate_observer_markov(u: SignalRecord, y: SignalRecord, l: int) -> Observ
         raise IdentificationError("input and output records differ in length")
     if l < 1:
         raise IdentificationError("need at least one observer parameter block")
+    if not y.channels:
+        raise IdentificationError("need at least one output channel")
     v = len(u.channels)
     z = len(y.channels)
     n_samples = u.n_samples
@@ -239,39 +374,19 @@ def estimate_observer_markov(u: SignalRecord, y: SignalRecord, l: int) -> Observ
             )
 
     n = v + l * (v + z)  # regressor rows: the unknowns per output
-    w = n + z  # triangle width: the regressor columns, then y as right-hand sides
     # [u y] after l zero rows: lag i of samples start..stop is rows l+start-i..l+stop-i
     uy = np.zeros((l + n_samples, v + z), order="F")
     uy[l:, :v], uy[l:, v:] = u.samples, y.samples
-    tri = np.zeros((w, w), order="F")
-    nb = min(_QR_BLOCK, w)
-    for start in range(0, n_samples, w):
-        stop = min(start + w, n_samples)
-        block = np.empty((stop - start, w), order="F")
-        block[:, :v] = u.samples[start:stop]
-        block[:, n:] = y.samples[start:stop]
-        for i in range(1, l + 1):
-            col = v + (i - 1) * (v + z)
-            block[:, col:col + v + z] = uy[l + start - i:l + stop - i]
-        tri, _, _, info = dtpqrt(0, nb, tri, block, overwrite_a=True, overwrite_b=True)
-        if info != 0:
-            raise NumericsError(f"QR update of the {n}-column observer regressor "
-                                f"failed (info={info})")
-
-    r, qty = tri[:n, :n], tri[:n, n:]
-    r_inv, info = dtrtri(r)
-    # kappa_2(r) <= |r|_F |r^-1|_F: below 1/_RANK_CUT no singular value is cut
-    # and the unique solution is the minimum-norm one. dlange scales, so the
-    # norms and their Python-float product overflow silently to inf, and an
-    # inf or NaN inverse fails the test.
-    if info == 0 and dlange("F", r) * dlange("F", r_inv) < 1.0 / _RANK_CUT:
-        theta_t, rank = r_inv @ qty, n
+    solved = _gram_solve(uy, l, v) if n_samples >= n else None
+    if solved is not None:
+        theta_rev, bound = solved
+        # back from [lag l ... lag 1, u_k] to [u_k, lag 1 ... lag l]
+        theta_t = np.vstack([theta_rev[l * (v + z):],
+                             theta_rev[:l * (v + z)].reshape(l, v + z, z)[::-1].reshape(-1, z)])
+        rank = n
     else:
-        work, iwork, _ = dgelsd_lwork(n, n, z, cond=_RANK_CUT)
-        theta_t, _, rank, info = dgelsd(r, qty, int(work), iwork, cond=_RANK_CUT)
-        if info != 0:
-            raise NumericsError(f"SVD failed to converge on the {n}x{n} observer "
-                                f"regressor triangle (info={info})")
+        bound = None
+        theta_t, rank = _fold_solve(uy, l, v)
     if rank < v + z:
         raise IdentificationError(
             f"regressor rank {rank} is degenerate (need at least {v + z}); "
@@ -284,7 +399,8 @@ def estimate_observer_markov(u: SignalRecord, y: SignalRecord, l: int) -> Observ
     for i in range(l):
         chunk = theta[:, v + i * (v + z): v + (i + 1) * (v + z)]
         blocks.append((chunk[:, :v], chunk[:, v:]))
-    return ObserverMarkov(t_s=u.t_s, feedthrough=feedthrough, blocks=blocks, rank=int(rank))
+    return ObserverMarkov(t_s=u.t_s, feedthrough=feedthrough, blocks=blocks, rank=int(rank),
+                          condition_bound=bound)
 
 
 def recover_system_markov(obs: ObserverMarkov, m: int) -> MarkovSequence:
@@ -499,7 +615,8 @@ def identify(u: SignalRecord, y: SignalRecord,
         h, h_shift, z=markov.n_outputs, v=markov.n_inputs,
         energy_threshold=config.energy_threshold, r_override=config.r_override,
         feedthrough=markov.feedthrough, t_s=config.t_s, observer_blocks=config.l,
-    ), regressor_rank=obs.rank, feedthrough_norm=norm_d)
+    ), regressor_rank=obs.rank, regressor_condition_bound=obs.condition_bound,
+        feedthrough_norm=norm_d)
     while True:
         try:
             continuous = to_continuous(report.realized)

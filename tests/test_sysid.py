@@ -92,6 +92,12 @@ class TestObserverMarkov:
         with pytest.raises(IdentificationError, match="record too short"):
             estimate_observer_markov(u, y, l=5)
 
+    def test_record_without_outputs_is_refused(self):
+        u = SignalRecord(0.1, ("u0",), np.ones((400, 1)))
+        y = SignalRecord(0.1, (), np.ones((400, 0)))
+        with pytest.raises(IdentificationError, match="at least one output channel"):
+            estimate_observer_markov(u, y, l=4)
+
     def test_zero_excitation_rejected(self):
         u = SignalRecord(0.1, ("u0",), np.zeros((400, 1)))
         y = SignalRecord(0.1, ("y0",), np.zeros((400, 1)))
@@ -116,16 +122,27 @@ def _theta(obs):
     return np.hstack([obs.feedthrough] + [np.hstack(pair) for pair in obs.blocks])
 
 
-def _dgelsd_calls(monkeypatch) -> list:
-    """Shapes of the triangles ``sysid`` solves through ``dgelsd``'s SVD, in call order."""
-    calls, dgelsd = [], sysid.dgelsd
+def _fold_calls(monkeypatch) -> dict[str, int]:
+    """Calls ``sysid`` makes of the QR fold's LAPACK routines: ``dtpqrt``
+    once per block of samples, then ``dgelsd``'s SVD solve of the triangle."""
+    calls = dict.fromkeys(("dtpqrt", "dgelsd"), 0)
 
-    def recorded(*args, **kwargs):
-        calls.append(args[0].shape)
-        return dgelsd(*args, **kwargs)
+    def counted(name):
+        routine = getattr(sysid, name)
 
-    monkeypatch.setattr(sysid, "dgelsd", recorded)
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return routine(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(sysid, name, counted(name))
     return calls
+
+
+def _fold_blocks(n_samples, v, z, l):
+    """``dtpqrt`` calls of one QR fold: one per block of as many samples as the triangle is wide."""
+    return -(-n_samples // _block_rows(v, z, l))
 
 
 def _block_rows(v, z, l):
@@ -181,64 +198,99 @@ class TestStreamedLeastSquares:
         assert obs.rank == v + l * (v + z)
         assert peak < regressor_bytes / 4
 
+    @pytest.mark.parametrize("l", [1, 2, 5])
+    @pytest.mark.parametrize("length", ["just_above_the_unknowns", "ragged"])
+    def test_lag_product_gram_is_the_regressor_gram(self, l, length):
+        # the Gram orders the unknowns by lag, oldest first, then u_k and y_k
+        v, z = 2, 3
+        n = v + l * (v + z)
+        n_samples = {"just_above_the_unknowns": n + 1, "ragged": 3 * _block_rows(v, z, l) + 7}[length]
+        rng = np.random.default_rng(70 + l)
+        u = SignalRecord(0.1, ("u0", "u1"), rng.normal(size=(n_samples, v)))
+        y = SignalRecord(0.1, ("y0", "y1", "y2"), rng.normal(size=(n_samples, z)))
+        _, _, regressor = _one_shot_observer_ls(u, y, l)
+        by_lag = [v + (i - 1) * (v + z) + np.arange(v + z) for i in range(l, 0, -1)]
+        lag_matrix = np.vstack([regressor, y.samples.T])[np.concatenate(by_lag + [np.arange(v), n + np.arange(z)])]
+        want = lag_matrix @ lag_matrix.T
+        got = sysid._lag_gram(np.hstack([u.samples, y.samples]), l)
+        assert np.max(np.abs(np.triu(got) - np.triu(want))) <= 1e-13 * np.max(np.abs(want))
+
     @pytest.mark.parametrize("l", [2, 5, 9])
     def test_full_rank_record_is_solved_without_the_svd(self, monkeypatch, l):
-        calls = _dgelsd_calls(monkeypatch)
+        calls = _fold_calls(monkeypatch)
         rng = np.random.default_rng(50 + l)
         n_samples = 4 * _block_rows(2, 3, l) + 7
         u = SignalRecord(0.1, ("u0", "u1"), rng.normal(size=(n_samples, 2)))
         y = SignalRecord(0.1, ("y0", "y1", "y2"), rng.normal(size=(n_samples, 3)))
         assert estimate_observer_markov(u, y, l).rank == 2 + l * 5
-        assert calls == []
+        assert calls == {"dtpqrt": 0, "dgelsd": 0}
 
     def test_noisy_jh_record_is_solved_without_the_svd(self, monkeypatch, jh_noisy_data):
-        calls = _dgelsd_calls(monkeypatch)
+        calls = _fold_calls(monkeypatch)
         cfg = IdentifyConfig(l=40, energy_threshold=1 - 1e-7, integral_outputs=True,
                              prefilter_hz=2.0, r_override=30)
         report, _ = identify(*jh_noisy_data, cfg)
         assert report.regressor_rank == 6 + 40 * 9
-        assert calls == []
+        assert calls == {"dtpqrt": 0, "dgelsd": 0}
+        assert 1.0 < report.regressor_condition_bound < 1e6  # seen: 5.3e5
+        assert report.to_json_dict()["regressor_condition_bound"] == report.regressor_condition_bound
 
     @pytest.mark.parametrize("l", [4, 7])
     def test_rank_deficient_record_calls_the_svd_once(self, monkeypatch, l):
-        calls = _dgelsd_calls(monkeypatch)
+        calls = _fold_calls(monkeypatch)
         rng = np.random.default_rng(30 + l)
         ss = random_stable_discrete(rng, 3, 2, 2)
-        u, y = io_records(ss, rng.normal(size=(4 * _block_rows(2, 2, l), 2)))
-        assert estimate_observer_markov(u, y, l).rank < 2 + l * 4
-        assert len(calls) == 1
+        n_samples = 4 * _block_rows(2, 2, l)
+        u, y = io_records(ss, rng.normal(size=(n_samples, 2)))
+        obs = estimate_observer_markov(u, y, l)
+        assert obs.rank < 2 + l * 4 and obs.condition_bound is None
+        assert calls == {"dtpqrt": _fold_blocks(n_samples, 2, 2, l), "dgelsd": 1}
 
     def test_noise_free_jh_record_calls_the_svd_once(self, monkeypatch, jh_id_data):
-        calls = _dgelsd_calls(monkeypatch)
+        calls = _fold_calls(monkeypatch)
         cfg = IdentifyConfig(integral_outputs=True, energy_threshold=1 - 1e-7,
                              max_feedthrough=1e-6, prefilter_hz=2.0)
         report, _ = identify(*jh_id_data, cfg)
         assert report.regressor_rank == 204
-        assert len(calls) == 1
+        assert calls == {"dtpqrt": _fold_blocks(jh_id_data[0].n_samples, 6, 3, cfg.l), "dgelsd": 1}
+        assert report.regressor_condition_bound is None
+        assert json.loads(json.dumps(report.to_json_dict()))["regressor_condition_bound"] is None
 
-    @pytest.mark.parametrize("scale", [10.0**-k for k in range(4, 13)] + [1e-200, 1e-300])
+    @pytest.mark.parametrize("scale", [10.0**-k for k in range(4, 13)] + [1e-200, 1e-300, 1e100, 1e160])
     def test_scaled_input_keeps_the_one_shot_rank_and_residual(self, monkeypatch, scale):
         # a weak input channel drives the regressor's condition number up
-        # through the 1e10 bound and its singular values through the cut;
-        # the estimate itself moves by about kappa * eps on either path.
-        # Past 1e-154 the squared entries of the inverse overflow: no warning.
-        calls = _dgelsd_calls(monkeypatch)
+        # through the Gram's 1e6 bound and its singular values through the
+        # cut; the estimate itself moves by about kappa * eps on either path.
+        # Past 1e-154 the weak channel's squares underflow in the Gram, past
+        # 1e154 the strong one's overflow: no warning either way. A strong
+        # channel leaves the other rows under the cut, and the one-shot rank
+        # 4 = l + 1 is too low for a fit: the record is refused by that rank.
+        calls = _fold_calls(monkeypatch)
         rng = np.random.default_rng(60)
         v, z, l = 2, 3, 3
         n_samples = 4 * _block_rows(v, z, l) + 5
         u_samples = rng.normal(size=(n_samples, v)) * [1.0, scale]
         u = SignalRecord(0.1, ("u0", "u1"), u_samples)
         y = SignalRecord(0.1, ("y0", "y1", "y2"), rng.normal(size=(n_samples, z)))
-        obs = estimate_observer_markov(u, y, l)
         want, rank, regressor = _one_shot_observer_ls(u, y, l)
+        fold = {"dtpqrt": _fold_blocks(n_samples, v, z, l), "dgelsd": 1}
+        if scale > 1.0:
+            with pytest.raises(IdentificationError, match=f"regressor rank {rank} is degenerate"):
+                estimate_observer_markov(u, y, l)
+            assert rank == l + 1 and calls == fold
+            return
+        obs = estimate_observer_markov(u, y, l)
         assert obs.rank == rank
         residual = np.linalg.norm(_theta(obs) @ regressor - y.samples.T)
         want_residual = np.linalg.norm(want @ regressor - y.samples.T)
         assert abs(residual - want_residual) <= 1e-12 * want_residual
+        assert calls == (fold if obs.condition_bound is None else {"dtpqrt": 0, "dgelsd": 0})
         if scale == 1e-4:
-            assert calls == [] and rank == v + l * (v + z)
-        if scale == 1e-12:
-            assert len(calls) == 1 and rank < v + l * (v + z)
+            assert obs.condition_bound < 1e6 and rank == v + l * (v + z)  # seen: 6.8e4
+        if scale <= 1e-6:
+            assert obs.condition_bound is None
+        if scale <= 1e-12:
+            assert rank < v + l * (v + z)
 
     @pytest.mark.parametrize("kind, value, channel, sample", [
         ("input", np.nan, 1, 57), ("input", np.inf, 0, 0),
