@@ -107,7 +107,10 @@ def _noise_covariances(model: StateSpace, sigma_process: float, v_meas_scale: fl
     """Disturbance-driven process covariance plus a diagonal floor, and the
     diagonal measurement covariance."""
     _, b_w = _split_inputs(model)
-    w_proc = (b_w @ b_w.T) * sigma_process**2 + w_proc_floor * np.eye(model.n_states)
+    # an overflowing variance gives non-finite entries, which solve_care refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        w_proc = ((b_w @ b_w.T) * np.float64(sigma_process) ** 2
+                  + w_proc_floor * np.eye(model.n_states))
     return w_proc, v_meas_scale * np.eye(model.n_outputs)
 
 

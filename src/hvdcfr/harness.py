@@ -307,7 +307,8 @@ def build_disturbance_profile(scenario: Scenario) -> SignalRecord:
         raise ScenarioError(f"disturbance file T_s {record.t_s} != scenario T_s {scenario.t_s}")
     if record.n_samples < n:
         raise ScenarioError("disturbance file shorter than scenario duration")
-    return SignalRecord(scenario.t_s, PROFILE_CHANNELS, record.samples[:n])
+    # a copy, so the rows past the scenario's end are not kept
+    return SignalRecord(scenario.t_s, PROFILE_CHANNELS, record.samples[:n].copy())
 
 
 def to_plant_disturbance(profile: SignalRecord) -> SignalRecord:
@@ -359,13 +360,11 @@ class ScenarioReport:
 def _settling_time(signal: np.ndarray, t_s: float) -> float | None:
     """Earliest time after which |signal| stays within SETTLE_BAND for SETTLE_HOLD_S."""
     hold = max(1, int(round(SETTLE_HOLD_S / t_s)))
-    inside = np.abs(signal) <= SETTLE_BAND
-    run = 0
-    for k in range(len(inside)):
-        run = run + 1 if inside[k] else 0
-        if run >= hold:
-            return (k - run + 1) * t_s
-    return None
+    # in_band[k]: in-band samples before sample k, so the hold samples
+    # from k on are all in band when in_band[k + hold] - in_band[k] == hold
+    in_band = np.concatenate(([0], np.cumsum(np.abs(signal) <= SETTLE_BAND)))
+    starts = np.flatnonzero(in_band[hold:] - in_band[:-hold] == hold)
+    return int(starts[0]) * t_s if starts.size else None
 
 
 def compute_metrics(trace: SignalRecord, name: str = "", case: int = 0,

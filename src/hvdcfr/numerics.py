@@ -230,23 +230,29 @@ def solve_care(a, b, q, r, *, full_output: bool = False):
     if r_eigs.min() <= 0.0:
         raise NumericsError(f"r must be positive definite (min eigenvalue {r_eigs.min():.3e})")
 
-    try:
-        p = scipy.linalg.solve_continuous_are(a, b, q_sym, r)
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(
-            f"could not stabilize the pair (a, b): system appears not stabilizable ({exc})"
-        ) from exc
-    sol = _care_candidate(a, b, q, r, p)
-    if sol.abscissa < 0.0:
-        k = sol.gain
-        step = _care_candidate(a, b, q, r, solve_lyapunov(a - b @ k, q_sym + k.T @ r @ k))
-        if step.abscissa < 0.0 and step.residual < sol.residual:
-            sol = step
+    # a badly scaled problem can overflow anywhere below (scipy's cast of the
+    # pencil, the residual's norm): no warning escapes, and what overflowed
+    # fails a check by name
+    with np.errstate(all="ignore"):
+        try:
+            p = scipy.linalg.solve_continuous_are(a, b, q_sym, r)
+        except np.linalg.LinAlgError as exc:
+            raise NumericsError(
+                f"could not stabilize the pair (a, b): system appears not stabilizable ({exc})"
+            ) from exc
+        except ValueError as exc:  # the pencil's Schur reordering failed
+            raise NumericsError(f"could not order the Hamiltonian pencil's Schur form ({exc})") from exc
+        sol = _care_candidate(a, b, q, r, p)
+        if sol.abscissa < 0.0:
+            k = sol.gain
+            step = _care_candidate(a, b, q, r, solve_lyapunov(a - b @ k, q_sym + k.T @ r @ k))
+            if step.abscissa < 0.0 and step.residual < sol.residual:
+                sol = step
 
-    if sol.residual > 1e-7 * max(1.0, np.linalg.norm(sol.p, "fro")):
-        raise NumericsError(
-            f"Riccati solve did not converge: residual {sol.residual:.3e} is above its bound"
-        )
+        if not sol.residual <= 1e-7 * max(1.0, np.linalg.norm(sol.p, "fro")):
+            raise NumericsError(
+                f"Riccati solve did not converge: residual {sol.residual:.3e} is above its bound"
+            )
     if not sol.abscissa < 0.0:
         raise NumericsError("Riccati solution is not stabilizing (detectability of (a, q) may fail)")
     return sol if full_output else sol.p

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import io
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+# rows a record's CSV form is written and read in: one block's Python
+# floats and text are all a write or read holds beside the sample array
+CSV_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -55,35 +60,70 @@ class SignalRecord:
         return SignalRecord(self.t_s, tuple(names), self.samples[:, idx])
 
     def to_csv(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_csv_text())
+        with open(path, "w") as out:
+            self._write_csv(out)
 
     def to_csv_text(self) -> str:
-        return csv_text(("time_s", *self.channels),
-                        np.column_stack([self.times, self.samples]).tolist())
+        out = io.StringIO()
+        self._write_csv(out)
+        return out.getvalue()
+
+    def _write_csv(self, out) -> None:
+        """The header, then ``CSV_BLOCK`` rows at a time, each block written
+        before the next is built; row k's time is k * t_s, as ``times``."""
+        out.write(csv_text(("time_s", *self.channels), ()))
+        for k in range(0, self.n_samples, CSV_BLOCK):
+            block = self.samples[k:k + CSV_BLOCK]
+            times = np.arange(k, k + len(block)) * self.t_s
+            out.write(_csv_rows(np.column_stack([times, block]).tolist()))
 
     @staticmethod
     def from_csv(path: str | Path) -> "SignalRecord":
-        return SignalRecord.from_csv_text(Path(path).read_text())
+        with open(path) as lines:
+            return _read_csv(lines)
 
     @staticmethod
     def from_csv_text(text: str) -> "SignalRecord":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        if len(lines) < 3:
-            raise ValueError("CSV record needs a header and at least two samples")
-        header = lines[0].split(",")
-        if header[0] != "time_s":
-            raise ValueError(f"first CSV column must be time_s, got {header[0]!r}")
-        data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-        bad = np.argwhere(~np.isfinite(data))
-        if bad.size:
-            row, col = bad[0]
-            raise ValueError(f"CSV record has a non-finite value in data row {row + 1}, column {col + 1}")
-        times = data[:, 0]
-        steps = np.diff(times)
-        t_s = float(steps[0])
-        if not np.allclose(steps, t_s, rtol=1e-9, atol=1e-12):
-            raise ValueError("CSV record is not uniformly sampled")
-        return SignalRecord(t_s=t_s, channels=tuple(header[1:]), samples=data[:, 1:])
+        return _read_csv(io.StringIO(text, newline=None))
+
+
+def _read_csv(lines) -> SignalRecord:
+    """A record from CSV text lines: a ``time_s`` header, then at least two
+    rows, parsed ``CSV_BLOCK`` non-blank lines at a time."""
+    rows = filter(str.strip, itertools.chain.from_iterable(map(str.splitlines, lines)))
+    head = list(itertools.islice(rows, 3))
+    if len(head) < 3:
+        raise ValueError("CSV record needs a header and at least two samples")
+    header = head[0].lstrip().split(",")
+    if header[0] != "time_s":
+        raise ValueError(f"first CSV column must be time_s, got {header[0]!r}")
+    data = _csv_values(itertools.chain(head[1:], rows), head[1].count(",") + 1)
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(f"CSV record has a non-finite value in data row {row + 1}, column {col + 1}")
+    times = data[:, 0]
+    if times[0] != 0.0:
+        raise ValueError(f"CSV record time column must start at 0, got {float(times[0])!r}")
+    steps = np.diff(times)
+    t_s = float(steps[0])
+    if not np.allclose(steps, t_s, rtol=1e-9, atol=1e-12):
+        raise ValueError("CSV record is not uniformly sampled")
+    return SignalRecord(t_s=t_s, channels=tuple(header[1:]), samples=data[:, 1:])
+
+
+def _csv_values(rows, width: int) -> np.ndarray:
+    """``float`` of every cell of ``rows``, ``width`` cells each, one block at a time."""
+    blocks = []
+    while block := list(itertools.islice(rows, CSV_BLOCK)):
+        values = np.fromiter(map(float, itertools.chain.from_iterable(
+            ln.split(",") for ln in block)), float)
+        for i, ln in enumerate(block):
+            if ln.count(",") + 1 != width:
+                raise ValueError(f"CSV data row {CSV_BLOCK * len(blocks) + i + 1} has "
+                                 f"{ln.count(',') + 1} values, the first has {width}")
+        blocks.append(values.reshape(len(block), width))
+    return np.concatenate(blocks)
 
 
 def csv_text(header, rows) -> str:
@@ -92,11 +132,12 @@ def csv_text(header, rows) -> str:
     A ``str`` cell is written as-is, every other cell as its ``repr`` (so a
     float reads back exactly).
     """
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join([v if isinstance(v, str) else repr(v) for v in row]) + "\n")
-    return buf.getvalue()
+    return ",".join(header) + "\n" + _csv_rows(rows)
+
+
+def _csv_rows(rows) -> str:
+    return "".join([",".join([v if isinstance(v, str) else repr(v) for v in row]) + "\n"
+                    for row in rows])
 
 
 def sample_count(duration: float, t_s: float) -> int:

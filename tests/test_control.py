@@ -187,6 +187,22 @@ class TestDesignDiagnostics:
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+class TestBadlyScaledDesign:
+    # each overflows in a different place: scipy's cast and Schur reordering
+    # of the pencil (q, w_proc_floor), the process variance (sigma_process)
+    # and the residual's norm (r)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("options, stage", [
+        ({"q": [1e300] * 6}, "regulator"),
+        ({"w_proc_floor": 1e300}, "estimator"),
+        ({"sigma_process": 1e200}, "estimator"),
+        ({"r": [1e-250] * 4}, "regulator"),
+    ])
+    def test_every_riccati_failure_is_a_design_error(self, jh_identified, options, stage):
+        with pytest.raises(ControlDesignError, match=f"^{stage} Riccati solve failed: "):
+            make_lqg(jh_identified[1], **options)
+
+
 class TestNoiseCovariances:
     def test_controller_rebuilds_the_designed_covariances(self, jh_identified, monkeypatch):
         designed = []

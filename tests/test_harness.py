@@ -16,6 +16,8 @@ from hvdcfr.harness import (
     MAX_SAMPLES,
     METRIC_COLUMNS,
     PROFILE_CHANNELS,
+    SETTLE_BAND,
+    SETTLE_HOLD_S,
     Scenario,
     ScenarioError,
     StepEvent,
@@ -28,6 +30,7 @@ from hvdcfr.harness import (
     run_sweep,
     scenario_from_dict,
     sweep_table_csv,
+    _settling_time,
     to_plant_disturbance,
 )
 from hvdcfr.plant import REFERENCE_CHANNELS, build_plant, simulate, without_hvdc_droops
@@ -95,6 +98,27 @@ class TestMetrics:
         report = compute_metrics(trace_from_f(f, np.zeros_like(f)))
         assert report.settle_f_i_s == pytest.approx(5.0)
         assert report.settle_f_r_s == 0.0
+
+    @given(st.lists(st.tuples(st.sampled_from([0.0, 5e-4, -SETTLE_BAND, SETTLE_BAND, 1.5e-3,
+                                               -0.2, math.nan]),
+                              st.integers(1, 70)), max_size=8),
+           st.sampled_from([0.1, 0.05, 0.3, 2.5, 7.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_settling_time_matches_per_sample_loop(self, runs, t_s):
+        signal = np.array([v for v, count in runs for _ in range(count)])
+
+        def reference(signal, t_s):  # the per-sample loop the search replaced
+            hold = max(1, int(round(SETTLE_HOLD_S / t_s)))
+            run = 0
+            for k, v in enumerate(np.abs(signal) <= SETTLE_BAND):
+                run = run + 1 if v else 0
+                if run >= hold:
+                    return (k - run + 1) * t_s
+            return None
+
+        settle = _settling_time(signal, t_s)
+        assert settle == reference(signal, t_s)
+        assert settle is None or type(settle) is float
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ScenarioError, match="empty"):
@@ -223,6 +247,24 @@ class TestScenario:
         loaded = build_disturbance_profile(s)
         assert loaded.n_samples == 201
         np.testing.assert_allclose(loaded.samples, profile.samples[:201])
+
+    def test_file_disturbance_keeps_only_the_rows_it_uses(self, tmp_path):
+        path = tmp_path / "profile.csv"
+        generate_continuous_profile(4, 0.2, 0.05, 30.0, 0.1).to_csv(path)
+        loaded = build_disturbance_profile(Scenario(name="x", duration_s=20.0,
+                                                    disturbance_file=str(path)))
+        assert loaded.samples.base is None and loaded.samples.shape == (201, 3)
+
+    def test_file_disturbance_must_start_at_zero(self, tmp_path):
+        # its steps match the scenario's t_s, so only the start check refuses it
+        profile = generate_continuous_profile(4, 0.2, 0.05, 30.0, 0.1)
+        text = profile.to_csv_text().splitlines()
+        rows = [f"{5.0 + k * 0.1!r}," + ln.split(",", 1)[1] for k, ln in enumerate(text[1:])]
+        path = tmp_path / "late.csv"
+        path.write_text("\n".join([text[0], *rows]) + "\n")
+        s = Scenario(name="x", duration_s=20.0, disturbance_file=str(path))
+        with pytest.raises(ScenarioError, match=rf"{re.escape(str(path))}: .*start at 0, got 5\.0"):
+            build_disturbance_profile(s)
 
     def test_file_disturbance_non_finite_rejected(self, tmp_path):
         profile = generate_continuous_profile(4, 0.2, 0.05, 30.0, 0.1)

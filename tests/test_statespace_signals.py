@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hvdcfr.plant import build_plant, load_preset, sample_step_matrices
-from hvdcfr.signals import SignalRecord, zeros_record
+from hvdcfr.signals import CSV_BLOCK, SignalRecord, csv_text, zeros_record
 from hvdcfr.statespace import (
     SimulationDivergence,
     StateSpace,
@@ -204,7 +205,113 @@ class TestSignalRecord:
         with pytest.raises(ValueError, match="non-finite"):
             SignalRecord.from_csv_text(text)
 
+    def test_time_column_must_start_at_zero(self):
+        # uniform steps of 0.1 s, so only the start check tells it from a record at 0 s
+        with pytest.raises(ValueError, match=r"must start at 0, got 5\.0"):
+            SignalRecord.from_csv_text("time_s,a\n5.0,1.0\n5.1,2.0\n5.2,3.0\n")
+
     def test_zeros_record(self):
         rec = zeros_record(0.1, ("u",), 1.0)
         assert rec.n_samples == 11
         assert np.all(rec.samples == 0.0)
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that ``fn(*args)`` allocates, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def numbered_rows(n, ragged_row=None):
+    """CSV text of ``n`` rows 0.1 s apart; data row ``ragged_row`` (1-based) has an extra cell."""
+    lines = ["time_s,a"]
+    for k in range(n):
+        lines.append(f"{k * 0.1!r},{k}" + (",1.0" if k + 1 == ragged_row else ""))
+    return "\n".join(lines) + "\n"
+
+
+# inputs the reader refuses, each with the message it gives
+BAD_CSV = [
+    pytest.param("", "needs a header and at least two samples", id="empty"),
+    pytest.param("time_s,a\n0.0,1.0\n", "needs a header and at least two samples",
+                 id="one-sample"),
+    pytest.param("t,a\n0.0,1.0\n0.1,2.0\n", "first CSV column must be time_s, got 't'",
+                 id="header"),
+    pytest.param("time_s,a\n0.0,x\n0.1,2.0\n", "could not convert string to float: 'x'",
+                 id="not-a-number"),
+    pytest.param("time_s,a\n0.0,1.0\n0.1,nan\n0.2,inf\n",
+                 "non-finite value in data row 2, column 2", id="non-finite"),
+    pytest.param("time_s,a\n0.0,1.0\n0.1,2.0\n0.3,3.0\n", "not uniformly sampled",
+                 id="non-uniform"),
+    pytest.param("time_s,a\n5.0,1.0\n5.1,2.0\n5.2,3.0\n", "must start at 0, got 5.0",
+                 id="late-start"),
+    pytest.param("time_s,a,b\n0.0,1.0\n0.1,2.0\n", "1 sample columns for 2 channel names",
+                 id="short-rows"),
+    pytest.param("time_s,a\n0.0,1.0\n0.1,2.0,3.0\n", "data row 2 has 3 values, the first has 2",
+                 id="ragged"),
+    pytest.param(numbered_rows(CSV_BLOCK + 9, CSV_BLOCK + 4),
+                 f"data row {CSV_BLOCK + 4} has 3 values, the first has 2",
+                 id="ragged-in-second-block"),
+    pytest.param(numbered_rows(CSV_BLOCK + 9).replace(f",{CSV_BLOCK + 1}\n", ",nan\n"),
+                 f"non-finite value in data row {CSV_BLOCK + 2}, column 2",
+                 id="non-finite-in-second-block"),
+]
+
+
+class TestCsvBlocks:
+    @pytest.mark.parametrize("n", [1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1, 3 * CSV_BLOCK + 7])
+    def test_file_bytes_follow_the_one_csv_rule(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        samples = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-9, 9, (n, 3))
+        rec = SignalRecord(0.1, ("a", "b", "c"), samples)
+        rule = csv_text(("time_s", *rec.channels), np.column_stack([rec.times, rec.samples]).tolist())
+        rec.to_csv(tmp_path / "r.csv")
+        assert rec.to_csv_text() == rule
+        assert (tmp_path / "r.csv").read_bytes() == rule.encode()
+
+    @pytest.mark.parametrize("text, message", BAD_CSV)
+    def test_file_and_text_refuse_alike(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as from_text:
+            SignalRecord.from_csv_text(text)
+        with pytest.raises(ValueError) as from_file:
+            SignalRecord.from_csv(path)
+        assert message in str(from_text.value)
+        assert str(from_file.value) == str(from_text.value)
+
+    @pytest.mark.parametrize("text", [
+        "time_s,a\n0.0,1.0\n0.5,2.0\n1.0,3.0\n",
+        "\n  time_s,a\r\n0.0,1.0\r\n\r\n0.5, 2.0\r\n1.0,3.0",
+        "time_s,a\r0.0,1.0\r0.5,2.0\r1.0,3.0\r\n\n",
+    ])
+    def test_file_and_text_read_alike(self, tmp_path, text):
+        path = tmp_path / "ok.csv"
+        path.write_bytes(text.encode())
+        for rec in SignalRecord.from_csv_text(text), SignalRecord.from_csv(path):
+            assert rec.channels == ("a",) and rec.t_s == 0.5
+            np.testing.assert_array_equal(rec.samples[:, 0], [1.0, 2.0, 3.0])
+
+    def test_long_record_round_trips_across_blocks(self, tmp_path):
+        samples = np.random.default_rng(3).normal(size=(5 * CSV_BLOCK + 3, 2))
+        rec = SignalRecord(0.05, ("x", "y"), samples)
+        rec.to_csv(tmp_path / "r.csv")
+        back = SignalRecord.from_csv(tmp_path / "r.csv")
+        assert back.t_s == rec.t_s and back.channels == rec.channels
+        np.testing.assert_array_equal(back.samples, rec.samples)
+
+    def test_write_holds_one_block(self, tmp_path):
+        # the whole file as Python floats and text would hold ~1.2 KB a row, 25 MB here
+        rec = SignalRecord(0.1, tuple(f"c{i}" for i in range(16)),
+                           np.random.default_rng(0).normal(size=(20_001, 16)))
+        assert traced_peak(rec.to_csv, tmp_path / "r.csv") < 2_000_000
+
+    def test_read_holds_one_block_beside_the_samples(self, tmp_path):
+        # every line and Python float of the file at once would hold ~430 B a row, 8.6 MB
+        SignalRecord(0.1, ("a", "b", "c"), np.random.default_rng(0).normal(size=(20_001, 3))
+                     ).to_csv(tmp_path / "r.csv")
+        assert traced_peak(SignalRecord.from_csv, tmp_path / "r.csv") < 2_000_000
