@@ -21,6 +21,7 @@ the same matrices are stepped per sample with the clipped command.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,9 +51,21 @@ def _split_inputs(model: StateSpace) -> tuple[np.ndarray, np.ndarray]:
     return model.b[:, :N_REFERENCES], model.b[:, N_REFERENCES:]
 
 
-def _regulator(model: StateSpace, q: np.ndarray,
-               r: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """LQ gain, its CARE residual and closed-loop spectral abscissa."""
+class GainDesign(NamedTuple):
+    """A Riccati gain, its Frobenius CARE residual and closed-loop spectral abscissa."""
+
+    gain: np.ndarray
+    residual: float
+    abscissa: float
+
+
+def design_lqr(model: StateSpace, q: np.ndarray, r: np.ndarray) -> GainDesign:
+    """State-feedback gain K (4 by n) minimizing the output-weighted quadratic cost.
+
+    The state weight is ``c.T @ diag(q) @ c`` (weights sit on the
+    measured outputs, not on the abstract realized states); the
+    abscissa is that of ``a - b_r K``.
+    """
     q = np.asarray(q, dtype=float)
     r = np.asarray(r, dtype=float)
     if q.shape != (model.n_outputs,) or np.any(q < 0):
@@ -67,12 +80,12 @@ def _regulator(model: StateSpace, q: np.ndarray,
     except NumericsError as exc:
         raise ControlDesignError(f"regulator Riccati solve failed: {exc}") from exc
     # solve_care's closed loop a - b_r r^-1 b_r.T p is a - b_r K, already checked Hurwitz
-    return sol.gain, sol.residual, sol.abscissa
+    return GainDesign(sol.gain, sol.residual, sol.abscissa)
 
 
-def _estimator(model: StateSpace, w_proc: np.ndarray,
-               v_meas: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Kalman gain, its dual CARE residual and estimator spectral abscissa."""
+def design_kalman(model: StateSpace, w_proc: np.ndarray, v_meas: np.ndarray) -> GainDesign:
+    """Steady-state Kalman gain K_f (n by z) via the dual Riccati equation;
+    the abscissa is that of ``a - K_f c``."""
     w_proc = np.asarray(w_proc, dtype=float)
     v_meas = np.asarray(v_meas, dtype=float)
     n, z = model.n_states, model.n_outputs
@@ -85,21 +98,7 @@ def _estimator(model: StateSpace, w_proc: np.ndarray,
     except NumericsError as exc:
         raise ControlDesignError(f"estimator Riccati solve failed: {exc}") from exc
     # the dual gain v^-1 c p_f is K_f.T, and the dual closed loop the transpose of a - K_f c
-    return sol.gain.T, sol.residual, sol.abscissa
-
-
-def design_lqr(model: StateSpace, q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """State-feedback gain minimizing the output-weighted quadratic cost.
-
-    The state weight is ``c.T @ diag(q) @ c`` (weights sit on the
-    measured outputs, not on the abstract realized states).
-    """
-    return _regulator(model, q, r)[0]
-
-
-def design_kalman(model: StateSpace, w_proc: np.ndarray, v_meas: np.ndarray) -> np.ndarray:
-    """Steady-state Kalman gain via the dual Riccati equation."""
-    return _estimator(model, w_proc, v_meas)[0]
+    return GainDesign(sol.gain.T, sol.residual, sol.abscissa)
 
 
 def _noise_covariances(model: StateSpace, sigma_process: float, v_meas_scale: float,
@@ -180,14 +179,14 @@ def make_lqg(model: StateSpace,
     _, b_w = _split_inputs(model)
     if b_w.shape[1] == 0:
         raise ControlDesignError("model carries no disturbance inputs for process noise")
-    k, reg_residual, reg_abscissa = _regulator(model, q, r)
-    k_f, est_residual, est_abscissa = _estimator(
-        model, *_noise_covariances(model, sigma_process, v_meas_scale, w_proc_floor))
-    return LqgController(model=model, k=k, k_f=k_f, q_weights=q, r_weights=r,
+    reg = design_lqr(model, q, r)
+    est = design_kalman(model,
+                        *_noise_covariances(model, sigma_process, v_meas_scale, w_proc_floor))
+    return LqgController(model=model, k=reg.gain, k_f=est.gain, q_weights=q, r_weights=r,
                          sigma_process=sigma_process, v_meas_scale=v_meas_scale,
-                         w_proc_floor=w_proc_floor, regulator_residual=reg_residual,
-                         estimator_residual=est_residual, regulator_abscissa=reg_abscissa,
-                         estimator_abscissa=est_abscissa, saturation=saturation,
+                         w_proc_floor=w_proc_floor, regulator_residual=reg.residual,
+                         estimator_residual=est.residual, regulator_abscissa=reg.abscissa,
+                         estimator_abscissa=est.abscissa, saturation=saturation,
                          substep=substep)
 
 

@@ -31,8 +31,8 @@ from .plant import (
     without_rectifier_hvdc_loops,
 )
 from .numerics import butter_lowpass_filter
-from .schema import (FINITE, NON_NEGATIVE, POSITIVE, build, count, entries, finite, instance,
-                     object_fields, one_of, optional, validate)
+from .schema import (FINITE, NON_NEGATIVE, POSITIVE, between, build, count, entries, finite,
+                     instance, object_fields, one_of, optional, validate)
 from .signals import SignalRecord, csv_text, sample_count
 from .sysid import (EraReport, IdentifyConfig, generate_excitation, hankel_bytes, identify,
                     observer_samples, observer_triangle_bytes)
@@ -108,6 +108,13 @@ class IdentificationSpec:
         )
 
 
+# the LQG design forms squares of its weights and noise scales (the process
+# variance sigma_process**2, weight-sized products in the Riccati solve and
+# its residual): past 1e±154 a square overflows or underflows, so each must
+# lie within 1e±150 (a q weight may also be 0)
+DESIGN_SCALE = (1e-150, 1e150)
+
+
 @dataclass(frozen=True)
 class ControllerSpec:
     q: tuple[float, ...] = (100.0, 100.0, 10.0, 30.0, 30.0, 30.0)
@@ -122,9 +129,10 @@ class ControllerSpec:
     ki_gen: float = 0.2
 
     def __post_init__(self):
+        scale = between(*DESIGN_SCALE)
         validate(ScenarioError, "controller.", self, {
-            "q": entries(6, NON_NEGATIVE), "r": entries(4, POSITIVE),
-            "sigma_process": POSITIVE, "v_meas_scale": POSITIVE, "w_proc_floor": POSITIVE,
+            "q": entries(6, between(*DESIGN_SCALE, zero=True)), "r": entries(4, scale),
+            "sigma_process": scale, "v_meas_scale": scale, "w_proc_floor": scale,
             "saturation": optional(POSITIVE), "kp_hvdc": FINITE, "ki_hvdc": FINITE,
             "kp_gen": FINITE, "ki_gen": FINITE})
 

@@ -25,6 +25,12 @@ NON_NEGATIVE = (lambda v: finite(v) and v >= 0, "non-negative and finite")
 FINITE = (finite, "finite")
 
 
+def between(low: float, high: float, zero: bool = False):
+    """A number in [low, high], or also 0 when ``zero`` is set."""
+    return (lambda v: finite(v) and (low <= v <= high or zero and v == 0),
+            f"{'0 or ' if zero else ''}between {low:g} and {high:g}")
+
+
 def count(low: int):
     return (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= low,
             f"an integer >= {low}")

@@ -79,7 +79,8 @@ class SignalRecord:
 
     @staticmethod
     def from_csv(path: str | Path) -> "SignalRecord":
-        with open(path) as lines:
+        # utf-8-sig drops the byte-order mark spreadsheet exports may start with
+        with open(path, encoding="utf-8-sig") as lines:
             return _read_csv(lines)
 
     @staticmethod

@@ -48,18 +48,18 @@ def jh_lqg(jh_identified):
 class TestDesignLqr:
     def test_zero_output_weight_gives_zero_gain(self):
         model = scalar_model(a=-1.0)
-        k = design_lqr(model, q=np.array([0.0]), r=np.ones(4))
+        k = design_lqr(model, q=np.array([0.0]), r=np.ones(4)).gain
         np.testing.assert_allclose(k, np.zeros((4, 1)), atol=1e-9)
 
     def test_scalar_quadratic_formula(self):
         model = scalar_model(a=1.0, b=1.0, c=1.0)
-        k = design_lqr(model, q=np.array([1.0]), r=np.ones(4))
+        k = design_lqr(model, q=np.array([1.0]), r=np.ones(4)).gain
         assert k[0, 0] == pytest.approx(1.0 + np.sqrt(2.0), rel=1e-9)
 
     def test_closes_spectral_abscissa(self, jh_identified):
         _, model = jh_identified
         k = design_lqr(model, q=np.array([100.0, 100.0, 10.0, 30.0, 30.0, 30.0]),
-                       r=np.ones(4))
+                       r=np.ones(4)).gain
         open_abscissa = max(eig_real_parts(model.a))
         closed = max(eig_real_parts(model.a - model.b[:, :4] @ k))
         assert closed < open_abscissa
@@ -69,8 +69,8 @@ class TestDesignLqr:
         _, model = jh_identified
         q = np.array([100.0, 100.0, 10.0, 30.0, 30.0, 30.0])
         r = np.ones(4)
-        k1 = design_lqr(model, q, r)
-        k2 = design_lqr(model, 7.0 * q, 7.0 * r)
+        k1 = design_lqr(model, q, r).gain
+        k2 = design_lqr(model, 7.0 * q, 7.0 * r).gain
         assert np.max(np.abs(k1 - k2)) <= 1e-9 * max(1.0, np.max(np.abs(k1)))
 
     def test_bad_weights_rejected(self, jh_identified):
@@ -91,7 +91,7 @@ class TestDesignKalman:
         w = w_half @ w_half.T
         v = np.diag(rng.uniform(0.5, 2.0, size=2))
         model = StateSpace(a=a, b=np.zeros((n, 4)), c=c, d=np.zeros((2, 4)), dt=None)
-        k_f = design_kalman(model, w, v)
+        k_f = design_kalman(model, w, v).gain
         # dual regulator: transpose the system, swap weights
         from hvdcfr.numerics import solve_care
         p = solve_care(a.T, c.T, w, v)
@@ -104,14 +104,14 @@ class TestDesignKalman:
         w = b_w @ b_w.T * 0.01 + 1e-5 * np.eye(model.n_states)
         norms = []
         for scale in (1e-6, 1e-2, 1e2):
-            k_f = design_kalman(model, w, scale * np.eye(6))
+            k_f = design_kalman(model, w, scale * np.eye(6)).gain
             norms.append(np.linalg.norm(k_f))
         assert norms[0] > norms[1] > norms[2]
 
     def test_scalar_noiseless_stable_plant(self):
         model = StateSpace(a=[[-1.0]], b=np.zeros((1, 4)), c=[[1.0]],
                            d=np.zeros((1, 4)), dt=None)
-        k_f = design_kalman(model, np.array([[0.0]]), np.array([[1.0]]))
+        k_f = design_kalman(model, np.array([[0.0]]), np.array([[1.0]])).gain
         np.testing.assert_allclose(k_f, [[0.0]], atol=1e-10)
 
 
@@ -176,6 +176,21 @@ class TestDesignDiagnostics:
         assert jh_lqg.estimator_abscissa == pytest.approx(max(eig_real_parts(closed[1])), rel=1e-9)
         assert jh_lqg.regulator_abscissa < 0.0 and jh_lqg.estimator_abscissa < 0.0
 
+    def test_controller_holds_the_design_records(self, jh_identified, monkeypatch):
+        records = {}
+        for name in ("design_lqr", "design_kalman"):
+            def recorded(*args, _name=name, _design=getattr(control, name)):
+                records[_name] = _design(*args)
+                return records[_name]
+            monkeypatch.setattr(control, name, recorded)
+        ctrl = make_lqg(jh_identified[1])
+        reg, est = records["design_lqr"], records["design_kalman"]
+        n = ctrl.model.n_states
+        assert reg.gain.shape == (4, n) and est.gain.shape == (n, 6)
+        assert ctrl.k is reg.gain and ctrl.k_f is est.gain
+        assert (ctrl.regulator_residual, ctrl.regulator_abscissa) == reg[1:]
+        assert (ctrl.estimator_residual, ctrl.estimator_abscissa) == est[1:]
+
     def test_gains_are_the_riccati_gains(self, jh_lqg):
         model = jh_lqg.model
         b_r = model.b[:, :4]
@@ -206,13 +221,13 @@ class TestBadlyScaledDesign:
 class TestNoiseCovariances:
     def test_controller_rebuilds_the_designed_covariances(self, jh_identified, monkeypatch):
         designed = []
-        estimator = control._estimator
+        estimator = control.design_kalman
 
         def recorded(model, w_proc, v_meas):
             designed.append((w_proc, v_meas))
             return estimator(model, w_proc, v_meas)
 
-        monkeypatch.setattr(control, "_estimator", recorded)
+        monkeypatch.setattr(control, "design_kalman", recorded)
         ctrl = make_lqg(jh_identified[1], sigma_process=0.2, v_meas_scale=3e-5,
                         w_proc_floor=2e-5)
         (w_proc, v_meas), = designed

@@ -248,6 +248,16 @@ class TestScenario:
         assert loaded.n_samples == 201
         np.testing.assert_allclose(loaded.samples, profile.samples[:201])
 
+    def test_file_disturbance_with_byte_order_mark(self, tmp_path):
+        text = generate_continuous_profile(4, 0.2, 0.05, 30.0, 0.1).to_csv_text()
+        loaded = []
+        for name, head in (("plain.csv", b""), ("bom.csv", b"\xef\xbb\xbf")):
+            (tmp_path / name).write_bytes(head + text.encode())
+            doc = {"name": "x", "duration_s": 20.0, "disturbance": {"file": str(tmp_path / name)}}
+            loaded.append(build_disturbance_profile(scenario_from_dict(doc)))
+        assert loaded[1].channels == loaded[0].channels == PROFILE_CHANNELS
+        np.testing.assert_array_equal(loaded[1].samples, loaded[0].samples)
+
     def test_file_disturbance_keeps_only_the_rows_it_uses(self, tmp_path):
         path = tmp_path / "profile.csv"
         generate_continuous_profile(4, 0.2, 0.05, 30.0, 0.1).to_csv(path)
@@ -404,6 +414,10 @@ class TestScenarioDocuments:
             ONE_STEP["steps"][0],
             {"channel": "p_w", "time_s": 2.0, "magnitude_pu": 0.1, "duration_s": 0.02}]}},
          r"^StepEvent\(channel='p_w', time_s=2\.0, .* duration_s=0\.02 s .* t_s=0\.1 s"),
+        ({"name": "x", "disturbance": ONE_STEP, "controller": {"q": [1e300] * 6}},
+         r"^controller\.q=\(1e\+300, .* must be 6 entries, each 0 or between 1e-150 and 1e\+150"),
+        ({"name": "x", "disturbance": ONE_STEP, "controller": {"sigma_process": 1e200}},
+         r"^controller\.sigma_process=1e\+200 must be between 1e-150 and 1e\+150"),
     ])
     def test_bad_document_is_a_scenario_error(self, doc, message):
         with pytest.raises(ScenarioError, match=message):
@@ -425,6 +439,19 @@ class TestScenarioDocuments:
     def test_optional_fields_accept_none(self):
         IdentificationSpec(r_override=None, max_feedthrough=None, prefilter_hz=None)
         ControllerSpec(saturation=None, q=[0.0] * 6)
+
+    @pytest.mark.parametrize("name, size", [
+        ("q", 6), ("r", 4), ("sigma_process", None), ("v_meas_scale", None),
+        ("w_proc_floor", None)])
+    def test_controller_scales_lie_within_the_design_range(self, name, size):
+        def spec(value):
+            return ControllerSpec(**{name: value if size is None else (value,) * size})
+
+        for value in (1e-150, 1e150):
+            assert spec(value)
+        for value in (math.nextafter(1e-150, 0.0), math.nextafter(1e150, math.inf), 1e300):
+            with pytest.raises(ScenarioError, match=rf"^controller\.{name}=.* between 1e-150 "):
+                spec(value)
 
     @settings(max_examples=60, deadline=None)
     @given(SCENARIO_DOCS)

@@ -296,6 +296,15 @@ class TestCsvBlocks:
             assert rec.channels == ("a",) and rec.t_s == 0.5
             np.testing.assert_array_equal(rec.samples[:, 0], [1.0, 2.0, 3.0])
 
+    def test_byte_order_mark_reads_as_the_plain_file(self, tmp_path):
+        # spreadsheet exports often start with the UTF-8 byte-order mark
+        text = "time_s,a,b\n0.0,1.0,-2.5\n0.1,2.0,0.5\n0.2,3.0,1e-3\n"
+        (tmp_path / "plain.csv").write_bytes(text.encode())
+        (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + text.encode())
+        plain, bom = (SignalRecord.from_csv(tmp_path / f) for f in ("plain.csv", "bom.csv"))
+        assert (bom.t_s, bom.channels) == (plain.t_s, plain.channels) == (0.1, ("a", "b"))
+        np.testing.assert_array_equal(bom.samples, plain.samples)
+
     def test_long_record_round_trips_across_blocks(self, tmp_path):
         samples = np.random.default_rng(3).normal(size=(5 * CSV_BLOCK + 3, 2))
         rec = SignalRecord(0.05, ("x", "y"), samples)

@@ -225,6 +225,33 @@ class TestStreamedLeastSquares:
         assert estimate_observer_markov(u, y, l).rank == 2 + l * 5
         assert calls == {"dtpqrt": 0, "dgelsd": 0}
 
+    def test_unconverged_refinement_sends_the_record_to_the_fold(self, monkeypatch):
+        # R⁻¹ off by 1% leaves ~2% of the error after each refinement step,
+        # so the second correction is ~2e-4 of θ, past the 1e-10 cut: the
+        # Gram path refuses the record although its bound passes
+        rng = np.random.default_rng(80)
+        v, z, l = 2, 3, 3
+        n_samples = 4 * _block_rows(v, z, l) + 5
+        u = SignalRecord(0.1, ("u0", "u1"), rng.normal(size=(n_samples, v)))
+        y = SignalRecord(0.1, ("y0", "y1", "y2"), rng.normal(size=(n_samples, z)))
+        uy = np.zeros((l + n_samples, v + z), order="F")
+        uy[l:, :v], uy[l:, v:] = u.samples, y.samples
+        assert sysid._gram_solve(uy, l, v)[1] < 1e6
+        dtrtri = sysid.dtrtri
+
+        def inaccurate(*args, **kwargs):
+            inverse, info = dtrtri(*args, **kwargs)
+            return 1.01 * inverse, info
+
+        monkeypatch.setattr(sysid, "dtrtri", inaccurate)
+        assert sysid._gram_solve(uy, l, v) is None
+        calls = _fold_calls(monkeypatch)
+        obs = estimate_observer_markov(u, y, l)
+        assert calls == {"dtpqrt": _fold_blocks(n_samples, v, z, l), "dgelsd": 1}
+        theta_t, rank = sysid._fold_solve(uy, l, v)
+        assert obs.condition_bound is None and obs.rank == rank == v + l * (v + z)
+        np.testing.assert_array_equal(_theta(obs), theta_t.T)
+
     def test_noisy_jh_record_is_solved_without_the_svd(self, monkeypatch, jh_noisy_data):
         calls = _fold_calls(monkeypatch)
         cfg = IdentifyConfig(l=40, energy_threshold=1 - 1e-7, integral_outputs=True,
