@@ -17,6 +17,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 from .control import (
+    ControlDesignError,
     GainDesign,
     LqgController,
     PiSfcController,
@@ -31,6 +32,7 @@ from .harness import (
     ControllerSpec,
     IdentificationSpec,
     Scenario,
+    ScenarioError,
     ScenarioReport,
     StepEvent,
     compare_cases,

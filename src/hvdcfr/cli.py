@@ -25,6 +25,7 @@ from .harness import (
     run_cases,
     run_scenario,
     run_sweep,
+    stage,
     sweep_table_csv,
     sweep_table_text,
     to_plant_disturbance,
@@ -67,18 +68,21 @@ def _model_json(model: StateSpace) -> dict:
 
 def cmd_simulate(scenario: Scenario, args):
     plant = build_plant(case_plant_params(load_preset(scenario.plant), scenario.case))
-    profile = build_disturbance_profile(scenario)
-    w = to_plant_disturbance(profile)
+    with stage("disturbance"):
+        profile = build_disturbance_profile(scenario)
+        w = to_plant_disturbance(profile)
     refs = zeros_record(scenario.t_s, REFERENCE_CHANNELS, scenario.duration_s)
-    trace = simulate(plant, refs, w, dt=scenario.dt)
+    with stage("open-loop"):
+        trace = simulate(plant, refs, w, dt=scenario.dt)
     files = {"openloop_trace.csv": trace, "disturbance.csv": profile}
     return files, f"wrote {Path(args.out) / 'openloop_trace.csv'}"
 
 
 def cmd_identify(scenario: Scenario, args):
     plant = build_plant(load_preset(scenario.plant))
-    report, model = identify_plant_model(plant, scenario.identification,
-                                         scenario.t_s, scenario.dt)
+    with stage("identification"):
+        report, model = identify_plant_model(plant, scenario.identification,
+                                             scenario.t_s, scenario.dt)
     hsv = zip(range(1, len(report.singular_values) + 1), report.singular_values.tolist(),
               report.cumulative_energy.tolist())
     files = {"era_report.json": report.to_json_dict(), "model.json": _model_json(model),
@@ -90,7 +94,7 @@ def cmd_identify(scenario: Scenario, args):
 
 def cmd_design(scenario: Scenario, args):
     plant = build_plant(load_preset(scenario.plant))
-    controller = build_controller(replace(scenario, case=1), plant)
+    controller = build_controller(scenario, 1, plant)
     gains = {
         "k": controller.k.tolist(),
         "k_f": controller.k_f.tolist(),
@@ -189,9 +193,6 @@ def main(argv=None) -> int:
             _write(out / name, payload)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: missing file: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - last-resort diagnostics
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)

@@ -28,7 +28,7 @@ import numpy as np
 from .numerics import NumericsError, solve_care
 from .plant import BLOW_UP_BOUND, ContinuousPlant, PlantError, sample_step_matrices
 from .signals import SignalRecord
-from .statespace import SimulationDivergence, StateSpace, check_divergence, run_lti
+from .statespace import SimulationDivergence, StateSpace, check_divergence, rk4_radius, run_lti
 
 N_REFERENCES = 4
 N_MEASUREMENTS = 6
@@ -93,6 +93,10 @@ def design_kalman(model: StateSpace, w_proc: np.ndarray, v_meas: np.ndarray) -> 
         raise ControlDesignError(f"process covariance must be {n}x{n}")
     if v_meas.shape != (z, z):
         raise ControlDesignError(f"measurement covariance must be {z}x{z}")
+    for name, cov in (("w_proc", w_proc), ("v_meas", v_meas)):
+        if not np.all(np.isfinite(cov)):
+            raise ControlDesignError(f"estimator Riccati solve failed: {name} contains "
+                                     "non-finite entries")
     try:
         sol = solve_care(model.a.T, model.c.T, w_proc, v_meas, full_output=True)
     except NumericsError as exc:
@@ -106,7 +110,7 @@ def _noise_covariances(model: StateSpace, sigma_process: float, v_meas_scale: fl
     """Disturbance-driven process covariance plus a diagonal floor, and the
     diagonal measurement covariance."""
     _, b_w = _split_inputs(model)
-    # an overflowing variance gives non-finite entries, which solve_care refuses
+    # an overflowing variance gives non-finite entries, which design_kalman refuses
     with np.errstate(over="ignore", invalid="ignore"):
         w_proc = ((b_w @ b_w.T) * np.float64(sigma_process) ** 2
                   + w_proc_floor * np.eye(model.n_states))
@@ -172,7 +176,8 @@ def make_lqg(model: StateSpace,
 
     ``w_proc_floor`` adds a small diagonal term so states the disturbance
     matrix misses (the appended integrators) still receive corrections;
-    otherwise their estimator poles sit at zero.
+    otherwise their estimator poles sit at zero. An estimator pole too fast
+    for RK4 substeps of ``substep`` (``sampled_system``) is refused.
     """
     q = np.asarray(q, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -182,6 +187,19 @@ def make_lqg(model: StateSpace,
     reg = design_lqr(model, q, r)
     est = design_kalman(model,
                         *_noise_covariances(model, sigma_process, v_meas_scale, w_proc_floor))
+    # sampled_system steps the estimator in RK4 substeps. Each pole of the
+    # Hurwitz a - K_f c is within its Frobenius norm of 0, and RK4 is stable
+    # on the left half-disk of radius 2.5 / substep: only a larger norm needs
+    # the poles, to refuse one outside RK4's stability region
+    a_est = model.a - est.gain @ model.c
+    if np.linalg.norm(a_est) * substep > 2.5:
+        poles = np.linalg.eigvals(a_est)
+        rho = rk4_radius(poles, substep)
+        if rho > 1.0 + RADIUS_TOL:
+            raise ControlDesignError(
+                f"estimator pole of {np.max(np.abs(poles)):.4g} rad/s makes the RK4 substep "
+                f"{substep:g} s unstable (spectral radius {rho:.6g} > 1); use a larger "
+                "v_meas_scale or a smaller substep")
     return LqgController(model=model, k=reg.gain, k_f=est.gain, q_weights=q, r_weights=r,
                          sigma_process=sigma_process, v_meas_scale=v_meas_scale,
                          w_proc_floor=w_proc_floor, regulator_residual=reg.residual,

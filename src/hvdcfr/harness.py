@@ -3,11 +3,11 @@ metric computation and cross-case comparison tables."""
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,7 @@ from .schema import (FINITE, NON_NEGATIVE, POSITIVE, between, build, count, entr
 from .signals import SignalRecord, csv_text, sample_count
 from .sysid import (EraReport, IdentifyConfig, generate_excitation, hankel_bytes, identify,
                     observer_samples, observer_triangle_bytes)
-from .statespace import StateSpace, rk4_step_matrices
+from .statespace import StateSpace, rk4_radius
 
 PROFILE_CHANNELS = ("p_li", "p_lr", "p_w")
 MAX_SAMPLES = 1_000_000  # longest record a scenario may ask for; shipped ones use 2001
@@ -219,7 +219,8 @@ class Scenario:
         # RK4 is stable only for |lambda| dt up to ~2.785, and the presets' fastest
         # modes (~640 rad/s) pass that from dt ~0.0044 s: refuse it before any run
         for case in (1, 3):
-            rho = _rk4_substep_radius(self.plant, case, self.dt)
+            a = build_plant(case_plant_params(load_preset(self.plant), case)).state_space.a
+            rho = rk4_radius(np.linalg.eigvals(a), self.dt)
             if rho > 1.0 + RADIUS_TOL:
                 raise ScenarioError(f"dt={self.dt:g} s makes the RK4 substep unstable on the "
                                     f"{self.plant} case-{case} plant (spectral radius "
@@ -227,20 +228,19 @@ class Scenario:
 
     @staticmethod
     def from_json(path: str | Path) -> "Scenario":
-        return scenario_from_dict(json.loads(Path(path).read_text()))
+        try:
+            raw = json.loads(Path(path).read_text())
+        except OSError as exc:
+            raise ScenarioError(f"cannot read scenario file {path}: {exc.strerror}") from exc
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ScenarioError(f"scenario file {path} is not JSON: {exc}") from exc
+        return scenario_from_dict(raw)
 
     def to_json_dict(self) -> dict:
         """The JSON document ``scenario_from_dict`` reads back to this scenario."""
         d = asdict(self)
         d["disturbance"] = {key: v for key, f in _DISTURBANCE_KEYS.items() if (v := d.pop(f))}
         return d
-
-
-@functools.lru_cache(maxsize=32)  # a run rebuilds its Scenario once per case
-def _rk4_substep_radius(plant: str, case: int, dt: float) -> float:
-    """Spectral radius of one RK4 substep ``dt`` on a preset's case plant."""
-    ss = build_plant(case_plant_params(load_preset(plant), case)).state_space
-    return float(np.max(np.abs(np.linalg.eigvals(rk4_step_matrices(ss.a, ss.b, dt)[0]))))
 
 
 def scenario_from_dict(raw) -> Scenario:
@@ -437,66 +437,56 @@ def identify_plant_model(plant: ContinuousPlant, spec: IdentificationSpec,
     return identify(u, y, spec.to_config(t_s))
 
 
-def build_controller(scenario: Scenario, plant: ContinuousPlant):
-    """Case 1: LQG on the identified model. Cases 2-3: PI baselines."""
-    c = scenario.controller
-    if scenario.case == 1:
-        _, model = identify_plant_model(plant, scenario.identification,
-                                        scenario.t_s, scenario.dt)
-        return make_lqg(model, q=c.q, r=c.r, sigma_process=c.sigma_process,
-                        v_meas_scale=c.v_meas_scale, w_proc_floor=c.w_proc_floor,
-                        saturation=c.saturation, substep=scenario.dt)
-    return PiSfcController(kp_hvdc=c.kp_hvdc, ki_hvdc=c.ki_hvdc,
-                           kp_gen=c.kp_gen, ki_gen=c.ki_gen,
-                           inverter_only=(scenario.case == 3),
-                           saturation=c.saturation)
-
-
-def _plant_disturbance(scenario: Scenario) -> SignalRecord:
-    """The scenario's profile on the plant's two disturbance inputs."""
+@contextmanager
+def stage(name: str):
+    """Run a block as the named stage of a run: any error in it but a
+    ``ScenarioError`` becomes one, ``<name> stage failed (<type>): <message>``."""
     try:
-        return to_plant_disturbance(build_disturbance_profile(scenario))
+        yield
     except ScenarioError:
         raise
     except Exception as exc:
-        raise ScenarioError(f"disturbance stage failed: {exc}") from exc
+        raise ScenarioError(f"{name} stage failed ({type(exc).__name__}): {exc}") from exc
 
 
-def _run_case(scenario: Scenario, params: PlantParams, w: SignalRecord,
-              keep_trace: bool) -> ScenarioReport:
-    """The scenario's case on the plant from ``params`` (case 3 drops its
-    rectifier loops here) under the plant disturbance ``w``, which every
-    case of a run shares; a diverging closed loop gives all-inf metrics."""
-    try:
-        params = case_plant_params(params, scenario.case)
+def build_controller(scenario: Scenario, case: int, plant: ContinuousPlant):
+    """Case 1: LQG on the model identified from ``plant``, in an identification
+    and a controller stage. Cases 2-3: PI baselines."""
+    c = scenario.controller
+    if case != 1:
+        return PiSfcController(kp_hvdc=c.kp_hvdc, ki_hvdc=c.ki_hvdc,
+                               kp_gen=c.kp_gen, ki_gen=c.ki_gen,
+                               inverter_only=(case == 3), saturation=c.saturation)
+    with stage("identification"):
+        _, model = identify_plant_model(plant, scenario.identification, scenario.t_s, scenario.dt)
+    with stage("controller"):
+        return make_lqg(model, q=c.q, r=c.r, sigma_process=c.sigma_process,
+                        v_meas_scale=c.v_meas_scale, w_proc_floor=c.w_proc_floor,
+                        saturation=c.saturation, substep=scenario.dt)
+
+
+def _run_case(scenario: Scenario, case: int, name: str, params: PlantParams,
+              w: SignalRecord, keep_trace: bool) -> ScenarioReport:
+    """Case ``case`` of the scenario, reported as ``name``, on the plant from
+    ``params`` (case 3 drops its rectifier loops here) under the plant
+    disturbance ``w``, which every case of a run shares; a diverging closed
+    loop gives all-inf metrics."""
+    with stage("plant"):
+        params = case_plant_params(params, case)
         plant = build_plant(params)
-    except Exception as exc:
-        raise ScenarioError(f"plant stage failed: {exc}") from exc
-    try:
-        controller = build_controller(scenario, plant)
-    except Exception as exc:
-        raise ScenarioError(f"controller stage failed ({type(exc).__name__}): {exc}") from exc
+    controller = build_controller(scenario, case, plant)
     fingerprint = hashlib.sha256(w.samples.tobytes()).hexdigest()
-    try:
-        trace = closed_loop(plant, controller, w, dt=scenario.dt)
-    except SimulationDivergence:
-        # fixed-gain PI baselines can lose stability once the converter
-        # droop/inertia loops are stripped; record that outcome as inf
-        inf = {c: math.inf for c in METRIC_COLUMNS if c not in ("sum_rms_f", "sum_rms_p_g")}
-        return ScenarioReport(scenario.name, scenario.case, **inf, settle_f_i_s=None,
-                              settle_f_r_s=None, disturbance_sha256=fingerprint)
-    except Exception as exc:
-        raise ScenarioError(f"closed-loop stage failed: {exc}") from exc
-    return compute_metrics(trace, name=scenario.name, case=scenario.case,
-                           n_gens=(params.N_i, params.N_r),
+    with stage("closed-loop"):
+        try:
+            trace = closed_loop(plant, controller, w, dt=scenario.dt)
+        except SimulationDivergence:
+            # fixed-gain PI baselines can lose stability once the converter
+            # droop/inertia loops are stripped; record that outcome as inf
+            inf = {c: math.inf for c in METRIC_COLUMNS if c not in ("sum_rms_f", "sum_rms_p_g")}
+            return ScenarioReport(name, case, **inf, settle_f_i_s=None, settle_f_r_s=None,
+                                  disturbance_sha256=fingerprint)
+    return compute_metrics(trace, name=name, case=case, n_gens=(params.N_i, params.N_r),
                            disturbance_sha256=fingerprint, keep_trace=keep_trace)
-
-
-def run_scenario(scenario: Scenario, keep_trace: bool = True) -> ScenarioReport:
-    """Execute one case end to end; deterministic given the scenario.
-    A diverging closed loop gives all-inf metrics and no trace."""
-    return _run_case(scenario, load_preset(scenario.plant), _plant_disturbance(scenario),
-                     keep_trace)
 
 
 METRIC_COLUMNS = (
@@ -561,8 +551,16 @@ def compare_cases(reports: list[ScenarioReport]) -> ComparisonTable:
 
 def run_cases(scenario: Scenario, cases=(1, 2, 3), keep_trace: bool = True) -> list[ScenarioReport]:
     """The given cases on one disturbance, built (a file read) once."""
-    params, w = load_preset(scenario.plant), _plant_disturbance(scenario)
-    return [_run_case(replace(scenario, case=c), params, w, keep_trace) for c in cases]
+    with stage("disturbance"):
+        w = to_plant_disturbance(build_disturbance_profile(scenario))
+    params = load_preset(scenario.plant)
+    return [_run_case(scenario, c, scenario.name, params, w, keep_trace) for c in cases]
+
+
+def run_scenario(scenario: Scenario, keep_trace: bool = True) -> ScenarioReport:
+    """Execute the scenario's case end to end; deterministic given the scenario.
+    A diverging closed loop gives all-inf metrics and no trace."""
+    return run_cases(scenario, (scenario.case,), keep_trace)[0]
 
 
 SWEEP_CONDITIONS = ("baseline", "no_pfc", "no_ire_no_pfc", "cigre")
@@ -577,7 +575,8 @@ def run_sweep(scenario: Scenario, conditions=SWEEP_CONDITIONS) -> dict[str, list
     A case whose closed loop diverges gives an all-inf report.
     """
     base = load_preset(scenario.plant)
-    w = _plant_disturbance(scenario)
+    with stage("disturbance"):
+        w = to_plant_disturbance(build_disturbance_profile(scenario))
     variants = {"baseline": base, "no_pfc": without_hvdc_droops(base),
                 "no_ire_no_pfc": without_hvdc_droops_and_ire(base),
                 "cigre": load_preset("cigre")}
@@ -585,10 +584,9 @@ def run_sweep(scenario: Scenario, conditions=SWEEP_CONDITIONS) -> dict[str, list
     for condition in conditions:
         if condition not in variants:
             raise ScenarioError(f"unknown sweep condition {condition!r}; have {SWEEP_CONDITIONS}")
-        s = replace(scenario, name=f"{scenario.name}[{condition}]")
-        out[condition] = [_run_case(replace(s, case=case), variants[condition], w,
-                                    keep_trace=False)
-                          for case in (1, 2, 3)]
+        name = f"{scenario.name}[{condition}]"
+        out[condition] = [_run_case(scenario, case, name, variants[condition], w,
+                                    keep_trace=False) for case in (1, 2, 3)]
     return out
 
 

@@ -95,6 +95,14 @@ def rk4_step_matrices(a: np.ndarray, b: np.ndarray, dt: float) -> tuple[np.ndarr
     return taylor[:n, :n], taylor[:n, n:]
 
 
+def rk4_radius(poles: np.ndarray, dt: float) -> float:
+    """Spectral radius of the RK4 ``phi`` of ``a`` over one step ``dt``, from the
+    eigenvalues ``poles`` of ``a``: phi is a polynomial in ``a``, so its
+    eigenvalues are that polynomial at ``dt`` times each pole."""
+    z = np.asarray(poles) * dt
+    return float(np.max(np.abs(1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4)))), initial=0.0))
+
+
 def compound_steps(phi: np.ndarray, gamma: np.ndarray, n_sub: int) -> tuple[np.ndarray, np.ndarray]:
     """Fold ``n_sub`` identical hold-input steps into a single pair: the
     ``n_sub``-th power of [[phi, gamma], [0, I]], in O(log n_sub) products."""

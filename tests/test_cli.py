@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hvdcfr.cli import main
-from hvdcfr.harness import PROFILE_CHANNELS
+from hvdcfr.harness import PROFILE_CHANNELS, Scenario
 from hvdcfr.signals import SignalRecord
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -160,6 +160,62 @@ class TestCli:
             assert code == 1
             assert "diverged" in capsys.readouterr().err
             assert not (tmp_path / command).exists()  # files are written only after success
+
+
+def _step_document(tmp_path: Path, **changes) -> str:
+    """step_pulses.json with top-level keys replaced, written under tmp_path."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**json.loads(Path(STEP).read_text()), **changes}))
+    return str(path)
+
+
+class TestStages:
+    def test_identification_failure_reads_the_same_from_every_subcommand(self, tmp_path, capsys):
+        doc = _step_document(tmp_path, identification={"seed": 1234, "max_feedthrough": 1e-30})
+        lines = set()
+        for command in ("identify", "design", "evaluate", "pipeline"):
+            assert run([command, "--scenario", doc, "--out", str(tmp_path / command)]) == 1
+            assert not (tmp_path / command).exists()
+            lines.add(capsys.readouterr().err)
+        line, = lines
+        assert line.startswith("error: identification stage failed (IdentificationError): "
+                               "estimated direct feedthrough norm ")
+        assert line.count("\n") == 1
+
+    def test_open_loop_divergence_fails_its_stage(self, tmp_path, capsys):
+        doc = _step_document(tmp_path, disturbance={"steps": [
+            {"channel": "p_li", "time_s": 5.0, "magnitude_pu": 1e9, "duration_s": 15.0}]})
+        assert run(["simulate", "--scenario", doc, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: open-loop stage failed (SimulationDivergence): state norm exceeded ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args", [["pipeline"], ["sweep", "--toggle", "all"]],
+                             ids=lambda a: a[0])
+    def test_a_run_validates_its_scenario_once(self, args, tmp_path, monkeypatch):
+        calls = []
+        validate = Scenario.__post_init__
+
+        def counted(self):
+            calls.append(self.name)
+            validate(self)
+
+        monkeypatch.setattr(Scenario, "__post_init__", counted)
+        assert run([*args, "--scenario", STEP, "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+
+    def test_estimator_too_fast_for_the_substep_is_one_error_line(self, tmp_path):
+        # a child process, so -W error covers every warning the run could raise
+        doc = _step_document(tmp_path, controller={"v_meas_scale": 1e-12})
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "hvdcfr.cli", "pipeline",
+                               "--scenario", doc, "--out", str(tmp_path / "out")],
+                              cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 1
+        line, = proc.stderr.splitlines()
+        assert line.startswith("error: controller stage failed (ControlDesignError): "
+                               "estimator pole of ")
+        assert not (tmp_path / "out").exists()
 
 
 def _files(directory: Path) -> dict:

@@ -115,6 +115,41 @@ class TestDesignKalman:
         np.testing.assert_allclose(k_f, [[0.0]], atol=1e-10)
 
 
+    @pytest.mark.parametrize("name", ["w_proc", "v_meas"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_covariance_is_refused_by_its_name(self, name, value):
+        model = StateSpace(a=[[-1.0]], b=np.zeros((1, 4)), c=[[1.0]],
+                           d=np.zeros((1, 4)), dt=None)
+        covs = {"w_proc": np.eye(1), "v_meas": np.eye(1), name: np.array([[value]])}
+        with pytest.raises(ControlDesignError,
+                           match=f"^estimator Riccati solve failed: {name} contains non-finite"):
+            design_kalman(model, **covs)
+
+
+class TestEstimatorSubstep:
+    # a tight measurement covariance gives fast estimator poles, which the
+    # RK4 substeps of sampled_system cannot step
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-11, 1e-12])
+    def test_pole_too_fast_for_the_substep_is_refused(self, jh_identified, scale):
+        with pytest.raises(ControlDesignError,
+                           match=r"^estimator pole of .* rad/s makes the RK4 substep 0\.001 s "
+                                 r"unstable \(spectral radius .* > 1\)"):
+            make_lqg(jh_identified[1], v_meas_scale=scale)
+
+    def test_fast_pole_inside_the_stability_region_is_kept(self, jh_identified):
+        # past the norm bound (so the poles are computed) but still stable
+        ctrl = make_lqg(jh_identified[1], v_meas_scale=1e-10)
+        a_est = ctrl.model.a - ctrl.k_f @ ctrl.model.c
+        assert np.linalg.norm(a_est) * ctrl.substep > 2.5
+        phi = ctrl.sampled_system(0.1).a
+        assert np.max(np.abs(np.linalg.eigvals(phi))) <= 1.0
+
+    def test_smaller_substep_accepts_the_same_design(self, jh_identified):
+        ctrl = make_lqg(jh_identified[1], v_meas_scale=1e-12, substep=1e-5)
+        assert np.all(np.isfinite(ctrl.sampled_system(0.1).a))
+
+
 class TestNoisyModelDesign:
     def test_riccati_at_thirty_three_states(self, jh_plant):
         # noisy-data identification settings with the order fixed at 30

@@ -29,6 +29,7 @@ from hvdcfr.harness import (
     run_scenario,
     run_sweep,
     scenario_from_dict,
+    stage,
     sweep_table_csv,
     _settling_time,
     to_plant_disturbance,
@@ -172,6 +173,18 @@ class TestScenario:
         s = Scenario(name="x", steps=(StepEvent("p_li", 1.0, 0.2, 5.0),), duration_s=30.0)
         back = scenario_from_dict(s.to_json_dict())
         assert back == s
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda p: p.write_text('{"name": '), r"scenario file .*s\.json is not JSON: Expecting "),
+        (lambda p: p.write_bytes(b"\xff"), r"scenario file .*s\.json is not JSON: 'utf-8' codec"),
+        (lambda p: p.mkdir(), r"cannot read scenario file .*s\.json: Is a directory"),
+        (lambda p: None, r"cannot read scenario file .*s\.json: No such file or directory"),
+    ], ids=["truncated", "not-utf8", "directory", "missing"])
+    def test_unreadable_file_is_a_scenario_error_naming_it(self, tmp_path, make, message):
+        path = tmp_path / "s.json"
+        make(path)
+        with pytest.raises(ScenarioError, match=f"^{message}"):
+            Scenario.from_json(path)
 
     def test_exactly_one_disturbance_source(self):
         with pytest.raises(ScenarioError, match="exactly one"):
@@ -547,6 +560,26 @@ class TestRunScenario:
     def test_case_ordering_of_rms(self, step_reports):
         by_case = {r.case: r for r in step_reports}
         assert by_case[1].sum_rms_f < by_case[2].sum_rms_f
+
+
+class TestStage:
+    def test_any_error_becomes_a_scenario_error_naming_the_stage(self):
+        with pytest.raises(ScenarioError, match=r"^plant stage failed \(KeyError\): 'x'$") as info:
+            with stage("plant"):
+                raise KeyError("x")
+        assert isinstance(info.value.__cause__, KeyError)
+
+    def test_scenario_error_passes_unchanged(self):
+        with pytest.raises(ScenarioError, match="^bad file$"):
+            with stage("disturbance"):
+                raise ScenarioError("bad file")
+
+    def test_errors_are_exported_with_the_package(self):
+        import hvdcfr
+        from hvdcfr import control, harness
+
+        assert hvdcfr.ScenarioError is harness.ScenarioError
+        assert hvdcfr.ControlDesignError is control.ControlDesignError
 
 
 class TestCompare:

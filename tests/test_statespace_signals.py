@@ -14,6 +14,7 @@ from hvdcfr.statespace import (
     compound_steps,
     discretize_zoh,
     markov_parameters,
+    rk4_radius,
     rk4_step_matrices,
     run_lti,
     simulate_discrete,
@@ -61,6 +62,17 @@ class TestStateSpace:
         k4 = deriv(x + dt * k3)
         expected = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         np.testing.assert_allclose(phi @ x + gamma @ u, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("dt", [0.01, 0.5, 2.0])
+    def test_rk4_radius_is_that_of_the_step_matrix(self, dt):
+        rng = np.random.default_rng(3)
+        ss = random_stable_continuous(rng, 6, v=1)
+        phi, _ = rk4_step_matrices(ss.a, ss.b, dt)
+        want = np.max(np.abs(np.linalg.eigvals(phi)))
+        assert rk4_radius(np.linalg.eigvals(ss.a), dt) == pytest.approx(want, rel=1e-10)
+
+    def test_rk4_radius_of_a_stateless_system_is_zero(self):
+        assert rk4_radius(np.zeros(0), 0.1) == 0.0
 
     def test_compound_steps_equals_repeated_stepping(self):
         rng = np.random.default_rng(4)
