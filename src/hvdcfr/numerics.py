@@ -1,7 +1,8 @@
 """Dense linear-algebra kernels used by identification and control design.
 
 Reduced QR, SVD, matrix exponential/logarithm, a continuous
-algebraic Riccati solver and a digital Butterworth low-pass filter.
+algebraic Riccati solver (Schur method on the Hamiltonian) and a digital
+Butterworth low-pass filter.
 Everything operates on plain numpy arrays and raises ``NumericsError``
 with a diagnostic message on failure.
 """
@@ -195,22 +196,62 @@ def _care_candidate(a, b, q, r, p) -> CareSolution:
                         float(np.max(eig_real_parts(a - b @ gain))))
 
 
+def _hamiltonian_schur_care(a, b, q, r) -> np.ndarray:
+    """Laub's Schur-method solution (IEEE TAC 1979): ``p = U21 U11^-1``
+    from the basis ``U`` of the stable invariant subspace of the
+    Hamiltonian ``[[a, -b r^-1 b.T], [-q, -a.T]]``, taken from its real
+    Schur form ordered left half-plane first (LAPACK ``dgees``/``dtrsen``).
+
+    The Hamiltonian is first scaled by the symplectic ``diag(d, 1/d)``,
+    ``d`` the square root of the ratio of the costate to the state factors
+    that balancing its off-diagonal magnitudes gives (``dgebal``), the
+    scaling scipy imposes on its extended pencil but not rounded to a power
+    of two: rounded, a regulator on the identified jh model with r = 1e14
+    (slowest closed-loop pole -1.2e-7) misses its residual bound after the
+    Newton step, unrounded it meets it."""
+    n = a.shape[0]
+    h = np.block([[a, -b @ np.linalg.solve(r, b.T)], [-q, -a.T]])
+    if not np.all(np.isfinite(h)):
+        raise NumericsError("Hamiltonian matrix has non-finite entries (the weights overflow)")
+    mag = np.abs(h)
+    np.fill_diagonal(mag, 0.0)
+    _, (scale, _) = scipy.linalg.matrix_balance(mag, permute=False, separate=True)
+    s = np.sqrt(scale[n:] / scale[:n])
+    d = np.concatenate([s, 1.0 / s])
+    try:
+        _, u, stable = scipy.linalg.schur(h * d[:, None] / d, sort="lhp")
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(f"could not order the Hamiltonian's Schur form ({exc})") from exc
+    if stable != n:
+        raise NumericsError(
+            f"Hamiltonian has {stable} of its {2 * n} eigenvalues in the open left half-plane "
+            f"where {n} are needed: one lies on the imaginary axis (to rounding), from a mode "
+            "on it that (a, b) cannot control or q does not observe")
+    u11 = u[:n, :n]
+    if not np.linalg.cond(u11) < 1.0 / np.finfo(float).eps:  # NaN fails too
+        raise NumericsError("could not stabilize the pair (a, b): system appears not stabilizable "
+                            "(the stable subspace's first block is singular)")
+    p = np.linalg.solve(u11.T, u[n:, :n].T).T * s[:, None] * s
+    return 0.5 * (p + p.T)
+
+
 def solve_care(a, b, q, r, *, full_output: bool = False):
     """Stabilizing solution of ``a.T p + p a + q - p b r^-1 b.T p = 0``.
 
-    Schur-method solution (scipy), then one Kleinman-Newton step (a
-    Lyapunov solve on its closed loop, when that loop is Hurwitz), kept
-    only if its own closed loop is Hurwitz and its residual is lower.
-    With ``full_output`` the ``CareSolution`` gives the gain and the
-    diagnostics the solve computed.
+    Schur-method solution from the 2n x 2n Hamiltonian
+    (``_hamiltonian_schur_care``; ``r`` is positive definite here, so the
+    extended pencil that a singular ``r`` needs is not formed), then one
+    Kleinman-Newton step (a Lyapunov solve on its closed loop, when that
+    loop is Hurwitz), kept only if its own closed loop is Hurwitz and its
+    residual is lower. With ``full_output`` the ``CareSolution`` gives the
+    gain and the diagnostics the solve computed.
 
     The Schur solution alone can miss badly: on one random 10-state,
-    1-input system of the test suite its residual is 4.4e3 against a bound
-    of 7.3e2 (1e-7 of the solution's norm), and the step brings it to
-    0.096. Where it does not miss, the step still takes the residual to
-    round-off (2.4e-13 to 1.1e-15 on the identified jh model's estimator):
-    without it, LQG loops designed on orthogonally similar jh models
-    differed by up to 9.2e-12 of a trace column's peak, against 7.7e-13.
+    1-input system of the test suite its residual is 6.9e3 against a bound
+    of 7.3e2 (1e-7 of the solution's norm), and the step brings it to 1.4.
+    On the identified jh model both starts are at round-off already
+    (residuals 1.7e-12 regulator, 6.7e-16 estimator) and the step is not
+    kept.
     """
     a = _as_square(a)
     b = _as_matrix(b, "b")
@@ -230,18 +271,11 @@ def solve_care(a, b, q, r, *, full_output: bool = False):
     if r_eigs.min() <= 0.0:
         raise NumericsError(f"r must be positive definite (min eigenvalue {r_eigs.min():.3e})")
 
-    # a badly scaled problem can overflow anywhere below (scipy's cast of the
-    # pencil, the residual's norm): no warning escapes, and what overflowed
-    # fails a check by name
+    # a badly scaled problem can overflow anywhere below (the Hamiltonian,
+    # the residual's norm): no warning escapes, and what overflowed fails a
+    # check by name
     with np.errstate(all="ignore"):
-        try:
-            p = scipy.linalg.solve_continuous_are(a, b, q_sym, r)
-        except np.linalg.LinAlgError as exc:
-            raise NumericsError(
-                f"could not stabilize the pair (a, b): system appears not stabilizable ({exc})"
-            ) from exc
-        except ValueError as exc:  # the pencil's Schur reordering failed
-            raise NumericsError(f"could not order the Hamiltonian pencil's Schur form ({exc})") from exc
+        p = _hamiltonian_schur_care(a, b, q_sym, r)
         sol = _care_candidate(a, b, q, r, p)
         if sol.abscissa < 0.0:
             k = sol.gain

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -238,9 +239,10 @@ class TestDesignDiagnostics:
 
 
 class TestBadlyScaledDesign:
-    # each overflows in a different place: scipy's cast and Schur reordering
-    # of the pencil (q, w_proc_floor), the process variance (sigma_process)
-    # and the residual's norm (r)
+    # each fails in a different place: the Hamiltonian's Schur reordering
+    # (q, r), its count of stable eigenvalues, where those below rounding of
+    # its 1e152 norm land on either side (w_proc_floor), and the process
+    # variance (sigma_process)
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("options, stage", [
         ({"q": [1e300] * 6}, "regulator"),
@@ -251,6 +253,24 @@ class TestBadlyScaledDesign:
     def test_every_riccati_failure_is_a_design_error(self, jh_identified, options, stage):
         with pytest.raises(ControlDesignError, match=f"^{stage} Riccati solve failed: "):
             make_lqg(jh_identified[1], **options)
+
+
+class TestRiccatiPath:
+    def test_design_takes_no_scipy_riccati_or_qz_solve(self, jh_identified, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("the design called a solver it does not use")
+
+        monkeypatch.setattr(scipy.linalg, "solve_continuous_are", refused)
+        monkeypatch.setattr(scipy.linalg, "ordqz", refused)
+        ctrl = make_lqg(jh_identified[1])
+        assert ctrl.regulator_abscissa < 0.0 and ctrl.estimator_abscissa < 0.0
+
+    def test_barely_stabilized_regulator_solved(self, jh_identified):
+        # r = 1e14 leaves the regulator loop's slowest pole near -1.2e-7 and
+        # its solution near 4e8: the Schur start and one Newton step still
+        # meet the residual bound
+        ctrl = make_lqg(jh_identified[1], r=[1e14] * 4)
+        assert -1e-6 < ctrl.regulator_abscissa < 0.0
 
 
 class TestNoiseCovariances:
