@@ -26,12 +26,20 @@ from typing import NamedTuple
 import numpy as np
 
 from .numerics import NumericsError, solve_care
-from .plant import BLOW_UP_BOUND, ContinuousPlant, PlantError, sample_step_matrices
+from .plant import (BLOW_UP_BOUND, OUTPUT_CHANNELS, REFERENCE_CHANNELS, ContinuousPlant,
+                    PlantError, sample_step_matrices)
 from .signals import SignalRecord
 from .statespace import SimulationDivergence, StateSpace, check_divergence, rk4_radius, run_lti
 
-N_REFERENCES = 4
-N_MEASUREMENTS = 6
+N_REFERENCES = len(REFERENCE_CHANNELS)
+N_MEASUREMENTS = len(OUTPUT_CHANNELS)
+# default LQG tuning of make_lqg and ControllerSpec: q per output, r per command
+Q_WEIGHTS = (100.0, 100.0, 10.0, 30.0, 30.0, 30.0)
+R_WEIGHTS = (1.0, 1.0, 1.0, 1.0)
+SIGMA_PROCESS = 0.1
+V_MEAS_SCALE = 1e-5
+W_PROC_FLOOR = 1e-5
+SUBSTEP = 0.001  # s; default RK4 substep of a run (Scenario.dt) and of make_lqg's estimator
 # an unclipped sampled loop whose spectral radius exceeds 1 + RADIUS_TOL has
 # diverged; poles at exactly 1 (pure integrators) still count as stable
 RADIUS_TOL = 1e-9
@@ -138,8 +146,8 @@ class LqgController:
     estimator_residual: float
     regulator_abscissa: float
     estimator_abscissa: float
-    saturation: float | None = None
-    substep: float = 0.001
+    saturation: float | None
+    substep: float
 
     @property
     def w_proc(self) -> np.ndarray:
@@ -164,14 +172,10 @@ class LqgController:
                           d=np.zeros((N_REFERENCES, N_REFERENCES + N_MEASUREMENTS)), dt=t_s)
 
 
-def make_lqg(model: StateSpace,
-             q: np.ndarray = (100.0, 100.0, 10.0, 30.0, 30.0, 30.0),
-             r: np.ndarray = (1.0, 1.0, 1.0, 1.0),
-             sigma_process: float = 0.1,
-             v_meas_scale: float = 1e-5,
-             w_proc_floor: float = 1e-5,
-             saturation: float | None = None,
-             substep: float = 0.001) -> LqgController:
+def make_lqg(model: StateSpace, q: np.ndarray = Q_WEIGHTS, r: np.ndarray = R_WEIGHTS,
+             sigma_process: float = SIGMA_PROCESS, v_meas_scale: float = V_MEAS_SCALE,
+             w_proc_floor: float = W_PROC_FLOOR, saturation: float | None = None,
+             substep: float = SUBSTEP) -> LqgController:
     """Design both LQG gains with disturbance-driven process noise.
 
     ``w_proc_floor`` adds a small diagonal term so states the disturbance
@@ -231,13 +235,16 @@ class PiSfcController:
 
     @property
     def gain(self) -> np.ndarray:
-        """Static 4x6 gain from the six sampled outputs to the commands."""
-        g = np.zeros((N_REFERENCES, N_MEASUREMENTS))
-        g[0, [0, 3]] = -self.kp_gen, -self.ki_gen
-        g[2, [0, 3]] = -self.kp_hvdc, -self.ki_hvdc
+        """Static 4x6 gain: each command acts on one output and its running integral."""
+        loops = [("p_gi_ref", "f_i", self.kp_gen, self.ki_gen),
+                 ("i_dci_ref", "f_i", self.kp_hvdc, self.ki_hvdc)]
         if not self.inverter_only:
-            g[1, [1, 4]] = -self.kp_gen, -self.ki_gen
-            g[3, [2, 5]] = -self.kp_hvdc, -self.ki_hvdc
+            loops += [("p_gr_ref", "f_r", self.kp_gen, self.ki_gen),
+                      ("v_dcr_ref", "v_dc", self.kp_hvdc, self.ki_hvdc)]
+        g = np.zeros((N_REFERENCES, N_MEASUREMENTS))
+        for command, output, kp, ki in loops:
+            columns = [OUTPUT_CHANNELS.index(output), OUTPUT_CHANNELS.index(f"int_{output}")]
+            g[REFERENCE_CHANNELS.index(command), columns] = -kp, -ki
         return g
 
     def sampled_system(self, t_s: float) -> StateSpace:

@@ -12,7 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .control import RADIUS_TOL, PiSfcController, closed_loop, make_lqg
+from .control import (N_MEASUREMENTS, N_REFERENCES, Q_WEIGHTS, R_WEIGHTS, RADIUS_TOL,
+                      SIGMA_PROCESS, SUBSTEP, V_MEAS_SCALE, W_PROC_FLOOR, PiSfcController,
+                      closed_loop, make_lqg)
 from .plant import (
     DISTURBANCE_CHANNELS,
     OUTPUT_CHANNELS,
@@ -85,8 +87,8 @@ class IdentificationSpec:
     duration_s: float = 200.0
     amplitude_pu: float = 0.05
     hold_s: float = 1.0
-    l: int = 30
-    p: int = 100
+    l: int = IdentifyConfig.l
+    p: int = IdentifyConfig.p
     energy_threshold: float = 1.0 - 1e-7
     r_override: int | None = None
     max_feedthrough: float | None = 1e-6
@@ -117,24 +119,24 @@ DESIGN_SCALE = (1e-150, 1e150)
 
 @dataclass(frozen=True)
 class ControllerSpec:
-    q: tuple[float, ...] = (100.0, 100.0, 10.0, 30.0, 30.0, 30.0)
-    r: tuple[float, ...] = (1.0, 1.0, 1.0, 1.0)
-    sigma_process: float = 0.1
-    v_meas_scale: float = 1e-5
-    w_proc_floor: float = 1e-5
+    q: tuple[float, ...] = Q_WEIGHTS
+    r: tuple[float, ...] = R_WEIGHTS
+    sigma_process: float = SIGMA_PROCESS
+    v_meas_scale: float = V_MEAS_SCALE
+    w_proc_floor: float = W_PROC_FLOOR
     saturation: float | None = None
-    kp_hvdc: float = 3.0
-    ki_hvdc: float = 25.0
-    kp_gen: float = 0.8
-    ki_gen: float = 0.2
+    kp_hvdc: float = PiSfcController.kp_hvdc
+    ki_hvdc: float = PiSfcController.ki_hvdc
+    kp_gen: float = PiSfcController.kp_gen
+    ki_gen: float = PiSfcController.ki_gen
 
     def __post_init__(self):
         scale = between(*DESIGN_SCALE)
         validate(ScenarioError, "controller.", self, {
-            "q": entries(6, between(*DESIGN_SCALE, zero=True)), "r": entries(4, scale),
-            "sigma_process": scale, "v_meas_scale": scale, "w_proc_floor": scale,
-            "saturation": optional(POSITIVE), "kp_hvdc": FINITE, "ki_hvdc": FINITE,
-            "kp_gen": FINITE, "ki_gen": FINITE})
+            "q": entries(N_MEASUREMENTS, between(*DESIGN_SCALE, zero=True)),
+            "r": entries(N_REFERENCES, scale), "sigma_process": scale, "v_meas_scale": scale,
+            "w_proc_floor": scale, "saturation": optional(POSITIVE), "kp_hvdc": FINITE,
+            "ki_hvdc": FINITE, "kp_gen": FINITE, "ki_gen": FINITE})
 
 
 # document keys under "disturbance" and the Scenario fields they fill
@@ -146,8 +148,8 @@ class Scenario:
     name: str
     plant: str = "jh"
     case: int = 1
-    t_s: float = 0.1
-    dt: float = 0.001
+    t_s: float = IdentifyConfig.t_s
+    dt: float = SUBSTEP
     duration_s: float = 60.0
     steps: tuple[StepEvent, ...] = ()
     continuous: ContinuousSpec | None = None

@@ -26,6 +26,10 @@ class NumericsError(RuntimeError):
     """Raised when a kernel cannot deliver its post-condition."""
 
 
+class _SingularLyapunov(NumericsError):
+    """``solve_lyapunov``'s operator has an eigenvalue pair summing to zero."""
+
+
 def _as_matrix(a, name: str = "a") -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.size == 0:
@@ -166,7 +170,7 @@ def solve_lyapunov(a, c) -> np.ndarray:
         try:
             p = scipy.linalg.solve_continuous_lyapunov(a.T, -c)
         except RuntimeWarning as exc:
-            raise NumericsError("Lyapunov operator is singular (eigenvalue pair summing to zero)") from exc
+            raise _SingularLyapunov("Lyapunov operator is singular (eigenvalue pair summing to zero)") from exc
     return 0.5 * (p + p.T)
 
 
@@ -235,6 +239,22 @@ def _hamiltonian_schur_care(a, b, q, r) -> np.ndarray:
     return 0.5 * (p + p.T)
 
 
+def _not_stabilizing(a, b, q, sol: CareSolution, how: str) -> NumericsError:
+    """Refusal of ``sol``, whose closed loop ``a - b gain`` is not Hurwitz, naming
+    the cause the PBH rank tests (Hautus 1969) find at its rightmost mode s:
+    rank [a - sI, b] < n (b cannot reach it) or rank [a - sI; q] < n."""
+    poles = np.linalg.eigvals(a - b @ sol.gain)
+    s = poles[np.argmax(poles.real)]
+    shifted = a - s * np.eye(len(a))
+    msg = f"Riccati solution is not stabilizing: its closed loop's abscissa {sol.abscissa:.2e} "
+    for pencil, cause in ((np.hstack([shifted, b]), "(a, b) cannot reach it: not stabilizable"),
+                          (np.vstack([shifted, q]), "q does not observe it: not detectable")):
+        sv = np.linalg.svd(pencil, compute_uv=False)
+        if sv[-1] <= 1e-8 * sv[0]:
+            return NumericsError(f"{msg}{how}, at the mode {s:.4g}; {cause}")
+    return NumericsError(msg + how)
+
+
 def solve_care(a, b, q, r, *, full_output: bool = False):
     """Stabilizing solution of ``a.T p + p a + q - p b r^-1 b.T p = 0``.
 
@@ -279,7 +299,11 @@ def solve_care(a, b, q, r, *, full_output: bool = False):
         sol = _care_candidate(a, b, q, r, p)
         if sol.abscissa < 0.0:
             k = sol.gain
-            step = _care_candidate(a, b, q, r, solve_lyapunov(a - b @ k, q_sym + k.T @ r @ k))
+            try:
+                p_step = solve_lyapunov(a - b @ k, q_sym + k.T @ r @ k)
+            except _SingularLyapunov:  # a mode of the loop is at 0 to rounding
+                raise _not_stabilizing(a, b, q_sym, sol, "is zero to rounding") from None
+            step = _care_candidate(a, b, q, r, p_step)
             if step.abscissa < 0.0 and step.residual < sol.residual:
                 sol = step
 
@@ -288,7 +312,7 @@ def solve_care(a, b, q, r, *, full_output: bool = False):
                 f"Riccati solve did not converge: residual {sol.residual:.3e} is above its bound"
             )
     if not sol.abscissa < 0.0:
-        raise NumericsError("Riccati solution is not stabilizing (detectability of (a, q) may fail)")
+        raise _not_stabilizing(a, b, q_sym, sol, "is not negative")
     return sol if full_output else sol.p
 
 

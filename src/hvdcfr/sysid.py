@@ -171,8 +171,7 @@ def _prefilter(record: SignalRecord, cutoff_hz: float) -> SignalRecord:
 
 
 def generate_excitation(seed: int, channels: tuple[str, ...], t_s: float,
-                        duration: float, amplitude: float = 0.05,
-                        hold: float = 1.0) -> SignalRecord:
+                        duration: float, amplitude: float, hold: float) -> SignalRecord:
     """Zero-mean uniform random steps, held ``hold`` seconds per channel."""
     n = sample_count(duration, t_s)
     per_hold = max(1, int(round(hold / t_s)))
@@ -451,8 +450,8 @@ def build_hankel(markov: MarkovSequence, p: int) -> tuple[np.ndarray, np.ndarray
 
 
 def era_realize(h: np.ndarray, h_shift: np.ndarray, z: int, v: int,
-                energy_threshold: float = 0.999, r_override: int | None = None,
-                feedthrough: np.ndarray | None = None,
+                energy_threshold: float = IdentifyConfig.energy_threshold,
+                r_override: int | None = None, feedthrough: np.ndarray | None = None,
                 t_s: float = 1.0, observer_blocks: int | None = None) -> EraReport:
     """Minimal realization from the dominant Hankel singular directions.
 

@@ -255,6 +255,17 @@ class TestBadlyScaledDesign:
             make_lqg(jh_identified[1], **options)
 
 
+class TestUnsolvableDesign:
+    def test_estimator_stable_only_to_rounding_is_named(self, jh_identified):
+        # v_meas_scale = 1e25 lies inside the schema's range, but the
+        # estimator's slowest mode only moves to about -1e-15, so its Newton
+        # step's Lyapunov operator is singular
+        with pytest.raises(ControlDesignError, match=(
+                r"^estimator Riccati solve failed: Riccati solution is not stabilizing: its "
+                r"closed loop's abscissa -\d\.\d\de-1\d is zero to rounding$")):
+            make_lqg(jh_identified[1], v_meas_scale=1e25)
+
+
 class TestRiccatiPath:
     def test_design_takes_no_scipy_riccati_or_qz_solve(self, jh_identified, monkeypatch):
         def refused(*args, **kwargs):

@@ -21,6 +21,7 @@ from hvdcfr.harness import (
     Scenario,
     ScenarioError,
     StepEvent,
+    build_controller,
     build_disturbance_profile,
     compare_cases,
     compute_metrics,
@@ -32,10 +33,13 @@ from hvdcfr.harness import (
     stage,
     sweep_table_csv,
     _settling_time,
+    identify_plant_model,
     to_plant_disturbance,
 )
+from hvdcfr.control import PiSfcController, make_lqg
 from hvdcfr.plant import REFERENCE_CHANNELS, build_plant, simulate, without_hvdc_droops
 from hvdcfr.signals import SignalRecord, zeros_record
+from hvdcfr.sysid import IdentifyConfig
 
 
 def make_trace(t_s, channels, columns):
@@ -560,6 +564,36 @@ class TestRunScenario:
     def test_case_ordering_of_rms(self, step_reports):
         by_case = {r.case: r for r in step_reports}
         assert by_case[1].sum_rms_f < by_case[2].sum_rms_f
+
+
+class TestDefaultsAgree:
+    """An empty scenario block runs what the library's defaults run."""
+
+    @pytest.fixture(scope="class")
+    def scenario(self):
+        return scenario_from_dict({
+            "name": "defaults", "identification": {}, "controller": {},
+            "disturbance": {"steps": [{"channel": "p_li", "time_s": 5.0, "magnitude_pu": 0.3,
+                                       "duration_s": 15.0}]}})
+
+    def test_empty_controller_block_designs_the_make_lqg_gains(self, scenario, jh_plant):
+        _, model = identify_plant_model(jh_plant, scenario.identification, scenario.t_s,
+                                        scenario.dt)
+        want = make_lqg(model, substep=scenario.dt)
+        got = build_controller(scenario, 1, jh_plant)
+        for f in dataclasses.fields(want):
+            if f.name != "model":
+                np.testing.assert_array_equal(getattr(got, f.name), getattr(want, f.name),
+                                              err_msg=f.name)
+
+    def test_empty_controller_block_gives_the_pi_defaults(self, scenario, jh_plant):
+        assert build_controller(scenario, 2, jh_plant) == PiSfcController()
+        assert build_controller(scenario, 3, jh_plant) == PiSfcController(inverter_only=True)
+
+    def test_identification_sizes_and_sample_time_are_the_config_defaults(self, scenario):
+        spec, lib = IdentificationSpec().to_config(0.1), IdentifyConfig()
+        assert (spec.l, spec.p, spec.t_s) == (lib.l, lib.p, lib.t_s) == (
+            scenario.identification.l, scenario.identification.p, scenario.t_s)
 
 
 class TestStage:

@@ -265,12 +265,45 @@ class TestCare:
                 rf"where {n} are needed: one lies on the imaginary axis")):
             solve_care(a, b, np.zeros((n, n)), np.eye(1))
 
+    def test_unreachable_mode_is_named(self):
+        # q = I observes both modes of the undamped oscillator, but b = 0
+        # reaches neither: the fault is stabilizability, not detectability
+        with pytest.raises(NumericsError, match=(
+                r"^Riccati solution is not stabilizing: .*; \(a, b\) cannot reach it: "
+                r"not stabilizable$")):
+            solve_care(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.zeros((2, 1)), np.eye(2),
+                       np.eye(1))
+
+    def test_loop_stable_only_to_rounding_is_named(self):
+        # r = 1e32 moves the integrator only to -1e-16, below rounding beside the
+        # mode at -1, so the Newton step's Lyapunov operator is singular
+        with pytest.raises(NumericsError, match=(
+                r"^Riccati solution is not stabilizing: its closed loop's abscissa "
+                r"-1\.00e-16 is zero to rounding$")):
+            solve_care(np.diag([0.0, -1.0]), np.eye(2), np.eye(2), 1e32 * np.eye(2))
+
     def test_overflowing_hamiltonian_rejected(self):
         # b r^-1 b.T is 1e600: without the check the Schur call would raise
         # a ValueError on the inf, which no caller turns into a design error
         with pytest.raises(NumericsError, match="Hamiltonian matrix has non-finite entries"):
             solve_care(np.array([[1.0]]), np.array([[1e200]]),
                        np.array([[1.0]]), np.array([[1e-200]]))
+
+
+@pytest.mark.parametrize("b, q, cause", [
+    (np.ones((3, 1)), np.diag([0.0, 0.0, 1.0]), "; q does not observe it: not detectable"),
+    (np.array([[0.0], [0.0], [1.0]]), np.eye(3), "; (a, b) cannot reach it: not stabilizable"),
+    (np.ones((3, 1)), np.eye(3), ""),
+])
+def test_not_stabilizing_names_the_pbh_cause(b, q, cause):
+    # zero gain leaves the closed loop a: an undamped oscillator beside a
+    # stable mode, whose rightmost mode is one of +-j
+    a = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    sol = numerics.CareSolution(np.zeros((3, 3)), np.zeros((1, 3)), 0.0, 0.0)
+    msg = str(numerics._not_stabilizing(a, b, q, sol, "is not negative"))
+    assert msg.startswith("Riccati solution is not stabilizing: its closed loop's abscissa "
+                          "0.00e+00 is not negative")
+    assert msg.endswith(cause) and ("at the mode" in msg) == bool(cause)
 
 
 def care_test_systems():
