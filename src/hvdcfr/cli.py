@@ -116,7 +116,7 @@ def cmd_design(scenario: Scenario, args):
 def cmd_evaluate(scenario: Scenario, args):
     report = run_scenario(scenario)
     if report.trace is None:
-        raise ScenarioError(f"case {scenario.case}: the closed loop diverged")
+        raise ScenarioError(f"case {scenario.case}: the closed loop diverged: {report.divergence}")
     metrics = report.to_json_dict()
     files = {f"case{scenario.case}_trace.csv": report.trace,
              "metrics.json": dict(sorted(metrics.items()))}

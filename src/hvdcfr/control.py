@@ -26,8 +26,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .numerics import NumericsError, solve_care
-from .plant import (BLOW_UP_BOUND, OUTPUT_CHANNELS, REFERENCE_CHANNELS, ContinuousPlant,
-                    PlantError, sample_step_matrices)
+from .plant import (OUTPUT_CHANNELS, REFERENCE_CHANNELS, ContinuousPlant, PlantError,
+                    sample_step_matrices)
 from .signals import SignalRecord
 from .statespace import SimulationDivergence, StateSpace, check_divergence, rk4_radius, run_lti
 
@@ -40,8 +40,8 @@ SIGMA_PROCESS = 0.1
 V_MEAS_SCALE = 1e-5
 W_PROC_FLOOR = 1e-5
 SUBSTEP = 0.001  # s; default RK4 substep of a run (Scenario.dt) and of make_lqg's estimator
-# an unclipped sampled loop whose spectral radius exceeds 1 + RADIUS_TOL has
-# diverged; poles at exactly 1 (pure integrators) still count as stable
+# a sampled loop whose spectral radius exceeds 1 + RADIUS_TOL diverges; poles
+# at exactly 1 (pure integrators) still count as stable
 RADIUS_TOL = 1e-9
 
 
@@ -263,11 +263,11 @@ def closed_loop(plant: ContinuousPlant, controller, disturbances: SignalRecord,
     Plant and ``controller.sampled_system`` start from rest and are run
     as one discrete LTI system by ``run_lti`` or, when
     ``controller.saturation`` is set, stepped per sample with the clipped
-    command. A NaN plant or controller state, or one above
-    ``BLOW_UP_BOUND``, raises ``SimulationDivergence``; so does an
-    unclipped loop whose spectral radius exceeds ``1 + RADIUS_TOL``,
-    checked after the amplitude bound. Returns model
-    outputs, auxiliary channels and the four commands.
+    command. Before it starts, a run whose stepped matrix (the closed loop;
+    clipped, the open loop, which a bounded command keeps bounded) has
+    spectral radius above ``1 + RADIUS_TOL`` raises ``SimulationDivergence``,
+    as a NaN state does at its first sample. Returns model outputs,
+    auxiliary channels and the four commands.
     """
     if disturbances.channels != plant.disturbance_labels:
         raise PlantError(
@@ -287,19 +287,17 @@ def closed_loop(plant: ContinuousPlant, controller, disturbances: SignalRecord,
     c_cmd = np.hstack([d_y @ ss.c, ctrl.c])
     out_map = np.block([[c_full, np.zeros((len(c_full), ctrl.n_states))], [c_cmd]])
     limit = controller.saturation
+    loop, stepped = ("closed", a_open + b_cmd @ c_cmd) if limit is None else ("open", a_open)
+    rho = float(np.max(np.abs(np.linalg.eigvals(stepped)), initial=0.0))
+    if rho > 1.0 + RADIUS_TOL:
+        raise SimulationDivergence(f"sampled {loop} loop has spectral radius {rho:.6f} > 1")
     if limit is None:
-        a_closed = a_open + b_cmd @ c_cmd
-        z = run_lti(a_closed, b_w, w, t_s, BLOW_UP_BOUND)
-        # an unstable loop can stay under the amplitude bound for the whole run
-        rho = float(np.max(np.abs(np.linalg.eigvals(a_closed)), initial=0.0))
-        if rho > 1.0 + RADIUS_TOL:
-            raise SimulationDivergence(f"sampled closed loop has spectral radius {rho:.6f} > 1")
+        z = run_lti(stepped, b_w, w, t_s)
     else:  # clipping is not LTI: step per sample
         z, w_in = np.zeros((len(w), len(a_open))), w @ b_w.T
-        with np.errstate(all="ignore"):  # a diverging run may overflow before the check
-            for k in range(len(w) - 1):
-                z[k + 1] = a_open @ z[k] + b_cmd @ np.clip(c_cmd @ z[k], -limit, limit) + w_in[k]
-        check_divergence(z, t_s, BLOW_UP_BOUND)
+        for k in range(len(w) - 1):
+            z[k + 1] = a_open @ z[k] + b_cmd @ np.clip(c_cmd @ z[k], -limit, limit) + w_in[k]
+        check_divergence(z, t_s)
     out = z @ out_map.T
     if limit is not None:  # record the commands the plant received
         out[:, len(c_full):] = np.clip(out[:, len(c_full):], -limit, limit)

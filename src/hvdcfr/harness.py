@@ -23,7 +23,6 @@ from .plant import (
     ContinuousPlant,
     PlantError,
     PlantParams,
-    SimulationDivergence,
     build_plant,
     load_preset,
     simulate,
@@ -38,13 +37,17 @@ from .schema import (FINITE, NON_NEGATIVE, POSITIVE, between, build, count, entr
 from .signals import SignalRecord, csv_text, sample_count
 from .sysid import (EraReport, IdentifyConfig, generate_excitation, hankel_bytes, identify,
                     observer_samples, observer_triangle_bytes)
-from .statespace import StateSpace, rk4_radius
+from .statespace import SimulationDivergence, StateSpace, rk4_radius
 
 PROFILE_CHANNELS = ("p_li", "p_lr", "p_w")
 MAX_SAMPLES = 1_000_000  # longest record a scenario may ask for; shipped ones use 2001
 # largest single array identification may ask for (observer triangle, Hankel
 # pair); shipped scenarios need 0.6 and 1.5 MB, and peak memory is a few such arrays
 MAX_ARRAY_BYTES = 1 << 28
+# largest |disturbance| in pu; the shipped loops' trace is at most 11.3 times
+# the input, and the metrics' squares overflow past ~1.3e154, so runs stay finite
+MAX_INPUT_PU = 1e100
+_INPUT = (lambda v: finite(v) and abs(v) <= MAX_INPUT_PU, f"finite, magnitude <= {MAX_INPUT_PU:g}")
 SETTLE_BAND = 1e-3  # pu; a frequency inside it for SETTLE_HOLD_S seconds has settled
 SETTLE_HOLD_S = 5.0
 
@@ -63,7 +66,7 @@ class StepEvent:
     def __post_init__(self):
         validate(ScenarioError, "step.", self, {
             "channel": one_of(*PROFILE_CHANNELS), "time_s": NON_NEGATIVE,
-            "magnitude_pu": FINITE, "duration_s": POSITIVE})
+            "magnitude_pu": _INPUT, "duration_s": POSITIVE})
 
 
 @dataclass(frozen=True)
@@ -75,8 +78,8 @@ class ContinuousSpec:
 
     def __post_init__(self):
         validate(ScenarioError, "continuous.", self, {
-            "seed": count(0), "amplitude_pu": POSITIVE, "bandwidth_hz": POSITIVE,
-            "duration_s": POSITIVE})
+            "seed": count(0), "bandwidth_hz": POSITIVE, "duration_s": POSITIVE,
+            "amplitude_pu": (lambda v: _INPUT[0](v) and v > 0, "positive, " + _INPUT[1])})
 
 
 @dataclass(frozen=True)
@@ -317,6 +320,10 @@ def build_disturbance_profile(scenario: Scenario) -> SignalRecord:
         raise ScenarioError(f"disturbance file T_s {record.t_s} != scenario T_s {scenario.t_s}")
     if record.n_samples < n:
         raise ScenarioError("disturbance file shorter than scenario duration")
+    for channel, peak in zip(PROFILE_CHANNELS, np.max(np.abs(record.samples[:n]), axis=0)):
+        if peak > MAX_INPUT_PU:
+            raise ScenarioError(f"disturbance file {scenario.disturbance_file}: |{channel}| "
+                                f"reaches {peak:g} pu, more than {MAX_INPUT_PU:g}")
     # a copy, so the rows past the scenario's end are not kept
     return SignalRecord(scenario.t_s, PROFILE_CHANNELS, record.samples[:n].copy())
 
@@ -351,6 +358,7 @@ class ScenarioReport:
     settle_f_r_s: float | None
     disturbance_sha256: str
     trace: SignalRecord | None = None
+    divergence: str | None = None  # why the run diverged; like trace, not a metric
 
     @property
     def sum_rms_f(self) -> float:
@@ -361,7 +369,7 @@ class ScenarioReport:
         return self.rms_p_gi + self.rms_p_gr
 
     def to_json_dict(self) -> dict:
-        d = {k: v for k, v in asdict(self).items() if k != "trace"}
+        d = {k: v for k, v in asdict(self).items() if k not in ("trace", "divergence")}
         d["sum_rms_f"] = self.sum_rms_f
         d["sum_rms_p_g"] = self.sum_rms_p_g
         return d
@@ -481,12 +489,12 @@ def _run_case(scenario: Scenario, case: int, name: str, params: PlantParams,
     with stage("closed-loop"):
         try:
             trace = closed_loop(plant, controller, w, dt=scenario.dt)
-        except SimulationDivergence:
+        except SimulationDivergence as exc:
             # fixed-gain PI baselines can lose stability once the converter
             # droop/inertia loops are stripped; record that outcome as inf
             inf = {c: math.inf for c in METRIC_COLUMNS if c not in ("sum_rms_f", "sum_rms_p_g")}
             return ScenarioReport(name, case, **inf, settle_f_i_s=None, settle_f_r_s=None,
-                                  disturbance_sha256=fingerprint)
+                                  disturbance_sha256=fingerprint, divergence=str(exc))
     return compute_metrics(trace, name=name, case=case, n_gens=(params.N_i, params.N_r),
                            disturbance_sha256=fingerprint, keep_trace=keep_trace)
 
@@ -535,13 +543,15 @@ def compare_cases(reports: list[ScenarioReport]) -> ComparisonTable:
     if len(prints) != 1:
         raise ScenarioError("reports were produced on different disturbances")
 
-    rows = tuple({**{c: getattr(r, c) for c in METRIC_COLUMNS}, "case": r.case}
-                 for r in sorted(reports, key=lambda r: r.case))
-    for row in rows:
-        bad = [c for c in METRIC_COLUMNS if not math.isfinite(row[c])]
+    reports = sorted(reports, key=lambda r: r.case)
+    for r in reports:
+        if r.divergence is not None:
+            raise ScenarioError(f"case {r.case}: the closed loop diverged: {r.divergence}")
+        bad = [c for c in METRIC_COLUMNS if not math.isfinite(getattr(r, c))]
         if bad:
-            raise ScenarioError(f"case {row['case']} has non-finite metrics "
+            raise ScenarioError(f"case {r.case} has non-finite metrics "
                                 f"({', '.join(bad)}); its closed loop diverged")
+    rows = tuple({**{c: getattr(r, c) for c in METRIC_COLUMNS}, "case": r.case} for r in reports)
     case1 = next((row for row in rows if row["case"] == 1), None)
     reductions = tuple(
         {"case": row["case"],

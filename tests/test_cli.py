@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hvdcfr.cli import main
-from hvdcfr.harness import PROFILE_CHANNELS, Scenario
+from hvdcfr.harness import METRIC_COLUMNS, PROFILE_CHANNELS, Scenario
 from hvdcfr.signals import SignalRecord
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -162,6 +162,33 @@ class TestCli:
             assert not (tmp_path / command).exists()  # files are written only after success
 
 
+def test_pipeline_metrics_scale_with_a_large_step(tmp_path):
+    """Both steps of step_pulses.json at 1e6 pu instead of 0.3 pu: every case
+    runs, and its peak and rms metrics scale by the same factor."""
+    steps = json.loads(Path(STEP).read_text())["disturbance"]["steps"]
+    doc = _step_document(tmp_path, disturbance={
+        "steps": [{**step, "magnitude_pu": 1e6} for step in steps]})
+    for name, scenario in (("shipped", STEP), ("large", doc)):
+        assert run(["pipeline", "--scenario", scenario, "--out", str(tmp_path / name)]) == 0
+    for case in (1, 2, 3):
+        shipped, large = (json.loads((tmp_path / name / f"case{case}_metrics.json").read_text())
+                          for name in ("shipped", "large"))
+        for column in METRIC_COLUMNS:
+            assert large[column] == pytest.approx(1e6 / 0.3 * shipped[column], rel=1e-9)
+
+
+def test_diverged_case_names_its_spectral_radius(tmp_path, capsys):
+    """A sign-flipped PI case 2 is refused before it runs, and evaluate and
+    pipeline say why."""
+    doc = _step_document(tmp_path, case=2, controller={
+        "kp_hvdc": -3.0, "ki_hvdc": -25.0, "kp_gen": -0.8, "ki_gen": -0.2})
+    for command in ("evaluate", "pipeline"):
+        assert run([command, "--scenario", doc, "--out", str(tmp_path / command)]) == 1
+        assert capsys.readouterr().err == (
+            "error: case 2: the closed loop diverged: sampled closed loop has spectral "
+            "radius 1.562155 > 1\n")
+
+
 def _step_document(tmp_path: Path, **changes) -> str:
     """step_pulses.json with top-level keys replaced, written under tmp_path."""
     path = tmp_path / "scenario.json"
@@ -182,13 +209,21 @@ class TestStages:
                                "estimated direct feedthrough norm ")
         assert line.count("\n") == 1
 
-    def test_open_loop_divergence_fails_its_stage(self, tmp_path, capsys):
+    def test_input_over_the_cap_is_refused_by_key(self, tmp_path, capsys):
         doc = _step_document(tmp_path, disturbance={"steps": [
-            {"channel": "p_li", "time_s": 5.0, "magnitude_pu": 1e9, "duration_s": 15.0}]})
-        assert run(["simulate", "--scenario", doc, "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err.startswith(
-            "error: open-loop stage failed (SimulationDivergence): state norm exceeded ")
-        assert not (tmp_path / "out").exists()
+            {"channel": "p_li", "time_s": 5.0, "magnitude_pu": -1e101, "duration_s": 15.0}]})
+        for command in ("simulate", "pipeline"):
+            assert run([command, "--scenario", doc, "--out", str(tmp_path / command)]) == 1
+            assert capsys.readouterr().err == (
+                "error: step.magnitude_pu=-1e+101 must be finite, magnitude <= 1e+100\n")
+            assert not (tmp_path / command).exists()
+
+    def test_simulate_writes_a_finite_trace_for_a_large_step(self, tmp_path):
+        doc = _step_document(tmp_path, disturbance={"steps": [
+            {"channel": "p_li", "time_s": 5.0, "magnitude_pu": 1e6, "duration_s": 15.0}]})
+        assert run(["simulate", "--scenario", doc, "--out", str(tmp_path / "out")]) == 0
+        trace = SignalRecord.from_csv(tmp_path / "out" / "openloop_trace.csv").samples
+        assert np.all(np.isfinite(trace)) and np.max(np.abs(trace)) > 1e6
 
     @pytest.mark.parametrize("args", [["pipeline"], ["sweep", "--toggle", "all"]],
                              ids=lambda a: a[0])

@@ -525,13 +525,14 @@ class TestDivergence:
         flipped = PiSfcController(kp_hvdc=-3.0, ki_hvdc=-25.0, kp_gen=-0.8, ki_gen=-0.2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(SimulationDivergence, match=r"exceeded 1e\+06"):
+            with pytest.raises(SimulationDivergence,
+                               match=r"sampled closed loop has spectral radius 1\.562155 > 1"):
                 closed_loop(jh_plant, flipped, pulse_record(), dt=0.001)
 
     def test_spectral_radius_decides_unclipped_stability(self, jh_params):
         # without droops and inertia emulation the case 2 and 3 PI loops have a
-        # pole pair at |lambda| = 1.0083 and 1.0057: 60 s grow it ~140-fold and
-        # ~30-fold, far below the 1e6 bound
+        # pole pair at |lambda| = 1.0083 and 1.0057: 60 s would grow it only
+        # ~140-fold and ~30-fold, and both are refused before they are stepped
         bare = without_hvdc_droops_and_ire(jh_params)
         for params, inverter_only, rho in ((bare, False, r"1\.008287"),
                                            (without_rectifier_hvdc_loops(bare), True,
@@ -555,4 +556,19 @@ class TestDivergence:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(SimulationDivergence, match=r"t=1\.100 s"):
+                    closed_loop(jh_plant, controller, dist, dt=0.001)
+
+    def test_unstable_loop_is_refused_before_it_is_stepped(self, jh_plant, jh_lqg):
+        # a NaN from sample 10 would be dated t = 1.1 s if the loop were stepped
+        w = np.zeros((51, 2))
+        w[10, 0] = np.nan
+        dist = SignalRecord(0.1, DISTURBANCE_CHANNELS, w)
+        flipped_pi = PiSfcController(kp_hvdc=-3.0, ki_hvdc=-25.0, kp_gen=-0.8, ki_gen=-0.2)
+        # clipped, the open loop decides: the estimator a + K_f c is unstable
+        flipped_estimator = dataclasses.replace(jh_lqg, k_f=-jh_lqg.k_f, saturation=1e-3)
+        for controller, loop in ((flipped_pi, "closed"), (flipped_estimator, "open")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SimulationDivergence,
+                                   match=rf"^sampled {loop} loop has spectral radius \S+ > 1$"):
                     closed_loop(jh_plant, controller, dist, dt=0.001)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from hvdcfr.harness import (
     ContinuousSpec,
     ControllerSpec,
     IdentificationSpec,
+    MAX_INPUT_PU,
     MAX_SAMPLES,
     METRIC_COLUMNS,
     PROFILE_CHANNELS,
@@ -303,6 +305,26 @@ class TestScenario:
         with pytest.raises(ScenarioError, match="non-finite"):
             build_disturbance_profile(s)
 
+    def test_file_disturbance_over_the_input_cap_rejected(self, tmp_path):
+        samples = np.zeros((201, 3))
+        samples[50, 2] = -2 * MAX_INPUT_PU
+        path = tmp_path / "profile.csv"
+        SignalRecord(0.1, PROFILE_CHANNELS, samples).to_csv(path)
+        s = Scenario(name="x", duration_s=20.0, disturbance_file=str(path))
+        with pytest.raises(ScenarioError,
+                           match=rf"{re.escape(str(path))}: \|p_w\| reaches 2e\+100 pu"):
+            build_disturbance_profile(s)
+
+    def test_inputs_at_the_cap_accepted_and_above_it_refused(self):
+        StepEvent("p_li", 1.0, -MAX_INPUT_PU, 5.0)
+        ContinuousSpec(amplitude_pu=MAX_INPUT_PU)
+        above = math.nextafter(MAX_INPUT_PU, math.inf)
+        with pytest.raises(ScenarioError, match=r"^step\.magnitude_pu=-1\.0000000000000002e\+100 "
+                                                r"must be finite, magnitude <= 1e\+100$"):
+            StepEvent("p_li", 1.0, -above, 5.0)
+        with pytest.raises(ScenarioError, match=r"^continuous\.amplitude_pu="):
+            ContinuousSpec(amplitude_pu=above)
+
 
 ONE_STEP = {"steps": [{"channel": "p_li", "time_s": 5.0, "magnitude_pu": 0.3, "duration_s": 15.0}]}
 
@@ -564,6 +586,39 @@ class TestRunScenario:
     def test_case_ordering_of_rms(self, step_reports):
         by_case = {r.case: r for r in step_reports}
         assert by_case[1].sum_rms_f < by_case[2].sum_rms_f
+
+
+class TestInputScaling:
+    UNIT = Scenario(name="unit", case=2, duration_s=30.0,
+                    steps=(StepEvent("p_li", 2.0, 1.0, 10.0), StepEvent("p_w", 12.0, -1.0, 10.0)))
+
+    @given(st.floats(-3.0, 100.0), st.sampled_from([1.0, -1.0]))
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    def test_pi_metrics_scale_with_the_input_up_to_the_cap(self, exponent, sign):
+        magnitude = sign * MAX_INPUT_PU * 10.0 ** (exponent - 100.0)  # never above the cap
+        steps = tuple(dataclasses.replace(e, magnitude_pu=magnitude * e.magnitude_pu)
+                      for e in self.UNIT.steps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = run_cases(dataclasses.replace(self.UNIT, steps=steps), (2, 3), False)
+        for report, unit in zip(scaled, run_cases(self.UNIT, (2, 3), False)):
+            for c in METRIC_COLUMNS:
+                assert math.isfinite(getattr(report, c))
+                assert getattr(report, c) == pytest.approx(abs(magnitude) * getattr(unit, c),
+                                                           rel=1e-9)
+
+    def test_diverged_report_keeps_its_reason_out_of_the_metrics(self):
+        flipped = dataclasses.replace(self.UNIT, controller=ControllerSpec(
+            kp_hvdc=-3.0, ki_hvdc=-25.0, kp_gen=-0.8, ki_gen=-0.2))
+        reports = run_cases(flipped, (2, 3))
+        assert [r.divergence for r in reports] == [
+            "sampled closed loop has spectral radius 1.562155 > 1",
+            "sampled closed loop has spectral radius 1.151167 > 1"]
+        assert all(r.trace is None and "divergence" not in r.to_json_dict() for r in reports)
+        assert "spectral" not in sweep_table_csv({"flipped": reports})
+        with pytest.raises(ScenarioError, match=r"^case 2: the closed loop diverged: sampled "
+                                                r"closed loop has spectral radius 1\.562155 > 1$"):
+            compare_cases(reports)
 
 
 class TestDefaultsAgree:

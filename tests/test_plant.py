@@ -174,12 +174,6 @@ class TestSimulate:
         for got, exact in zip(folded, zoh_step_matrices(ss.a, ss.b, 0.1)):
             assert np.max(np.abs(got - exact)) <= 1e-7 * np.max(np.abs(exact))
 
-    def test_blow_up_bound(self, jh_plant):
-        refs = zeros_record(0.1, REFERENCE_CHANNELS, 5.0)
-        dist = step_disturbance(0.1, 5.0, "p_li", 0.3, at=1.0)
-        with pytest.raises(SimulationDivergence):
-            simulate(jh_plant, refs, dist, dt=0.001, blow_up_bound=1e-6)
-
     def test_nan_disturbance_diverges(self, jh_plant):
         refs = zeros_record(0.1, REFERENCE_CHANNELS, 5.0)
         w = np.zeros((51, 2))

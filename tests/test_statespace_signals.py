@@ -117,10 +117,10 @@ class TestRunLti:
             x = a @ x + b @ u[k]
         np.testing.assert_allclose(run_lti(a, b, u, 0.1), want, rtol=1e-12, atol=1e-15)
 
-    def test_divergence_dated_at_first_sample_above_bound(self):
-        # x[k] = 2**k - 1 first exceeds 100 at k = 7
-        with pytest.raises(SimulationDivergence, match=r"exceeded 100 .*t=3\.500 s"):
-            run_lti(2.0 * np.eye(1), np.ones((1, 1)), np.ones((20, 1)), 0.5, blow_up_bound=100.0)
+    def test_divergence_dated_at_first_non_finite_sample(self):
+        # x[k] = 1 + 1e100 + ... + 1e(100 (k - 1)): 1e300 at k = 4, inf at k = 5
+        with pytest.raises(SimulationDivergence, match=r"not finite at t=2\.500 s"):
+            run_lti(1e100 * np.eye(1), np.ones((1, 1)), np.ones((20, 1)), 0.5)
 
     def test_overflow_and_nan_raise_without_warning(self):
         with warnings.catch_warnings():
@@ -171,14 +171,17 @@ class TestLiftedRunLti:
         scale = np.max(np.abs(want), axis=1, keepdims=True)
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
-    def test_scaled_loop_diverges_at_the_reference_sample(self):
+    def test_overflowing_loop_diverges_at_the_reference_sample(self):
+        # the jh plant scaled to spectral radius 2 overflows near sample 1000
         a, b = self.SYSTEMS["jh_rho_1.02"]
+        a = 2.0 / 1.02 * a
         u = np.random.default_rng(2001).uniform(-0.05, 0.05, size=(2001, b.shape[1]))
-        want = reference_run(a, b, u)
-        first = int(np.argmax(np.max(np.abs(want), axis=1) > 1e6))
+        with np.errstate(all="ignore"):
+            want = reference_run(a, b, u)
+        first = int(np.argmax(~np.isfinite(want).all(axis=1)))
         assert first > 32  # past the first block, so the lifted steps decide it
-        with pytest.raises(SimulationDivergence, match=rf"t={first * 0.1:.3f} s"):
-            run_lti(a, b, u, 0.1, blow_up_bound=1e6)
+        with pytest.raises(SimulationDivergence, match=rf"not finite at t={first * 0.1:.3f} s"):
+            run_lti(a, b, u, 0.1)
 
 
 class TestSignalRecord:
