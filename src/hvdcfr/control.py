@@ -9,13 +9,12 @@ fixed-step scheme as the plant between samples.
 
 Controllers are frozen descriptions. Each gives one discrete system,
 ``sampled_system(t_s)``, from [applied commands; six sampled outputs]
-to the unclipped command: the PI baselines a static 4x6 gain, the LQG
+to the command: the PI baselines a static 4x6 gain, the LQG
 its Kalman estimator with output ``-K`` times the estimate.
 ``closed_loop`` is the only code that steps a controller. It describes
 plant and controller once, as the open loop of their joint state driven
-by the command. Without saturation the command is folded back in and
-the loop runs through ``statespace.run_lti``; with ``saturation`` set
-the same matrices are stepped per sample with the clipped command.
+by the command, folds the command back in and runs the closed loop
+through ``statespace.run_lti``.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from .numerics import NumericsError, solve_care
 from .plant import (OUTPUT_CHANNELS, REFERENCE_CHANNELS, ContinuousPlant, PlantError,
                     sample_step_matrices)
 from .signals import SignalRecord
-from .statespace import SimulationDivergence, StateSpace, check_divergence, rk4_radius, run_lti
+from .statespace import SimulationDivergence, StateSpace, rk4_radius, run_lti
 
 N_REFERENCES = len(REFERENCE_CHANNELS)
 N_MEASUREMENTS = len(OUTPUT_CHANNELS)
@@ -146,7 +145,6 @@ class LqgController:
     estimator_residual: float
     regulator_abscissa: float
     estimator_abscissa: float
-    saturation: float | None
     substep: float
 
     @property
@@ -174,8 +172,7 @@ class LqgController:
 
 def make_lqg(model: StateSpace, q: np.ndarray = Q_WEIGHTS, r: np.ndarray = R_WEIGHTS,
              sigma_process: float = SIGMA_PROCESS, v_meas_scale: float = V_MEAS_SCALE,
-             w_proc_floor: float = W_PROC_FLOOR, saturation: float | None = None,
-             substep: float = SUBSTEP) -> LqgController:
+             w_proc_floor: float = W_PROC_FLOOR, substep: float = SUBSTEP) -> LqgController:
     """Design both LQG gains with disturbance-driven process noise.
 
     ``w_proc_floor`` adds a small diagonal term so states the disturbance
@@ -208,8 +205,7 @@ def make_lqg(model: StateSpace, q: np.ndarray = Q_WEIGHTS, r: np.ndarray = R_WEI
                          sigma_process=sigma_process, v_meas_scale=v_meas_scale,
                          w_proc_floor=w_proc_floor, regulator_residual=reg.residual,
                          estimator_residual=est.residual, regulator_abscissa=reg.abscissa,
-                         estimator_abscissa=est.abscissa, saturation=saturation,
-                         substep=substep)
+                         estimator_abscissa=est.abscissa, substep=substep)
 
 
 @dataclass(frozen=True)
@@ -231,7 +227,6 @@ class PiSfcController:
     kp_gen: float = 0.8
     ki_gen: float = 0.2
     inverter_only: bool = False
-    saturation: float | None = None
 
     @property
     def gain(self) -> np.ndarray:
@@ -261,13 +256,10 @@ def closed_loop(plant: ContinuousPlant, controller, disturbances: SignalRecord,
     The controller sees the sampled model outputs and its command is held
     for one sample; the plant advances in RK4 substeps of size ``dt``.
     Plant and ``controller.sampled_system`` start from rest and are run
-    as one discrete LTI system by ``run_lti`` or, when
-    ``controller.saturation`` is set, stepped per sample with the clipped
-    command. Before it starts, a run whose stepped matrix (the closed loop;
-    clipped, the open loop, which a bounded command keeps bounded) has
-    spectral radius above ``1 + RADIUS_TOL`` raises ``SimulationDivergence``,
-    as a NaN state does at its first sample. Returns model outputs,
-    auxiliary channels and the four commands.
+    as one discrete LTI system by ``run_lti``. Before it starts, a closed
+    loop with spectral radius above ``1 + RADIUS_TOL`` raises
+    ``SimulationDivergence``, as a NaN state does at its first sample.
+    Returns model outputs, auxiliary channels and the four commands.
     """
     if disturbances.channels != plant.disturbance_labels:
         raise PlantError(
@@ -286,19 +278,10 @@ def closed_loop(plant: ContinuousPlant, controller, disturbances: SignalRecord,
     b_cmd, b_w = np.vstack([g_r, b_r]), np.vstack([g_w, np.zeros((ctrl.n_states, g_w.shape[1]))])
     c_cmd = np.hstack([d_y @ ss.c, ctrl.c])
     out_map = np.block([[c_full, np.zeros((len(c_full), ctrl.n_states))], [c_cmd]])
-    limit = controller.saturation
-    loop, stepped = ("closed", a_open + b_cmd @ c_cmd) if limit is None else ("open", a_open)
-    rho = float(np.max(np.abs(np.linalg.eigvals(stepped)), initial=0.0))
+    closed = a_open + b_cmd @ c_cmd
+    rho = float(np.max(np.abs(np.linalg.eigvals(closed)), initial=0.0))
     if rho > 1.0 + RADIUS_TOL:
-        raise SimulationDivergence(f"sampled {loop} loop has spectral radius {rho:.6f} > 1")
-    if limit is None:
-        z = run_lti(stepped, b_w, w, t_s)
-    else:  # clipping is not LTI: step per sample
-        z, w_in = np.zeros((len(w), len(a_open))), w @ b_w.T
-        for k in range(len(w) - 1):
-            z[k + 1] = a_open @ z[k] + b_cmd @ np.clip(c_cmd @ z[k], -limit, limit) + w_in[k]
-        check_divergence(z, t_s)
-    out = z @ out_map.T
-    if limit is not None:  # record the commands the plant received
-        out[:, len(c_full):] = np.clip(out[:, len(c_full):], -limit, limit)
-    return SignalRecord(t_s, plant.output_labels + plant.aux_labels + plant.input_labels, out)
+        raise SimulationDivergence(f"sampled closed loop has spectral radius {rho:.6f} > 1")
+    z = run_lti(closed, b_w, w, t_s)
+    return SignalRecord(t_s, plant.output_labels + plant.aux_labels + plant.input_labels,
+                        z @ out_map.T)

@@ -127,7 +127,6 @@ class ControllerSpec:
     sigma_process: float = SIGMA_PROCESS
     v_meas_scale: float = V_MEAS_SCALE
     w_proc_floor: float = W_PROC_FLOOR
-    saturation: float | None = None
     kp_hvdc: float = PiSfcController.kp_hvdc
     ki_hvdc: float = PiSfcController.ki_hvdc
     kp_gen: float = PiSfcController.kp_gen
@@ -138,8 +137,8 @@ class ControllerSpec:
         validate(ScenarioError, "controller.", self, {
             "q": entries(N_MEASUREMENTS, between(*DESIGN_SCALE, zero=True)),
             "r": entries(N_REFERENCES, scale), "sigma_process": scale, "v_meas_scale": scale,
-            "w_proc_floor": scale, "saturation": optional(POSITIVE), "kp_hvdc": FINITE,
-            "ki_hvdc": FINITE, "kp_gen": FINITE, "ki_gen": FINITE})
+            "w_proc_floor": scale, "kp_hvdc": FINITE, "ki_hvdc": FINITE, "kp_gen": FINITE,
+            "ki_gen": FINITE})
 
 
 # document keys under "disturbance" and the Scenario fields they fill
@@ -464,15 +463,13 @@ def build_controller(scenario: Scenario, case: int, plant: ContinuousPlant):
     and a controller stage. Cases 2-3: PI baselines."""
     c = scenario.controller
     if case != 1:
-        return PiSfcController(kp_hvdc=c.kp_hvdc, ki_hvdc=c.ki_hvdc,
-                               kp_gen=c.kp_gen, ki_gen=c.ki_gen,
-                               inverter_only=(case == 3), saturation=c.saturation)
+        return PiSfcController(kp_hvdc=c.kp_hvdc, ki_hvdc=c.ki_hvdc, kp_gen=c.kp_gen,
+                               ki_gen=c.ki_gen, inverter_only=(case == 3))
     with stage("identification"):
         _, model = identify_plant_model(plant, scenario.identification, scenario.t_s, scenario.dt)
     with stage("controller"):
-        return make_lqg(model, q=c.q, r=c.r, sigma_process=c.sigma_process,
-                        v_meas_scale=c.v_meas_scale, w_proc_floor=c.w_proc_floor,
-                        saturation=c.saturation, substep=scenario.dt)
+        return make_lqg(model, q=c.q, r=c.r, sigma_process=c.sigma_process, substep=scenario.dt,
+                        v_meas_scale=c.v_meas_scale, w_proc_floor=c.w_proc_floor)
 
 
 def _run_case(scenario: Scenario, case: int, name: str, params: PlantParams,
@@ -521,18 +518,24 @@ class ComparisonTable:
         return section("case", self.rows) + "\n" + section("reduction_vs_case", self.reductions)
 
     def to_text(self) -> str:
-        width = 12  # one more than the longest column name, so the header splits
-        header = "case".ljust(6) + "".join(c.rjust(width) for c in METRIC_COLUMNS)
-        lines = [header]
-        for row in self.rows:
-            lines.append(str(row["case"]).ljust(6)
-                         + "".join(f"{row[c]:>{width}.5f}" for c in METRIC_COLUMNS))
-        lines.append("")
-        lines.append("percent reduction of case 1 versus each baseline:")
-        for row in self.reductions:
-            lines.append(f"vs {row['case']}".ljust(6)
-                         + "".join(f"{row[c]:>{width}.1f}" for c in METRIC_COLUMNS))
+        # 12: one more than the longest column name, so the header splits
+        cells = _right_aligned([list(METRIC_COLUMNS)]
+                               + [[f"{row[c]:.5f}" for c in METRIC_COLUMNS] for row in self.rows]
+                               + [[f"{row[c]:.1f}" for c in METRIC_COLUMNS]
+                                  for row in self.reductions], 12)
+        labels = (["case"] + [str(row["case"]) for row in self.rows]
+                  + [f"vs {row['case']}" for row in self.reductions])
+        lines = [label.ljust(6) + text for label, text in zip(labels, cells)]
+        n = 1 + len(self.rows)
+        lines[n:n] = ["", "percent reduction of case 1 versus each baseline:"]
         return "\n".join(lines) + "\n"
+
+
+def _right_aligned(rows: list[list[str]], width: int) -> list[str]:
+    """Each row's cells right-aligned in columns of ``width`` characters, or of
+    one more than the column's longest cell, so adjacent cells never touch."""
+    widths = [max(width, 1 + max(map(len, column))) for column in zip(*rows)]
+    return ["".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows]
 
 
 def compare_cases(reports: list[ScenarioReport]) -> ComparisonTable:
@@ -602,20 +605,20 @@ def run_sweep(scenario: Scenario, conditions=SWEEP_CONDITIONS) -> dict[str, list
     return out
 
 
+SWEEP_COLUMNS = ("rms_f_i", "rms_f_r", "sum_rms_f", "rms_p_gi", "rms_p_gr", "sum_rms_p_g")
+
+
 def sweep_table_text(results: dict[str, list[ScenarioReport]]) -> str:
-    lines = [f"{'condition':<16}{'case':<6}{'rms_f_i':>10}{'rms_f_r':>10}{'sum':>10}"
-             f"{'rms_p_gi':>10}{'rms_p_gr':>10}{'sum':>10}"]
-    for condition, reports in results.items():
-        for r in sorted(reports, key=lambda r: r.case):
-            lines.append(f"{condition:<16}{r.case:<6}{r.rms_f_i:>10.5f}{r.rms_f_r:>10.5f}"
-                         f"{r.sum_rms_f:>10.5f}{r.rms_p_gi:>10.5f}{r.rms_p_gr:>10.5f}"
-                         f"{r.sum_rms_p_g:>10.5f}")
-    return "\n".join(lines) + "\n"
+    rows = [(condition, r) for condition, reports in results.items()
+            for r in sorted(reports, key=lambda r: r.case)]
+    cells = _right_aligned([["rms_f_i", "rms_f_r", "sum", "rms_p_gi", "rms_p_gr", "sum"]]
+                           + [[f"{getattr(r, c):.5f}" for c in SWEEP_COLUMNS] for _, r in rows], 10)
+    labels = [f"{'condition':<16}{'case':<6}"] + [f"{c:<16}{r.case:<6}" for c, r in rows]
+    return "".join(label + text + "\n" for label, text in zip(labels, cells))
 
 
 def sweep_table_csv(results: dict[str, list[ScenarioReport]]) -> str:
-    columns = ("rms_f_i", "rms_f_r", "sum_rms_f", "rms_p_gi", "rms_p_gr", "sum_rms_p_g")
-    return csv_text(("condition", "case", *columns),
-                    [[condition, r.case, *(getattr(r, c) for c in columns)]
+    return csv_text(("condition", "case", *SWEEP_COLUMNS),
+                    [[condition, r.case, *(getattr(r, c) for c in SWEEP_COLUMNS)]
                      for condition, reports in results.items()
                      for r in sorted(reports, key=lambda r: r.case)])

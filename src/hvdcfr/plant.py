@@ -178,7 +178,6 @@ class ContinuousPlant:
     disturbance_labels: ClassVar[tuple[str, ...]] = DISTURBANCE_CHANNELS
     output_labels: ClassVar[tuple[str, ...]] = OUTPUT_CHANNELS
     aux_labels: ClassVar[tuple[str, ...]] = AUX_CHANNELS
-    state_labels: ClassVar[tuple[str, ...]] = _STATE_LABELS
     integrator_states: ClassVar[tuple[int, ...]] = _INTEGRATOR_STATES
 
     @property

@@ -177,6 +177,27 @@ def test_pipeline_metrics_scale_with_a_large_step(tmp_path):
             assert large[column] == pytest.approx(1e6 / 0.3 * shipped[column], rel=1e-9)
 
 
+def test_large_metrics_keep_table_cells_apart(tmp_path):
+    """At a 1e6 pu step and a 1e4 pu continuous load, every row of
+    comparison.txt and sweep.txt splits into its header's columns."""
+    steps = json.loads(Path(STEP).read_text())["disturbance"]["steps"]
+    step_doc = _step_document(tmp_path, disturbance={
+        "steps": [{**step, "magnitude_pu": 1e6} for step in steps]})
+    assert run(["pipeline", "--scenario", step_doc, "--out", str(tmp_path / "pipeline")]) == 0
+    cont = json.loads(Path(CONT).read_text())
+    cont["disturbance"]["continuous"]["amplitude_pu"] = 1e4
+    (tmp_path / "continuous.json").write_text(json.dumps(cont))
+    assert run(["sweep", "--scenario", str(tmp_path / "continuous.json"),
+                "--out", str(tmp_path / "sweep")]) == 0
+    comparison = (tmp_path / "pipeline" / "comparison.txt").read_text().splitlines()
+    del comparison[4:6]  # the blank line and the caption above the reduction rows
+    sweep = (tmp_path / "sweep" / "sweep.txt").read_text().splitlines()
+    for lines in (comparison, sweep):
+        # a reduction row's label "vs 2" is one column
+        assert {len(line.replace("vs ", "vs").split()) for line in lines} == {
+            len(lines[0].split())}
+
+
 def test_diverged_case_names_its_spectral_radius(tmp_path, capsys):
     """A sign-flipped PI case 2 is refused before it runs, and evaluate and
     pipeline say why."""

@@ -23,6 +23,7 @@ from hvdcfr.plant import (
     REFERENCE_CHANNELS,
     SimulationDivergence,
     build_plant,
+    sample_step_matrices,
     without_hvdc_droops_and_ire,
     without_rectifier_hvdc_loops,
 )
@@ -382,7 +383,7 @@ class TestPiSfc:
 
 
 def test_controllers_are_frozen(jh_lqg):
-    for ctrl, name in ((jh_lqg, "saturation"), (PiSfcController(), "kp_gen")):
+    for ctrl, name in ((jh_lqg, "substep"), (PiSfcController(), "kp_gen")):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(ctrl, name, 1.0)
 
@@ -470,20 +471,26 @@ def either_controller(request, jh_lqg):
     return jh_lqg if request.param == "lqg" else PiSfcController()
 
 
-class TestSaturatingLoop:
-    def test_unreached_saturation_matches_lti_kernel(self, jh_plant, either_controller):
-        dist = pulse_record()
-        lti = closed_loop(jh_plant, either_controller, dist, dt=0.001).samples
-        never_clips = dataclasses.replace(either_controller, saturation=1e9)
-        per_sample = closed_loop(jh_plant, never_clips, dist, dt=0.001).samples
-        assert np.max(np.abs(per_sample - lti)) <= 1e-12 * np.max(np.abs(lti))
-
-    def test_tight_saturation_bounds_commands(self, jh_plant, either_controller):
-        clipping = dataclasses.replace(either_controller, saturation=1e-3)
-        trace = closed_loop(jh_plant, clipping, pulse_record(), dt=0.001)
-        commands = trace.select(list(REFERENCE_CHANNELS)).samples
-        assert np.all(np.isfinite(trace.samples))
-        assert np.max(np.abs(commands)) <= 1e-3
+def test_lti_run_matches_per_sample_interconnection(jh_plant, either_controller):
+    """The one LTI run equals plant and controller stepped sample by sample,
+    the command computed from the current state and held for one sample."""
+    dist = pulse_record()
+    t_s = dist.t_s
+    ss = jh_plant.state_space
+    phi, gamma = sample_step_matrices(ss.a, ss.b, t_s, 0.001)
+    ctrl = either_controller.sampled_system(t_s)
+    x, xi = np.zeros(ss.n_states), np.zeros(ctrl.n_states)
+    rows = []
+    for w in dist.samples:
+        y = ss.c @ x
+        r = ctrl.c @ xi + ctrl.d[:, len(REFERENCE_CHANNELS):] @ y
+        rows.append(np.concatenate([y, jh_plant.aux_c @ x, r]))
+        xi = ctrl.a @ xi + ctrl.b @ np.concatenate([r, y])
+        x = phi @ x + gamma @ np.concatenate([r, w])
+    reference = np.array(rows)
+    lti = closed_loop(jh_plant, either_controller, dist, dt=0.001).samples
+    assert np.max(np.abs(reference)) > 0.0
+    assert np.max(np.abs(lti - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
 def column_error(got: np.ndarray, want: np.ndarray) -> float:
@@ -551,12 +558,10 @@ class TestDivergence:
         w = np.zeros((51, 2))
         w[10, 0] = np.nan  # held over sample 10, so the state is NaN from t = 1.1 s
         dist = SignalRecord(0.1, DISTURBANCE_CHANNELS, w)
-        for saturation in (None, 1e-3, 1e9):  # the LTI kernel and the clipping loop
-            controller = dataclasses.replace(either_controller, saturation=saturation)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(SimulationDivergence, match=r"t=1\.100 s"):
-                    closed_loop(jh_plant, controller, dist, dt=0.001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationDivergence, match=r"t=1\.100 s"):
+                closed_loop(jh_plant, either_controller, dist, dt=0.001)
 
     def test_unstable_loop_is_refused_before_it_is_stepped(self, jh_plant, jh_lqg):
         # a NaN from sample 10 would be dated t = 1.1 s if the loop were stepped
@@ -564,11 +569,10 @@ class TestDivergence:
         w[10, 0] = np.nan
         dist = SignalRecord(0.1, DISTURBANCE_CHANNELS, w)
         flipped_pi = PiSfcController(kp_hvdc=-3.0, ki_hvdc=-25.0, kp_gen=-0.8, ki_gen=-0.2)
-        # clipped, the open loop decides: the estimator a + K_f c is unstable
-        flipped_estimator = dataclasses.replace(jh_lqg, k_f=-jh_lqg.k_f, saturation=1e-3)
-        for controller, loop in ((flipped_pi, "closed"), (flipped_estimator, "open")):
+        flipped_estimator = dataclasses.replace(jh_lqg, k_f=-jh_lqg.k_f)
+        for controller in (flipped_pi, flipped_estimator):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(SimulationDivergence,
-                                   match=rf"^sampled {loop} loop has spectral radius \S+ > 1$"):
+                                   match=r"^sampled closed loop has spectral radius \S+ > 1$"):
                     closed_loop(jh_plant, controller, dist, dt=0.001)

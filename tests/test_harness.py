@@ -34,12 +34,14 @@ from hvdcfr.harness import (
     scenario_from_dict,
     stage,
     sweep_table_csv,
+    _run_case,
     _settling_time,
     identify_plant_model,
     to_plant_disturbance,
 )
 from hvdcfr.control import PiSfcController, make_lqg
-from hvdcfr.plant import REFERENCE_CHANNELS, build_plant, simulate, without_hvdc_droops
+from hvdcfr.plant import (REFERENCE_CHANNELS, build_plant, load_preset, simulate,
+                          without_hvdc_droops)
 from hvdcfr.signals import SignalRecord, zeros_record
 from hvdcfr.sysid import IdentifyConfig
 
@@ -363,7 +365,7 @@ SCENARIO_DOCS = JSON_VALUES | st.fixed_dictionaries({
     "dt": maybe(0.001), "duration_s": maybe(60.0),
     "identification": document({"seed": maybe(1234), "duration_s": maybe(200.0),
                                 "hold_s": maybe(1.0), "l": maybe(30)}) | JSON_VALUES,
-    "controller": document({"q": maybe([100.0] * 6), "saturation": maybe(None)}) | JSON_VALUES,
+    "controller": document({"q": maybe([100.0] * 6)}) | JSON_VALUES,
 })
 
 
@@ -384,7 +386,7 @@ class TestScenarioDocuments:
         ({"name": "x", "disturbance": ONE_STEP, "identification": {"energy_threshold": 2.0}},
          "^identification.energy_threshold="),
         ({"name": "x", "disturbance": ONE_STEP, "controller": {"saturation": -1}},
-         "^controller.saturation="),
+         "^controller has unknown key 'saturation'; known: "),
         ({"name": "x", "disturbance": ONE_STEP, "identification": {"l": True}}, "^identification.l="),
         ({"name": "x", "disturbance": ONE_STEP, "identification": {"p": 0}}, "^identification.p="),
         ({"name": "x", "disturbance": ONE_STEP, "identification": {"seed": 1.5}},
@@ -477,7 +479,7 @@ class TestScenarioDocuments:
 
     def test_optional_fields_accept_none(self):
         IdentificationSpec(r_override=None, max_feedthrough=None, prefilter_hz=None)
-        ControllerSpec(saturation=None, q=[0.0] * 6)
+        ControllerSpec(q=[0.0] * 6)
 
     @pytest.mark.parametrize("name, size", [
         ("q", 6), ("r", 4), ("sigma_process", None), ("v_meas_scale", None),
@@ -751,3 +753,38 @@ class TestSweep:
             for case in (2, 3):
                 assert all(getattr(by_case[case], c) == math.inf for c in METRIC_COLUMNS)
         assert run_scenario(dataclasses.replace(s, case=2)).trace is None
+
+
+# inertia, damping, governor and HVDC droops, inertia emulation, the filter
+# and turbine time constants and the dc link: the specifications the paper's
+# claim ranges over
+VARIED_FIELDS = ("M_i", "M_r", "D_i", "D_r", "R_gi", "R_gr", "R_i", "R_r", "K_i", "K_r",
+                 "W_i", "W_r", "T_f", "T_cd", "T_fi", "T_fr", "C_dc", "L_dc")
+
+
+@pytest.fixture(scope="module")
+def shipped_protocols():
+    """Each shipped scenario, its plant disturbance and the metric case 1 must win on."""
+    root = Path(__file__).resolve().parent.parent / "scenarios"
+    protocols = []
+    for name, metric in (("step_pulses.json", "sum_max_f"), ("continuous_load.json", "sum_rms_f")):
+        scenario = Scenario.from_json(root / name)
+        protocols.append((scenario, to_plant_disturbance(build_disturbance_profile(scenario)),
+                          metric))
+    return protocols
+
+
+@given(st.lists(st.floats(0.75, 1.25), min_size=len(VARIED_FIELDS), max_size=len(VARIED_FIELDS)))
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+def test_lqg_beats_both_baselines_on_perturbed_plants(shipped_protocols, factors):
+    """Case 1 keeps its lead over cases 2 and 3 with each varied field of
+    either preset scaled by up to 25%."""
+    for preset in ("jh", "cigre"):
+        base = load_preset(preset)
+        params = dataclasses.replace(base, **{name: getattr(base, name) * factor
+                                              for name, factor in zip(VARIED_FIELDS, factors)})
+        for scenario, w, metric in shipped_protocols:
+            lqg, pi, pi_inverter = (getattr(_run_case(scenario, case, scenario.name, params, w,
+                                                      keep_trace=False), metric)
+                                    for case in (1, 2, 3))
+            assert lqg < pi and lqg < pi_inverter, (preset, scenario.name, factors)
