@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -197,7 +198,15 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - last-resort diagnostics
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 1
-    print(message)
+    try:
+        print(message, flush=True)
+    except BrokenPipeError:
+        # the reader went away after every file was written; stdout now
+        # points at devnull so the interpreter's final flush cannot raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return 0
 
 

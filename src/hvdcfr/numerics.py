@@ -5,6 +5,11 @@ algebraic Riccati solver (Schur method on the Hamiltonian) and a digital
 Butterworth low-pass filter.
 Everything operates on plain numpy arrays and raises ``NumericsError``
 with a diagnostic message on failure.
+
+Each kernel imports its ``scipy.linalg`` routines when called: loading
+``scipy.linalg`` takes about 0.2 s, most of a fresh ``import hvdcfr``, and
+a process that never reaches LAPACK (an open-loop ``simulate``, a PI
+``evaluate`` on step events) should not pay it.
 """
 
 from __future__ import annotations
@@ -14,8 +19,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dgemqrt, dgeqrt
 
 
 # LAPACK panel width of reduced_qr's recursive-panel factorization
@@ -71,6 +74,8 @@ def reduced_qr(a) -> tuple[np.ndarray, np.ndarray]:
     compact-WY product applied to the first k columns of the identity
     (``dgemqrt``). A non-finite entry is a ``NumericsError``.
     """
+    from scipy.linalg.lapack import dgemqrt, dgeqrt
+
     a = _as_matrix(a)
     m, n = a.shape
     k = min(m, n)
@@ -104,8 +109,10 @@ def svd(a) -> SvdResult:
 
 def mat_exp(a, t: float = 1.0) -> np.ndarray:
     """Matrix exponential ``expm(a * t)`` (Pade scaling-and-squaring)."""
+    from scipy.linalg import expm
+
     a = _as_square(a)
-    out = scipy.linalg.expm(a * t)
+    out = expm(a * t)
     if not np.all(np.isfinite(out)):
         raise NumericsError(
             f"matrix exponential overflowed for a {a.shape[0]}x{a.shape[0]} matrix with ||a*t||={np.linalg.norm(a) * abs(t):.3e}"
@@ -159,6 +166,8 @@ def solve_lyapunov(a, c) -> np.ndarray:
     Raises ``NumericsError`` when ``a`` has an eigenvalue pair summing to
     zero: the equation then has no unique solution.
     """
+    from scipy.linalg import solve_continuous_lyapunov
+
     a = _as_square(a)
     c = _as_square(c, "c")
     n = a.shape[0]
@@ -168,7 +177,7 @@ def solve_lyapunov(a, c) -> np.ndarray:
         # scipy perturbs a singular operator and only warns
         warnings.filterwarnings("error", message=".*eigenvalue pair", category=RuntimeWarning)
         try:
-            p = scipy.linalg.solve_continuous_lyapunov(a.T, -c)
+            p = solve_continuous_lyapunov(a.T, -c)
         except RuntimeWarning as exc:
             raise _SingularLyapunov("Lyapunov operator is singular (eigenvalue pair summing to zero)") from exc
     return 0.5 * (p + p.T)
@@ -213,17 +222,19 @@ def _hamiltonian_schur_care(a, b, q, r) -> np.ndarray:
     of two: rounded, a regulator on the identified jh model with r = 1e14
     (slowest closed-loop pole -1.2e-7) misses its residual bound after the
     Newton step, unrounded it meets it."""
+    from scipy.linalg import matrix_balance, schur
+
     n = a.shape[0]
     h = np.block([[a, -b @ np.linalg.solve(r, b.T)], [-q, -a.T]])
     if not np.all(np.isfinite(h)):
         raise NumericsError("Hamiltonian matrix has non-finite entries (the weights overflow)")
     mag = np.abs(h)
     np.fill_diagonal(mag, 0.0)
-    _, (scale, _) = scipy.linalg.matrix_balance(mag, permute=False, separate=True)
+    _, (scale, _) = matrix_balance(mag, permute=False, separate=True)
     s = np.sqrt(scale[n:] / scale[:n])
     d = np.concatenate([s, 1.0 / s])
     try:
-        _, u, stable = scipy.linalg.schur(h * d[:, None] / d, sort="lhp")
+        _, u, stable = schur(h * d[:, None] / d, sort="lhp")
     except np.linalg.LinAlgError as exc:
         raise NumericsError(f"could not order the Hamiltonian's Schur form ({exc})") from exc
     if stable != n:
@@ -329,6 +340,8 @@ def butter_lowpass_filter(x, order: int, wn: float) -> np.ndarray:
     odd order) runs over every column at once as a lower-triangular
     banded solve.
     """
+    from scipy.linalg.lapack import dtbtrs
+
     if not (isinstance(order, int) and order >= 1):
         raise NumericsError(f"filter order must be a positive integer, got {order!r}")
     if not 0.0 < wn < 1.0:
@@ -353,7 +366,7 @@ def butter_lowpass_filter(x, order: int, wn: float) -> np.ndarray:
         for lag in range(1, len(b)):
             rhs[lag:] += b[lag] * y[:-lag]
         ab = np.repeat(a[:, None], n, axis=1)
-        y, info = scipy.linalg.lapack.dtbtrs(ab, rhs, uplo="L")
+        y, info = dtbtrs(ab, rhs, uplo="L")
         if info != 0:
             raise NumericsError(f"banded filter solve failed (LAPACK info {info})")
     return y

@@ -16,6 +16,10 @@ the observer's l-term recursion makes the row space of the whole matrix
 (rank at most l z); singular values past l z are reported as exact
 zeros. ``EraReport`` records the orders chosen and which least-squares
 solve ran.
+
+The least-squares kernels import their BLAS and LAPACK routines when
+called, as ``numerics`` does: loading ``scipy.linalg`` is most of a fresh
+``import hvdcfr``, and a process that identifies nothing should not pay it.
 """
 
 from __future__ import annotations
@@ -23,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.blas import dsyrk
-from scipy.linalg.lapack import dgelsd, dgelsd_lwork, dlange, dpotrf, dtpqrt, dtrtri
 
 from .numerics import NumericsError, butter_lowpass_filter, mat_log_principal, reduced_qr, svd
 from .signals import SignalRecord, sample_count
@@ -218,6 +220,8 @@ def _lag_gram(x: np.ndarray, l: int) -> np.ndarray:
     less the Gram of those l extra rows (``dsyrk``, in place), the end
     terms the prewindowed sums leave out.
     """
+    from scipy.linalg.blas import dsyrk
+
     n_samples, d = x.shape
     w = (l + 1) * d
     g = np.zeros((w, w), order="F")
@@ -254,6 +258,8 @@ def _gram_solve(uy: np.ndarray, l: int, v: int) -> tuple[np.ndarray, float] | No
     when the Gram overflows or underflows, is not positive definite, misses
     the bound, or the second correction exceeds ``_RANK_CUT`` of θ.
     """
+    from scipy.linalg.lapack import dlange, dpotrf, dtrtri
+
     n_samples, d = uy.shape[0] - l, uy.shape[1]
     z = d - v
     n = (l + 1) * d - z
@@ -299,6 +305,8 @@ def _fold_solve(uy: np.ndarray, l: int, v: int) -> tuple[np.ndarray, int]:
     its trailing columns hold Qᵀy; ``dgelsd`` solves it through its SVD.
     Returns θᵀ (unknowns [u_k, lag 1 ... lag l] by z) and the rank.
     """
+    from scipy.linalg.lapack import dgelsd, dgelsd_lwork, dtpqrt
+
     n_samples, d = uy.shape[0] - l, uy.shape[1]
     z = d - v
     n = v + l * d

@@ -288,22 +288,61 @@ def test_every_subcommand_writes_the_same_bytes_twice(args, tmp_path, capsys):
     assert first and first == second
 
 
-def test_pipeline_does_not_import_scipy_signal(tmp_path):
-    """scipy.signal costs about a second of every fresh process, and
-    scipy.special (pulled in by scipy.linalg.logm) about 0.1 s; keep both
-    off the import and run path of a whole pipeline."""
+def _scipy_modules_after(argv, prefixes=("scipy",)) -> str:
+    """'<exit code> <sorted loaded modules under prefixes>' of a fresh process
+    that imports ``hvdcfr.cli`` and, when ``argv`` is given, runs ``main(argv)``."""
     script = textwrap.dedent(f"""
         import sys
         from hvdcfr import cli
-        code = cli.main(["pipeline", "--scenario", {STEP!r}, "--out", {str(tmp_path)!r}])
-        print(code, sorted(m for m in sys.modules
-                           if m.startswith(("scipy.signal", "scipy.special"))))
+        code = cli.main({argv!r}) if {argv!r} else 0
+        print(code, sorted(m for m in sys.modules if m.startswith({prefixes!r})))
     """)
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "0 []"
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_pipeline_does_not_import_scipy_signal(tmp_path):
+    """scipy.signal costs about a second of every fresh process, and
+    scipy.special (pulled in by scipy.linalg.logm) about 0.1 s; keep both
+    off the import and run path of a whole pipeline."""
+    argv = ["pipeline", "--scenario", STEP, "--out", str(tmp_path / "out")]
+    assert _scipy_modules_after(argv, ("scipy.signal", "scipy.special")) == "0 []"
+
+
+@pytest.mark.parametrize("command, changes, code", [
+    (None, {}, 0),
+    ("simulate", {}, 0),
+    ("evaluate", {"case": 2}, 0),
+    ("evaluate", {"case": 7}, 1),
+], ids=["import", "simulate", "evaluate-case-2", "refused-document"])
+def test_runs_that_reach_no_lapack_load_no_scipy(command, changes, code, tmp_path):
+    """scipy.linalg takes about 0.2 s to load, so its routines are imported
+    where they are called. Importing the CLI, an open-loop run and a PI case
+    on step events, and a refused document load no scipy module at all.
+    Identification does (every pipeline, and any run of case 1), and so does
+    a continuous scenario: its Butterworth filter runs LAPACK's dtbtrs."""
+    argv = command and [command, "--scenario", _step_document(tmp_path, **changes),
+                        "--out", str(tmp_path / "out")]
+    assert _scipy_modules_after(argv) == f"{code} []"
+
+
+def test_closed_stdout_writes_every_file_and_no_traceback(tmp_path):
+    """A reader that closes the pipe before the closing line is printed
+    leaves every file written, a non-zero exit and an empty stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "hvdcfr.cli", "simulate", "--scenario", STEP,
+                               "--out", str(tmp_path / "out")], cwd=ROOT, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    finally:
+        os.close(write_end)
+    assert proc.returncode != 0 and proc.stderr == ""
+    assert sorted(_files(tmp_path / "out")) == ["disturbance.csv", "openloop_trace.csv"]
 
 
 def test_pipeline_bytes_do_not_depend_on_the_thread_setting(tmp_path):

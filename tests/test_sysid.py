@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from hvdcfr import sysid
 from hvdcfr.harness import IdentificationSpec, collect_identification_data
@@ -128,7 +129,7 @@ def _fold_calls(monkeypatch) -> dict[str, int]:
     calls = dict.fromkeys(("dtpqrt", "dgelsd"), 0)
 
     def counted(name):
-        routine = getattr(sysid, name)
+        routine = getattr(lapack, name)
 
         def call(*args, **kwargs):
             calls[name] += 1
@@ -136,7 +137,7 @@ def _fold_calls(monkeypatch) -> dict[str, int]:
         return call
 
     for name in calls:
-        monkeypatch.setattr(sysid, name, counted(name))
+        monkeypatch.setattr(lapack, name, counted(name))
     return calls
 
 
@@ -237,13 +238,13 @@ class TestStreamedLeastSquares:
         uy = np.zeros((l + n_samples, v + z), order="F")
         uy[l:, :v], uy[l:, v:] = u.samples, y.samples
         assert sysid._gram_solve(uy, l, v)[1] < 1e6
-        dtrtri = sysid.dtrtri
+        dtrtri = lapack.dtrtri
 
         def inaccurate(*args, **kwargs):
             inverse, info = dtrtri(*args, **kwargs)
             return 1.01 * inverse, info
 
-        monkeypatch.setattr(sysid, "dtrtri", inaccurate)
+        monkeypatch.setattr(lapack, "dtrtri", inaccurate)
         assert sysid._gram_solve(uy, l, v) is None
         calls = _fold_calls(monkeypatch)
         obs = estimate_observer_markov(u, y, l)
