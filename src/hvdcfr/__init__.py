@@ -18,7 +18,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 from .control import (
     ControlDesignError,
-    GainDesign,
     LqgController,
     PiSfcController,
     closed_loop,

@@ -20,13 +20,12 @@ through ``statespace.run_lti``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import NumericsError, solve_care
-from .plant import (OUTPUT_CHANNELS, REFERENCE_CHANNELS, ContinuousPlant, PlantError,
-                    sample_step_matrices)
+from .numerics import CareSolution, NumericsError, solve_care
+from .plant import (AUX_CHANNELS, DISTURBANCE_CHANNELS, OUTPUT_CHANNELS, REFERENCE_CHANNELS,
+                    ContinuousPlant, PlantError, sample_step_matrices)
 from .signals import SignalRecord
 from .statespace import SimulationDivergence, StateSpace, rk4_radius, run_lti
 
@@ -58,16 +57,9 @@ def _split_inputs(model: StateSpace) -> tuple[np.ndarray, np.ndarray]:
     return model.b[:, :N_REFERENCES], model.b[:, N_REFERENCES:]
 
 
-class GainDesign(NamedTuple):
-    """A Riccati gain, its Frobenius CARE residual and closed-loop spectral abscissa."""
-
-    gain: np.ndarray
-    residual: float
-    abscissa: float
-
-
-def design_lqr(model: StateSpace, q: np.ndarray, r: np.ndarray) -> GainDesign:
-    """State-feedback gain K (4 by n) minimizing the output-weighted quadratic cost.
+def design_lqr(model: StateSpace, q: np.ndarray, r: np.ndarray) -> CareSolution:
+    """State-feedback gain K (4 by n) minimizing the output-weighted quadratic cost,
+    as the ``gain`` of the Riccati solve's ``CareSolution``.
 
     The state weight is ``c.T @ diag(q) @ c`` (weights sit on the
     measured outputs, not on the abstract realized states); the
@@ -87,12 +79,13 @@ def design_lqr(model: StateSpace, q: np.ndarray, r: np.ndarray) -> GainDesign:
     except NumericsError as exc:
         raise ControlDesignError(f"regulator Riccati solve failed: {exc}") from exc
     # solve_care's closed loop a - b_r r^-1 b_r.T p is a - b_r K, already checked Hurwitz
-    return GainDesign(sol.gain, sol.residual, sol.abscissa)
+    return sol
 
 
-def design_kalman(model: StateSpace, w_proc: np.ndarray, v_meas: np.ndarray) -> GainDesign:
-    """Steady-state Kalman gain K_f (n by z) via the dual Riccati equation;
-    the abscissa is that of ``a - K_f c``."""
+def design_kalman(model: StateSpace, w_proc: np.ndarray, v_meas: np.ndarray) -> CareSolution:
+    """Steady-state Kalman gain K_f (n by z) via the dual Riccati equation: the
+    dual solve's ``CareSolution`` with its ``gain`` transposed to K_f, and the
+    abscissa that of ``a - K_f c``."""
     w_proc = np.asarray(w_proc, dtype=float)
     v_meas = np.asarray(v_meas, dtype=float)
     n, z = model.n_states, model.n_outputs
@@ -109,7 +102,7 @@ def design_kalman(model: StateSpace, w_proc: np.ndarray, v_meas: np.ndarray) -> 
     except NumericsError as exc:
         raise ControlDesignError(f"estimator Riccati solve failed: {exc}") from exc
     # the dual gain v^-1 c p_f is K_f.T, and the dual closed loop the transpose of a - K_f c
-    return GainDesign(sol.gain.T, sol.residual, sol.abscissa)
+    return sol._replace(gain=sol.gain.T)
 
 
 def _noise_covariances(model: StateSpace, sigma_process: float, v_meas_scale: float,
@@ -261,10 +254,8 @@ def closed_loop(plant: ContinuousPlant, controller, disturbances: SignalRecord,
     ``SimulationDivergence``, as a NaN state does at its first sample.
     Returns model outputs, auxiliary channels and the four commands.
     """
-    if disturbances.channels != plant.disturbance_labels:
-        raise PlantError(
-            f"disturbance channels {disturbances.channels} != {plant.disturbance_labels}"
-        )
+    if disturbances.channels != DISTURBANCE_CHANNELS:
+        raise PlantError(f"disturbance channels {disturbances.channels} != {DISTURBANCE_CHANNELS}")
     t_s, w = disturbances.t_s, disturbances.samples
     ss = plant.state_space
     phi, gamma = sample_step_matrices(ss.a, ss.b, t_s, dt)
@@ -283,5 +274,4 @@ def closed_loop(plant: ContinuousPlant, controller, disturbances: SignalRecord,
     if rho > 1.0 + RADIUS_TOL:
         raise SimulationDivergence(f"sampled closed loop has spectral radius {rho:.6f} > 1")
     z = run_lti(closed, b_w, w, t_s)
-    return SignalRecord(t_s, plant.output_labels + plant.aux_labels + plant.input_labels,
-                        z @ out_map.T)
+    return SignalRecord(t_s, OUTPUT_CHANNELS + AUX_CHANNELS + REFERENCE_CHANNELS, z @ out_map.T)

@@ -161,7 +161,10 @@ class Scenario:
 
     def __post_init__(self):
         validate(ScenarioError, "", self, {
-            "name": instance(str, "a string"), "plant": one_of(*PRESETS),
+            # the name is a metrics.csv cell, written as it is
+            "name": (lambda v: isinstance(v, str) and not set(',"\r\n') & set(v),
+                     "a string with no comma, double quote or line break"),
+            "plant": one_of(*PRESETS),
             "case": one_of(1, 2, 3), "t_s": POSITIVE, "dt": POSITIVE, "duration_s": POSITIVE,
             "steps": (lambda v: isinstance(v, tuple) and all(isinstance(e, StepEvent) for e in v),
                       "a tuple of StepEvent"),

@@ -155,9 +155,9 @@ def eig_real_parts(a) -> np.ndarray:
         raise NumericsError(f"eigenvalue iteration failed on a {a.shape[0]}x{a.shape[0]} matrix") from exc
 
 
-def is_hurwitz(a, margin: float = 0.0) -> bool:
-    """True when all eigenvalue real parts are below ``-margin``."""
-    return bool(np.all(eig_real_parts(a) < -margin))
+def is_hurwitz(a) -> bool:
+    """True when all eigenvalue real parts are negative."""
+    return bool(np.all(eig_real_parts(a) < 0.0))
 
 
 def solve_lyapunov(a, c) -> np.ndarray:

@@ -16,7 +16,6 @@ import math
 from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from pathlib import Path
-from typing import ClassVar
 
 import numpy as np
 
@@ -165,24 +164,15 @@ _INTEGRATOR_STATES = (_N_STATES - 3, _N_STATES - 2, _N_STATES - 1)
 
 @dataclass(frozen=True)
 class ContinuousPlant:
-    """Assembled LTI truth plant plus channel metadata.
+    """Assembled LTI truth plant.
 
-    ``state_space`` maps the stacked input [references; disturbances] to
-    the six model outputs; ``aux_c`` adds the extra named power/current
-    channels used for metrics and traces (not part of the model output).
+    ``state_space`` maps [references; disturbances] to the six model
+    outputs, each in its ``*_CHANNELS`` order; ``aux_c`` gives the
+    ``AUX_CHANNELS`` used for metrics and traces (not model outputs).
     """
 
     state_space: StateSpace
     aux_c: np.ndarray
-    input_labels: ClassVar[tuple[str, ...]] = REFERENCE_CHANNELS
-    disturbance_labels: ClassVar[tuple[str, ...]] = DISTURBANCE_CHANNELS
-    output_labels: ClassVar[tuple[str, ...]] = OUTPUT_CHANNELS
-    aux_labels: ClassVar[tuple[str, ...]] = AUX_CHANNELS
-    integrator_states: ClassVar[tuple[int, ...]] = _INTEGRATOR_STATES
-
-    @property
-    def state_dimension(self) -> int:
-        return self.state_space.n_states
 
 
 def build_plant(params: PlantParams) -> ContinuousPlant:
@@ -356,11 +346,12 @@ def simulate(plant: ContinuousPlant, refs: SignalRecord, disturbances: SignalRec
     if refs.t_s != disturbances.t_s:
         raise PlantError(f"reference T_s {refs.t_s} != disturbance T_s {disturbances.t_s}")
     if refs.n_samples != disturbances.n_samples:
-        raise PlantError("reference and disturbance records differ in length")
-    if refs.channels != plant.input_labels:
-        raise PlantError(f"reference channels {refs.channels} != {plant.input_labels}")
-    if disturbances.channels != plant.disturbance_labels:
-        raise PlantError(f"disturbance channels {disturbances.channels} != {plant.disturbance_labels}")
+        raise PlantError(f"reference record has {refs.n_samples} samples, disturbance record "
+                         f"{disturbances.n_samples}")
+    if refs.channels != REFERENCE_CHANNELS:
+        raise PlantError(f"reference channels {refs.channels} != {REFERENCE_CHANNELS}")
+    if disturbances.channels != DISTURBANCE_CHANNELS:
+        raise PlantError(f"disturbance channels {disturbances.channels} != {DISTURBANCE_CHANNELS}")
 
     ss = plant.state_space
     phi, gamma = sample_step_matrices(ss.a, ss.b, refs.t_s, dt)
@@ -374,7 +365,7 @@ def dc_gain(plant: ContinuousPlant) -> np.ndarray:
     """Steady-state 3x6 gain from [references; disturbances] to
     (f_i, f_r, v_dc), computed on the non-integrator core."""
     ss = plant.state_space
-    core = [i for i in range(ss.n_states) if i not in plant.integrator_states]
+    core = [i for i in range(ss.n_states) if i not in _INTEGRATOR_STATES]
     a_core = ss.a[np.ix_(core, core)]
     b_core = ss.b[core, :]
     c_core = ss.c[:3][:, core]

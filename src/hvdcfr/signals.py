@@ -41,10 +41,6 @@ class SignalRecord:
         return self.samples.shape[0]
 
     @property
-    def duration(self) -> float:
-        return (self.n_samples - 1) * self.t_s
-
-    @property
     def times(self) -> np.ndarray:
         return np.arange(self.n_samples) * self.t_s
 

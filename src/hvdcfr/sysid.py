@@ -42,16 +42,11 @@ class MarkovSequence:
     """Pulse-response blocks of a discrete system.
 
     ``feedthrough`` is the k=0 block; ``pulse_blocks`` is an (m, z, v)
-    array whose entry k-1 is the z-by-v response block at step k (a list
-    of blocks is stacked into one on construction).
+    array whose entry k-1 is the z-by-v response block at step k.
     """
 
-    t_s: float
     feedthrough: np.ndarray
     pulse_blocks: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "pulse_blocks", np.asarray(self.pulse_blocks, dtype=float))
 
     @property
     def n_outputs(self) -> int:
@@ -77,7 +72,6 @@ class ObserverMarkov:
     Gram solve gave the estimate, None when the QR fold and ``dgelsd`` did.
     """
 
-    t_s: float
     feedthrough: np.ndarray
     blocks: list[tuple[np.ndarray, np.ndarray]]
     rank: int | None = None
@@ -103,7 +97,6 @@ class EraReport:
     singular_values: np.ndarray
     threshold_order: int
     retained_order: int
-    cumulative_energy_at_r: float
     realized: StateSpace
     regressor_rank: int | None = None
     regressor_condition_bound: float | None = None
@@ -116,6 +109,11 @@ class EraReport:
         if total == 0.0:
             return np.zeros_like(e)
         return np.cumsum(e) / total
+
+    @property
+    def cumulative_energy_at_r(self) -> float:
+        """``cumulative_energy`` at the retained order."""
+        return float(self.cumulative_energy[self.retained_order - 1])
 
     def to_json_dict(self) -> dict:
         return {
@@ -406,7 +404,7 @@ def estimate_observer_markov(u: SignalRecord, y: SignalRecord, l: int) -> Observ
     for i in range(l):
         chunk = theta[:, v + i * (v + z): v + (i + 1) * (v + z)]
         blocks.append((chunk[:, :v], chunk[:, v:]))
-    return ObserverMarkov(t_s=u.t_s, feedthrough=feedthrough, blocks=blocks, rank=int(rank),
+    return ObserverMarkov(feedthrough=feedthrough, blocks=blocks, rank=int(rank),
                           condition_bound=bound)
 
 
@@ -435,7 +433,7 @@ def recover_system_markov(obs: ObserverMarkov, m: int) -> MarkovSequence:
         seq[k] = out_parts[:, (l - q) * z:] @ seq[k - q:k].reshape(q * z, v)
         if k <= l:
             seq[k] += obs.blocks[k - 1][0]
-    return MarkovSequence(t_s=obs.t_s, feedthrough=obs.feedthrough.copy(), pulse_blocks=seq[1:])
+    return MarkovSequence(feedthrough=obs.feedthrough.copy(), pulse_blocks=seq[1:])
 
 
 def build_hankel(markov: MarkovSequence, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -526,7 +524,6 @@ def era_realize(h: np.ndarray, h_shift: np.ndarray, z: int, v: int,
         singular_values=s,
         threshold_order=r,
         retained_order=r,
-        cumulative_energy_at_r=float(cumulative[r - 1]),
         realized=realized,
     )
 
@@ -573,7 +570,6 @@ def _truncate(report: EraReport, r: int) -> EraReport:
     """The order-``r`` leading block of a realization: ERA models nest."""
     m = report.realized
     return replace(report, retained_order=r,
-                   cumulative_energy_at_r=float(report.cumulative_energy[r - 1]),
                    realized=StateSpace(a=m.a[:r, :r], b=m.b[:r], c=m.c[:, :r], d=m.d, dt=m.dt))
 
 

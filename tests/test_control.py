@@ -225,8 +225,8 @@ class TestDesignDiagnostics:
         n = ctrl.model.n_states
         assert reg.gain.shape == (4, n) and est.gain.shape == (n, 6)
         assert ctrl.k is reg.gain and ctrl.k_f is est.gain
-        assert (ctrl.regulator_residual, ctrl.regulator_abscissa) == reg[1:]
-        assert (ctrl.estimator_residual, ctrl.estimator_abscissa) == est[1:]
+        assert (ctrl.regulator_residual, ctrl.regulator_abscissa) == (reg.residual, reg.abscissa)
+        assert (ctrl.estimator_residual, ctrl.estimator_abscissa) == (est.residual, est.abscissa)
 
     def test_gains_are_the_riccati_gains(self, jh_lqg):
         model = jh_lqg.model

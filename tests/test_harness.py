@@ -418,6 +418,10 @@ class TestScenarioDocuments:
          "^step.time_s=True "),
         ({"name": "x", "disturbance": {"file": 5}}, "^disturbance_file=5 "),
         ({"name": 5, "disturbance": ONE_STEP}, "^name=5 "),
+        ({"name": "a,b", "disturbance": ONE_STEP}, "^name='a,b' must be a string with no comma"),
+        ({"name": 'a"b', "disturbance": ONE_STEP}, """^name='a"b' must be a string with no """),
+        ({"name": "a\nb", "disturbance": ONE_STEP}, r"^name='a\\nb' must be a string with no "),
+        ({"name": "a\rb", "disturbance": ONE_STEP}, r"^name='a\\rb' must be a string with no "),
         ({"name": "x", "disturbance": ONE_STEP, "identification": {"duration_s": 100.0, "l": 30}},
          r"^identification\.l=30 needs 1080 samples, more than the 1001 "),
         ({"name": "x", "disturbance": ONE_STEP, "identification": {"prefilter_hz": 5.0}},

@@ -1,15 +1,16 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from hvdcfr.control import PiSfcController, closed_loop
 from hvdcfr.numerics import eig_real_parts
 from hvdcfr.plant import (
     AUX_CHANNELS,
     DISTURBANCE_CHANNELS,
-    OUTPUT_CHANNELS,
     REFERENCE_CHANNELS,
     PlantError,
     PlantParams,
@@ -36,6 +37,10 @@ def step_disturbance(t_s, duration, channel, magnitude, at):
     w = np.zeros((n, 2))
     w[int(round(at / t_s)):, DISTURBANCE_CHANNELS.index(channel)] = magnitude
     return SignalRecord(t_s, DISTURBANCE_CHANNELS, w)
+
+
+_REFS = zeros_record(0.1, REFERENCE_CHANNELS, 1.0)
+_BAD_DIST = zeros_record(0.1, ("p_li", "wrong"), 1.0)
 
 
 class TestParams:
@@ -107,16 +112,13 @@ class TestBuild:
     def test_order_and_core_hurwitz(self, jh_plant):
         # assembled order is documented: 26 states, of which the last
         # three are the pure output integrators
-        assert jh_plant.state_dimension == 26
+        assert jh_plant.state_space.n_states == 26
         reals = eig_real_parts(jh_plant.state_space.a)
         zeros = np.sum(np.abs(reals) < 1e-12)
         assert zeros == 3
         assert np.all(np.sort(reals)[:-3] < 0)
 
     def test_output_and_input_signature(self, jh_plant):
-        assert jh_plant.output_labels == OUTPUT_CHANNELS
-        assert len(jh_plant.input_labels) == 4
-        assert len(jh_plant.disturbance_labels) == 2
         assert jh_plant.state_space.n_outputs == 6
         # integrator rows: zero feedthrough everywhere
         assert np.all(jh_plant.state_space.d == 0.0)
@@ -155,11 +157,28 @@ class TestSimulate:
         b = simulate(jh_plant, refs, dist, dt=0.0005)
         assert np.max(np.abs(a.samples - b.samples)) < 1e-6
 
-    def test_dimension_mismatch_named(self, jh_plant):
-        refs = zeros_record(0.1, REFERENCE_CHANNELS, 1.0)
-        bad = zeros_record(0.1, ("p_li", "wrong"), 1.0)
-        with pytest.raises(PlantError, match="disturbance channels"):
-            simulate(jh_plant, refs, bad, dt=0.001)
+    @pytest.mark.parametrize("run, refs, dist, message", [
+        ("simulate", zeros_record(0.1, ("p_gi_ref", "wrong", "i_dci_ref", "v_dcr_ref"), 1.0),
+         zeros_record(0.1, DISTURBANCE_CHANNELS, 1.0),
+         "reference channels ('p_gi_ref', 'wrong', 'i_dci_ref', 'v_dcr_ref') != "
+         f"{REFERENCE_CHANNELS}"),
+        ("simulate", _REFS, _BAD_DIST, "disturbance channels ('p_li', 'wrong') != "
+         f"{DISTURBANCE_CHANNELS}"),
+        ("simulate", _REFS, zeros_record(0.2, DISTURBANCE_CHANNELS, 2.0),
+         "reference T_s 0.1 != disturbance T_s 0.2"),
+        ("simulate", _REFS, zeros_record(0.1, DISTURBANCE_CHANNELS, 2.0),
+         "reference record has 11 samples, disturbance record 21"),
+        ("closed_loop", None, _BAD_DIST, "disturbance channels ('p_li', 'wrong') != "
+         f"{DISTURBANCE_CHANNELS}"),
+    ], ids=["simulate-references", "simulate-disturbances", "simulate-t_s", "simulate-length",
+            "closed_loop-disturbances"])
+    def test_dimension_mismatch_named(self, jh_plant, run, refs, dist, message):
+        # each refusal names both channel tuples, or both values
+        with pytest.raises(PlantError, match=f"^{re.escape(message)}$"):
+            if run == "simulate":
+                simulate(jh_plant, refs, dist, dt=0.001)
+            else:
+                closed_loop(jh_plant, PiSfcController(), dist, dt=0.001)
 
     def test_dt_must_divide(self, jh_plant):
         refs = zeros_record(0.1, REFERENCE_CHANNELS, 1.0)

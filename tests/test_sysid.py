@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 import warnings
@@ -340,7 +341,7 @@ class TestStreamedLeastSquares:
 class TestRecovery:
     def test_feedthrough_only(self):
         d = np.array([[1.5]])
-        obs = ObserverMarkov(t_s=0.1, feedthrough=d,
+        obs = ObserverMarkov(feedthrough=d,
                              blocks=[(np.zeros((1, 1)), np.zeros((1, 1))) for _ in range(5)])
         markov = recover_system_markov(obs, 8)
         np.testing.assert_allclose(markov.feedthrough, d)
@@ -359,8 +360,8 @@ class TestRecovery:
     def test_linearity_in_input_part(self):
         rng = np.random.default_rng(4)
         blocks = [(rng.normal(size=(2, 2)), np.zeros((2, 2))) for _ in range(4)]
-        obs1 = ObserverMarkov(0.1, np.zeros((2, 2)), blocks)
-        obs2 = ObserverMarkov(0.1, np.zeros((2, 2)),
+        obs1 = ObserverMarkov(np.zeros((2, 2)), blocks)
+        obs2 = ObserverMarkov(np.zeros((2, 2)),
                               [(2.0 * bi, bo) for bi, bo in blocks])
         m1 = recover_system_markov(obs1, 8)
         m2 = recover_system_markov(obs2, 8)
@@ -386,7 +387,7 @@ class TestRecoveryAgainstRecursion:
         z, v, l = 3, 5, 12
         blocks = [(rng.normal(size=(z, v)), rng.normal(size=(z, z)) / (2.0 * z))
                   for _ in range(l)]
-        obs = ObserverMarkov(0.1, rng.normal(size=(z, v)), blocks)
+        obs = ObserverMarkov(rng.normal(size=(z, v)), blocks)
         ref = explicit_recursion(obs, m)
         markov = recover_system_markov(obs, m)
         assert markov.pulse_blocks.shape == (m, z, v)
@@ -404,7 +405,7 @@ class TestRecoveryAgainstRecursion:
 
 def markov_from_system(ss, count):
     blocks = markov_parameters(ss, count)
-    return MarkovSequence(t_s=ss.dt, feedthrough=blocks[0], pulse_blocks=blocks[1:])
+    return MarkovSequence(feedthrough=blocks[0], pulse_blocks=np.array(blocks[1:]))
 
 
 class TestHankel:
@@ -494,6 +495,18 @@ class TestEra:
             err = max(np.linalg.norm(g - w) for g, w in zip(realized, truth))
             assert err <= prev_err + 1e-9
             prev_err = err
+
+    def test_energy_at_r_follows_the_retained_order(self):
+        # the energy at r is read off the spectrum, so a report at another
+        # retained order (as identify's shedding makes) carries its own
+        rng = np.random.default_rng(12)
+        ss = random_stable_discrete(rng, 6, 2, 2)
+        markov = markov_from_system(ss, 24)
+        report = era_realize(*build_hankel(markov, p=12), 2, 2, r_override=6,
+                             feedthrough=markov.feedthrough, t_s=ss.dt)
+        for k in (1, 2, 4, 6):
+            shed = dataclasses.replace(report, retained_order=k)
+            assert shed.cumulative_energy_at_r == report.cumulative_energy[k - 1]
 
     @pytest.mark.parametrize("seed", [14, 15, 16])
     def test_lower_orders_are_leading_slices(self, seed):
