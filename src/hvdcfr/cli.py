@@ -47,11 +47,11 @@ SWEEP_TOGGLES = {
 
 def _load_scenario(args) -> Scenario:
     scenario = Scenario.from_json(args.scenario)
-    if args.seed is not None:
-        scenario = replace(scenario,
-                           identification=replace(scenario.identification, seed=args.seed))
+    if args.seed is not None:  # one replace: each validates the scenario again
+        seeds = {"identification": replace(scenario.identification, seed=args.seed)}
         if scenario.continuous is not None:
-            scenario = replace(scenario, continuous=replace(scenario.continuous, seed=args.seed))
+            seeds["continuous"] = replace(scenario.continuous, seed=args.seed)
+        scenario = replace(scenario, **seeds)
     return scenario
 
 

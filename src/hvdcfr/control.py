@@ -27,7 +27,7 @@ from .numerics import CareSolution, NumericsError, solve_care
 from .plant import (AUX_CHANNELS, DISTURBANCE_CHANNELS, OUTPUT_CHANNELS, REFERENCE_CHANNELS,
                     ContinuousPlant, PlantError, sample_step_matrices)
 from .signals import SignalRecord
-from .statespace import SimulationDivergence, StateSpace, rk4_radius, run_lti
+from .statespace import RADIUS_TOL, SimulationDivergence, StateSpace, run_lti
 
 N_REFERENCES = len(REFERENCE_CHANNELS)
 N_MEASUREMENTS = len(OUTPUT_CHANNELS)
@@ -38,9 +38,6 @@ SIGMA_PROCESS = 0.1
 V_MEAS_SCALE = 1e-5
 W_PROC_FLOOR = 1e-5
 SUBSTEP = 0.001  # s; default RK4 substep of a run (Scenario.dt) and of make_lqg's estimator
-# a sampled loop whose spectral radius exceeds 1 + RADIUS_TOL diverges; poles
-# at exactly 1 (pure integrators) still count as stable
-RADIUS_TOL = 1e-9
 
 
 class ControlDesignError(RuntimeError):
@@ -158,7 +155,8 @@ class LqgController:
         # the estimator can be stiff (tight measurement covariance), so a
         # sample-long advance is folded from RK4 substeps like the plant's
         phi, gamma = sample_step_matrices(self.model.a - self.k_f @ self.model.c,
-                                          np.hstack([b_r, self.k_f]), t_s, self.substep)
+                                          np.hstack([b_r, self.k_f]), t_s, self.substep,
+                                          "LQG estimator")
         return StateSpace(a=phi, b=gamma, c=-self.k,
                           d=np.zeros((N_REFERENCES, N_REFERENCES + N_MEASUREMENTS)), dt=t_s)
 
@@ -170,8 +168,8 @@ def make_lqg(model: StateSpace, q: np.ndarray = Q_WEIGHTS, r: np.ndarray = R_WEI
 
     ``w_proc_floor`` adds a small diagonal term so states the disturbance
     matrix misses (the appended integrators) still receive corrections;
-    otherwise their estimator poles sit at zero. An estimator pole too fast
-    for RK4 substeps of ``substep`` (``sampled_system``) is refused.
+    otherwise their estimator poles sit at zero. The design is continuous;
+    ``substep`` is only stored for ``sampled_system``.
     """
     q = np.asarray(q, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -181,19 +179,6 @@ def make_lqg(model: StateSpace, q: np.ndarray = Q_WEIGHTS, r: np.ndarray = R_WEI
     reg = design_lqr(model, q, r)
     est = design_kalman(model,
                         *_noise_covariances(model, sigma_process, v_meas_scale, w_proc_floor))
-    # sampled_system steps the estimator in RK4 substeps. Each pole of the
-    # Hurwitz a - K_f c is within its Frobenius norm of 0, and RK4 is stable
-    # on the left half-disk of radius 2.5 / substep: only a larger norm needs
-    # the poles, to refuse one outside RK4's stability region
-    a_est = model.a - est.gain @ model.c
-    if np.linalg.norm(a_est) * substep > 2.5:
-        poles = np.linalg.eigvals(a_est)
-        rho = rk4_radius(poles, substep)
-        if rho > 1.0 + RADIUS_TOL:
-            raise ControlDesignError(
-                f"estimator pole of {np.max(np.abs(poles)):.4g} rad/s makes the RK4 substep "
-                f"{substep:g} s unstable (spectral radius {rho:.6g} > 1); use a larger "
-                "v_meas_scale or a smaller substep")
     return LqgController(model=model, k=reg.gain, k_f=est.gain, q_weights=q, r_weights=r,
                          sigma_process=sigma_process, v_meas_scale=v_meas_scale,
                          w_proc_floor=w_proc_floor, regulator_residual=reg.residual,
@@ -247,7 +232,8 @@ def closed_loop(plant: ContinuousPlant, controller, disturbances: SignalRecord,
     """Run the feedback interconnection over a disturbance record.
 
     The controller sees the sampled model outputs and its command is held
-    for one sample; the plant advances in RK4 substeps of size ``dt``.
+    for one sample; the plant advances in RK4 substeps of size ``dt``, and a
+    ``dt`` at which RK4 cannot step the plant or the controller is a PlantError.
     Plant and ``controller.sampled_system`` start from rest and are run
     as one discrete LTI system by ``run_lti``. Before it starts, a closed
     loop with spectral radius above ``1 + RADIUS_TOL`` raises

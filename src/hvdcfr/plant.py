@@ -23,7 +23,8 @@ from .numerics import eig_real_parts
 from .schema import FINITE, NON_NEGATIVE, POSITIVE, build, count, finite, validate
 from .signals import SignalRecord
 # SimulationDivergence is re-exported: simulate raises it
-from .statespace import SimulationDivergence, StateSpace, compound_steps, rk4_step_matrices, run_lti
+from .statespace import (RADIUS_TOL, SimulationDivergence, StateSpace, compound_steps, rk4_radius,
+                         rk4_step_matrices, run_lti)
 
 
 class PlantError(ValueError):
@@ -327,12 +328,23 @@ def substep_count(t_s: float, dt: float) -> int:
     return int(round(n_sub))
 
 
-def sample_step_matrices(a: np.ndarray, b: np.ndarray, t_s: float,
-                         dt: float) -> tuple[np.ndarray, np.ndarray]:
+def sample_step_matrices(a: np.ndarray, b: np.ndarray, t_s: float, dt: float,
+                         system: str = "plant") -> tuple[np.ndarray, np.ndarray]:
     """Pair (phi, gamma) advancing ``dx = a x + b u`` one sample ``t_s``
-    with u held, folded from RK4 substeps ``dt``."""
+    with u held, folded from RK4 substeps ``dt``. Every system a run samples
+    passes here, so a reported divergence never comes from RK4: PlantError,
+    naming ``system``, unless ``dt`` divides ``t_s`` and RK4 can step every
+    mode of ``a`` (Hurwitz but for integrators: a plant or an estimator)."""
+    n_sub = substep_count(t_s, dt)
+    # each mode lies within the Frobenius norm of 0, and RK4 is stable on the
+    # left half-disk of radius 2.5 / dt: only a larger norm needs the modes
+    if np.linalg.norm(a) * dt > 2.5:
+        rho = rk4_radius(np.linalg.eigvals(a), dt)
+        if rho > 1.0 + RADIUS_TOL:
+            raise PlantError(f"dt={dt:g} s makes the RK4 substep unstable on the {system} "
+                             f"(spectral radius {rho:.6f} > 1); use a smaller dt")
     phi, gamma = rk4_step_matrices(a, b, dt)
-    return compound_steps(phi, gamma, substep_count(t_s, dt))
+    return compound_steps(phi, gamma, n_sub)
 
 
 def simulate(plant: ContinuousPlant, refs: SignalRecord, disturbances: SignalRecord,

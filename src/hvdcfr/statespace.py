@@ -94,6 +94,9 @@ def rk4_step_matrices(a: np.ndarray, b: np.ndarray, dt: float) -> tuple[np.ndarr
     return taylor[:n, :n], taylor[:n, n:]
 
 
+RADIUS_TOL = 1e-9  # a sampled spectral radius up to 1 + RADIUS_TOL is stable (integrators: 1)
+
+
 def rk4_radius(poles: np.ndarray, dt: float) -> float:
     """Spectral radius of the RK4 ``phi`` of ``a`` over one step ``dt``, from the
     eigenvalues ``poles`` of ``a``: phi is a polynomial in ``a``, so its

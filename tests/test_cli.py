@@ -246,19 +246,23 @@ class TestStages:
         trace = SignalRecord.from_csv(tmp_path / "out" / "openloop_trace.csv").samples
         assert np.all(np.isfinite(trace)) and np.max(np.abs(trace)) > 1e6
 
-    @pytest.mark.parametrize("args", [["pipeline"], ["sweep", "--toggle", "all"]],
-                             ids=lambda a: a[0])
-    def test_a_run_validates_its_scenario_once(self, args, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("args, scenario, seeds", [
+        pytest.param(["pipeline"], STEP, [1234], id="pipeline"),
+        pytest.param(["sweep", "--toggle", "all"], STEP, [1234], id="sweep"),
+        # the document is validated as read, then once more with both seeds replaced
+        pytest.param(["identify", "--seed", "7"], CONT, [1234, 7], id="identify-seed")])
+    def test_a_run_validates_its_scenario_once(self, args, scenario, seeds, tmp_path,
+                                               monkeypatch):
         calls = []
         validate = Scenario.__post_init__
 
         def counted(self):
-            calls.append(self.name)
+            calls.append(self.identification.seed)
             validate(self)
 
         monkeypatch.setattr(Scenario, "__post_init__", counted)
-        assert run([*args, "--scenario", STEP, "--out", str(tmp_path)]) == 0
-        assert len(calls) == 1
+        assert run([*args, "--scenario", scenario, "--out", str(tmp_path)]) == 0
+        assert calls == seeds
 
     def test_estimator_too_fast_for_the_substep_is_one_error_line(self, tmp_path):
         # a child process, so -W error covers every warning the run could raise
@@ -269,9 +273,26 @@ class TestStages:
                               cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 1
         line, = proc.stderr.splitlines()
-        assert line.startswith("error: controller stage failed (ControlDesignError): "
-                               "estimator pole of ")
+        assert line.startswith("error: closed-loop stage failed (PlantError): dt=0.001 s makes "
+                               "the RK4 substep unstable on the LQG estimator ")
         assert not (tmp_path / "out").exists()
+
+    def test_estimator_too_fast_for_the_substep_is_still_designed(self, tmp_path):
+        # the design is continuous: only a run that samples the estimator refuses it
+        doc = _step_document(tmp_path, controller={"v_meas_scale": 1e-12})
+        assert run(["design", "--scenario", doc, "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "gains.json").exists()
+
+    def test_sweep_plant_too_fast_for_the_substep_names_dt(self, tmp_path, capsys):
+        # the scenario checks the cigre case-1 and case-3 plants, which this dt
+        # steps; the no-PFC plant the sweep also samples is refused where sampled
+        doc = _step_document(tmp_path, plant="cigre", t_s=0.086106, dt=0.0043053)
+        out = tmp_path / "out"
+        assert run(["sweep", "--toggle", "no-pfc", "--scenario", doc, "--out", str(out)]) == 1
+        line, = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: identification stage failed (PlantError): dt=0.0043053 s "
+                               "makes the RK4 substep unstable on the plant ")
+        assert not out.exists()
 
 
 def _files(directory: Path) -> dict:

@@ -21,6 +21,7 @@ from hvdcfr.numerics import care_residual, eig_real_parts, is_hurwitz, solve_car
 from hvdcfr.plant import (
     DISTURBANCE_CHANNELS,
     REFERENCE_CHANNELS,
+    PlantError,
     SimulationDivergence,
     build_plant,
     sample_step_matrices,
@@ -134,10 +135,10 @@ class TestEstimatorSubstep:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [1e-11, 1e-12])
     def test_pole_too_fast_for_the_substep_is_refused(self, jh_identified, scale):
-        with pytest.raises(ControlDesignError,
-                           match=r"^estimator pole of .* rad/s makes the RK4 substep 0\.001 s "
-                                 r"unstable \(spectral radius .* > 1\)"):
-            make_lqg(jh_identified[1], v_meas_scale=scale)
+        ctrl = make_lqg(jh_identified[1], v_meas_scale=scale)  # the design is continuous
+        with pytest.raises(PlantError, match=r"^dt=0\.001 s makes the RK4 substep unstable on "
+                                             r"the LQG estimator \(spectral radius .* > 1\)"):
+            ctrl.sampled_system(0.1)
 
     def test_fast_pole_inside_the_stability_region_is_kept(self, jh_identified):
         # past the norm bound (so the poles are computed) but still stable

@@ -677,6 +677,23 @@ class TestStage:
         assert hvdcfr.ControlDesignError is control.ControlDesignError
 
 
+class TestSampling:
+    @pytest.mark.parametrize("case, failing, rho", [
+        (1, "identification", "2.460439"), (2, "closed-loop", "2.460439"),
+        (3, "closed-loop", "2.574457")])
+    def test_plant_too_fast_for_the_substep_fails_its_stage(self, case, failing, rho):
+        # dt=0.004 s steps the jh preset, so the scenario is accepted; the faster
+        # actuator lag of the plant each case samples is refused, not a diverged loop
+        scenario = Scenario(name="x", dt=0.004, duration_s=10.0,
+                            steps=(StepEvent("p_li", 1.0, 0.1, 1.0),))
+        params = dataclasses.replace(load_preset("jh"), T_c=0.0075)
+        w = to_plant_disturbance(build_disturbance_profile(scenario))
+        with pytest.raises(ScenarioError, match=rf"^{failing} stage failed \(PlantError\): "
+                                                r"dt=0\.004 s makes the RK4 substep unstable on "
+                                                rf"the plant \(spectral radius {re.escape(rho)}"):
+            _run_case(scenario, case, "x", params, w, keep_trace=False)
+
+
 class TestCompare:
     def test_identical_reports_zero_reduction(self, step_reports):
         r1 = step_reports[0]

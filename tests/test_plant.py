@@ -186,6 +186,19 @@ class TestSimulate:
         with pytest.raises(PlantError, match="divide"):
             simulate(jh_plant, refs, dist, dt=0.03)
 
+    @pytest.mark.parametrize("run", ["simulate", "closed_loop"])
+    def test_plant_too_fast_for_the_substep_is_refused(self, run):
+        # a faster actuator lag puts a mode outside RK4's stability region at
+        # a dt that steps the preset: the sampler refuses it, not the loop
+        plant = build_plant(dataclasses.replace(load_preset("jh"), T_c=0.0075))
+        dist = zeros_record(0.1, DISTURBANCE_CHANNELS, 10.0)
+        with pytest.raises(PlantError, match=r"^dt=0\.004 s makes the RK4 substep unstable on "
+                                             r"the plant \(spectral radius 2\.460439 > 1\)"):
+            if run == "simulate":
+                simulate(plant, zeros_record(0.1, REFERENCE_CHANNELS, 10.0), dist, dt=0.004)
+            else:
+                closed_loop(plant, PiSfcController(), dist, dt=0.004)
+
     def test_hundred_million_substeps_fold_to_exact_zoh(self, jh_plant):
         # the fold's cost grows with log(t_s/dt), so dt=1e-9 stays cheap
         ss = jh_plant.state_space
