@@ -43,13 +43,11 @@ from .harness import (
 )
 from .numerics import (
     NumericsError,
-    SvdResult,
     eig_real_parts,
     mat_exp,
     mat_log_principal,
     reduced_qr,
     solve_care,
-    svd,
 )
 from .plant import (
     ContinuousPlant,

@@ -1,6 +1,6 @@
 """Dense linear-algebra kernels used by identification and control design.
 
-Reduced QR, SVD, matrix exponential/logarithm, a continuous
+Reduced QR, matrix exponential/logarithm, a continuous
 algebraic Riccati solver (Schur method on the Hamiltonian) and a digital
 Butterworth low-pass filter.
 Everything operates on plain numpy arrays and raises ``NumericsError``
@@ -15,7 +15,6 @@ a process that never reaches LAPACK (an open-loop ``simulate``, a PI
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -49,22 +48,6 @@ def _as_square(a, name: str = "a") -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class SvdResult:
-    """Thin SVD ``a = left @ diag(singular_values) @ right.T``.
-
-    ``left`` and ``right`` have orthonormal columns; singular values are
-    non-negative and sorted descending.
-    """
-
-    left: np.ndarray
-    singular_values: np.ndarray
-    right: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.left * self.singular_values) @ self.right.T
-
-
 def reduced_qr(a) -> tuple[np.ndarray, np.ndarray]:
     """Reduced QR ``a = q @ r`` of an m x n matrix, k = min(m, n): ``q``
     (m x k) has orthonormal columns and ``r`` (k x n) is upper triangular.
@@ -86,25 +69,6 @@ def reduced_qr(a) -> tuple[np.ndarray, np.ndarray]:
     if info != 0:
         raise NumericsError(f"forming Q of a {m}x{n} matrix failed (info={info})")
     return q, np.triu(v[:k])
-
-
-def svd(a) -> SvdResult:
-    """Thin singular value decomposition of a real matrix.
-
-    A tall input (more rows than columns) is first reduced by
-    ``reduced_qr``, so the SVD runs on its square triangle and the left
-    vectors are ``q`` times the triangle's.
-    """
-    a = _as_matrix(a)
-    m, n = a.shape
-    q = None
-    if m > n:
-        q, a = reduced_qr(a)
-    try:
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(f"SVD failed to converge on a {m}x{n} matrix") from exc
-    return SvdResult(left=u if q is None else q @ u, singular_values=s, right=vt.T)
 
 
 def mat_exp(a, t: float = 1.0) -> np.ndarray:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -117,12 +117,6 @@ class PlantParams:
         if abs(nominal_mw / self.power_base_MW - 1.0) > 0.01:
             raise PlantError(f"nominal dc power {nominal_mw:.2f} MW is inconsistent with the "
                              f"{self.power_base_MW:.2f} MW base (>1% off)")
-
-    def to_json(self, path: str | Path) -> None:
-        """Strict JSON: a disabled (inf) droop is written as null."""
-        doc = {k: None if k in _DROOP_FIELDS and v == math.inf else v
-               for k, v in asdict(self).items()}
-        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
     @staticmethod
     def from_json(path: str | Path) -> "PlantParams":

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import io
 import itertools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,8 +26,8 @@ class SignalRecord:
     samples: np.ndarray
 
     def __post_init__(self):
-        if self.t_s <= 0:
-            raise ValueError(f"sample time must be positive, got {self.t_s}")
+        if not (math.isfinite(self.t_s) and self.t_s > 0):
+            raise ValueError(f"sample time must be positive and finite, got {self.t_s}")
         object.__setattr__(self, "channels", tuple(self.channels))
         samples = np.atleast_2d(np.asarray(self.samples, dtype=float))
         if samples.shape[1] != len(self.channels):
@@ -56,32 +56,20 @@ class SignalRecord:
         return SignalRecord(self.t_s, tuple(names), self.samples[:, idx])
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w") as out:
-            self._write_csv(out)
-
-    def to_csv_text(self) -> str:
-        out = io.StringIO()
-        self._write_csv(out)
-        return out.getvalue()
-
-    def _write_csv(self, out) -> None:
         """The header, then ``CSV_BLOCK`` rows at a time, each block written
         before the next is built; row k's time is k * t_s, as ``times``."""
-        out.write(csv_text(("time_s", *self.channels), ()))
-        for k in range(0, self.n_samples, CSV_BLOCK):
-            block = self.samples[k:k + CSV_BLOCK]
-            times = np.arange(k, k + len(block)) * self.t_s
-            out.write(_csv_rows(np.column_stack([times, block]).tolist()))
+        with open(path, "w") as out:
+            out.write(csv_text(("time_s", *self.channels), ()))
+            for k in range(0, self.n_samples, CSV_BLOCK):
+                block = self.samples[k:k + CSV_BLOCK]
+                times = np.arange(k, k + len(block)) * self.t_s
+                out.write(_csv_rows(np.column_stack([times, block]).tolist()))
 
     @staticmethod
     def from_csv(path: str | Path) -> "SignalRecord":
         # utf-8-sig drops the byte-order mark spreadsheet exports may start with
         with open(path, encoding="utf-8-sig") as lines:
             return _read_csv(lines)
-
-    @staticmethod
-    def from_csv_text(text: str) -> "SignalRecord":
-        return _read_csv(io.StringIO(text, newline=None))
 
 
 def _read_csv(lines) -> SignalRecord:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +40,8 @@ class StateSpace:
             raise ValueError(f"c has {self.c.shape[1]} cols, expected {n}")
         if self.d.shape != (self.c.shape[0], self.b.shape[1]):
             raise ValueError(f"d has shape {self.d.shape}, expected {(self.c.shape[0], self.b.shape[1])}")
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError(f"dt must be positive or None, got {self.dt}")
+        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, or None, got {self.dt}")
 
     @property
     def n_states(self) -> int:

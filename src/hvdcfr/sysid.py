@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import NumericsError, butter_lowpass_filter, mat_log_principal, reduced_qr, svd
+from .numerics import NumericsError, butter_lowpass_filter, mat_log_principal, reduced_qr
 from .signals import SignalRecord, sample_count
 from .statespace import StateSpace, zoh_step_matrices
 
@@ -64,21 +64,23 @@ class MarkovSequence:
 class ObserverMarkov:
     """Observer pulse-response parameters split into input/output parts.
 
-    ``blocks[k-1]`` is the pair (input part z-by-v, output part z-by-z)
-    at step k; ``feedthrough`` is the direct z-by-v term. ``rank`` is the
-    effective rank of the least-squares regressor (below its row count
-    on noise-free records, where the minimum-norm estimate is exact).
-    ``condition_bound`` is the certified bound ‖R‖_F ‖R⁻¹‖_F when the
-    Gram solve gave the estimate, None when the QR fold and ``dgelsd`` did.
+    ``inputs[k-1]`` (z-by-v) and ``outputs[k-1]`` (z-by-z) are the parts at
+    step k, stacked as (l, z, v) and (l, z, z) arrays; ``feedthrough`` is
+    the direct z-by-v term. ``rank`` is the effective rank of the
+    least-squares regressor (below its row count on noise-free records,
+    where the minimum-norm estimate is exact). ``condition_bound`` is the
+    certified bound ‖R‖_F ‖R⁻¹‖_F when the Gram solve gave the estimate,
+    None when the QR fold and ``dgelsd`` did.
     """
 
     feedthrough: np.ndarray
-    blocks: list[tuple[np.ndarray, np.ndarray]]
+    inputs: np.ndarray
+    outputs: np.ndarray
     rank: int | None = None
     condition_bound: float | None = None
 
     def __len__(self) -> int:
-        return len(self.blocks)
+        return len(self.inputs)
 
 
 @dataclass(frozen=True)
@@ -397,15 +399,10 @@ def estimate_observer_markov(u: SignalRecord, y: SignalRecord, l: int) -> Observ
             f"regressor rank {rank} is degenerate (need at least {v + z}); "
             "excitation carries no usable energy"
         )
-    theta = theta_t.T  # (z, v + l(v+z))
-
-    feedthrough = theta[:, :v]
-    blocks = []
-    for i in range(l):
-        chunk = theta[:, v + i * (v + z): v + (i + 1) * (v + z)]
-        blocks.append((chunk[:, :v], chunk[:, v:]))
-    return ObserverMarkov(feedthrough=feedthrough, blocks=blocks, rank=int(rank),
-                          condition_bound=bound)
+    # θᵀ rows are [u_k, lag 1 ... lag l]; lag i's block is [input part | output part]ᵀ
+    lagged = theta_t[v:].reshape(l, v + z, z).transpose(0, 2, 1)
+    return ObserverMarkov(feedthrough=theta_t[:v].T, inputs=lagged[:, :, :v],
+                          outputs=lagged[:, :, v:], rank=int(rank), condition_bound=bound)
 
 
 def recover_system_markov(obs: ObserverMarkov, m: int) -> MarkovSequence:
@@ -427,12 +424,12 @@ def recover_system_markov(obs: ObserverMarkov, m: int) -> MarkovSequence:
     seq = np.empty((m + 1, z, v))
     seq[0] = obs.feedthrough
     # [Ybar2_l ... Ybar2_1]: the last q column blocks meet seq[k-q:k], oldest first
-    out_parts = np.hstack([part_out for _, part_out in reversed(obs.blocks)])
+    out_parts = np.hstack(obs.outputs[::-1])
     for k in range(1, m + 1):
         q = min(k, l)
         seq[k] = out_parts[:, (l - q) * z:] @ seq[k - q:k].reshape(q * z, v)
         if k <= l:
-            seq[k] += obs.blocks[k - 1][0]
+            seq[k] += obs.inputs[k - 1]
     return MarkovSequence(feedthrough=obs.feedthrough.copy(), pulse_blocks=seq[1:])
 
 
@@ -474,11 +471,11 @@ def era_realize(h: np.ndarray, h_shift: np.ndarray, z: int, v: int,
     row space (``h`` has rank at most l z): the reduced QR of their
     transpose (``numerics.reduced_qr``, recursive-panel Householder)
     gives an orthonormal basis Q (which spans them even when they are
-    rank-deficient), the thin SVD of ``h @ Q`` (tall, so ``numerics.svd``
-    takes it on the triangle of a second reduced QR) gives the singular
-    values and left vectors, and ``Q`` times its right vectors gives
-    those of ``h``. Singular values past the basis size are exact zeros,
-    so ``singular_values`` keeps the length of the full decomposition.
+    rank-deficient), the thin SVD of ``h @ Q`` (taken on the triangle of
+    its own reduced QR when it is tall) gives the singular values and left
+    vectors, and ``Q`` times its right vectors gives those of ``h``.
+    Singular values past the basis size are exact zeros, so
+    ``singular_values`` keeps the length of the full decomposition.
     """
     if not 0.0 < energy_threshold <= 1.0:
         raise IdentificationError(f"energy threshold must lie in (0,1], got {energy_threshold}")
@@ -488,9 +485,17 @@ def era_realize(h: np.ndarray, h_shift: np.ndarray, z: int, v: int,
         raise IdentificationError("need at least one observer parameter block")
     n_basis = h.shape[0] if observer_blocks is None else min(observer_blocks * z, h.shape[0])
     basis, _ = reduced_qr(h[:n_basis].T)
-    res = svd(h @ basis)
+    projected = h @ basis
+    q = None
+    if projected.shape[0] > projected.shape[1]:
+        q, projected = reduced_qr(projected)
+    try:
+        u, s_basis, vt = np.linalg.svd(projected, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(f"SVD failed to converge on the {h.shape[0]}x{basis.shape[1]} "
+                            "projected Hankel matrix") from exc
     s = np.zeros(min(h.shape))
-    s[:len(res.singular_values)] = res.singular_values
+    s[:len(s_basis)] = s_basis
     energy = s**2
     total = energy.sum()
     if total == 0.0:
@@ -508,8 +513,8 @@ def era_realize(h: np.ndarray, h_shift: np.ndarray, z: int, v: int,
     r = min(r, numerical_rank)
 
     s_r = s[:r]
-    left = res.left[:, :r]
-    right = basis @ res.right[:, :r]
+    left = (u if q is None else q @ u)[:, :r]
+    right = basis @ vt.T[:, :r]
     sqrt_s = np.sqrt(s_r)
     a_d = (left / sqrt_s).T @ h_shift @ (right / sqrt_s)
     # scale only the rows kept, so the model holds no view of a Hankel-sized array

@@ -270,10 +270,10 @@ class TestScenario:
         np.testing.assert_allclose(loaded.samples, profile.samples[:201])
 
     def test_file_disturbance_with_byte_order_mark(self, tmp_path):
-        text = generate_continuous_profile(4, 0.2, 0.05, 30.0, 0.1).to_csv_text()
+        generate_continuous_profile(4, 0.2, 0.05, 30.0, 0.1).to_csv(tmp_path / "plain.csv")
+        (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + (tmp_path / "plain.csv").read_bytes())
         loaded = []
-        for name, head in (("plain.csv", b""), ("bom.csv", b"\xef\xbb\xbf")):
-            (tmp_path / name).write_bytes(head + text.encode())
+        for name in ("plain.csv", "bom.csv"):
             doc = {"name": "x", "duration_s": 20.0, "disturbance": {"file": str(tmp_path / name)}}
             loaded.append(build_disturbance_profile(scenario_from_dict(doc)))
         assert loaded[1].channels == loaded[0].channels == PROFILE_CHANNELS
@@ -288,10 +288,10 @@ class TestScenario:
 
     def test_file_disturbance_must_start_at_zero(self, tmp_path):
         # its steps match the scenario's t_s, so only the start check refuses it
-        profile = generate_continuous_profile(4, 0.2, 0.05, 30.0, 0.1)
-        text = profile.to_csv_text().splitlines()
-        rows = [f"{5.0 + k * 0.1!r}," + ln.split(",", 1)[1] for k, ln in enumerate(text[1:])]
         path = tmp_path / "late.csv"
+        generate_continuous_profile(4, 0.2, 0.05, 30.0, 0.1).to_csv(path)
+        text = path.read_text().splitlines()
+        rows = [f"{5.0 + k * 0.1!r}," + ln.split(",", 1)[1] for k, ln in enumerate(text[1:])]
         path.write_text("\n".join([text[0], *rows]) + "\n")
         s = Scenario(name="x", duration_s=20.0, disturbance_file=str(path))
         with pytest.raises(ScenarioError, match=rf"{re.escape(str(path))}: .*start at 0, got 5\.0"):

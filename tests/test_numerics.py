@@ -16,47 +16,11 @@ from hvdcfr.numerics import (
     reduced_qr,
     solve_care,
     solve_lyapunov,
-    svd,
 )
 
 
 def frob(a):
     return np.linalg.norm(a, "fro")
-
-
-class TestSvd:
-    def test_identity(self):
-        res = svd(np.eye(3))
-        np.testing.assert_allclose(res.singular_values, [1.0, 1.0, 1.0], atol=1e-14)
-
-    def test_shuffled_diagonal_spectrum(self):
-        a = np.diag([3.0, 2.0, 1.0])[[2, 0, 1]]
-        np.testing.assert_allclose(svd(a).singular_values, [3.0, 2.0, 1.0], atol=1e-12)
-
-    def test_random_reconstruction_and_eig_oracle(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(8, 5))
-        res = svd(a)
-        assert frob(res.reconstruct() - a) <= 1e-9 * max(1.0, frob(a))
-        # oracle: singular values are square roots of eigenvalues of a.T a
-        # from an independent symmetric eigensolver
-        expected = np.sqrt(np.sort(np.linalg.eigvalsh(a.T @ a))[::-1])
-        np.testing.assert_allclose(res.singular_values, expected, atol=1e-10)
-
-    @given(st.integers(2, 9), st.integers(2, 9), st.integers(0, 10_000))
-    @settings(max_examples=30, deadline=None)
-    def test_orthonormality_and_order(self, m, n, seed):
-        a = np.random.default_rng(seed).normal(size=(m, n))
-        res = svd(a)
-        assert frob(res.left.T @ res.left - np.eye(res.left.shape[1])) <= 1e-9
-        assert frob(res.right.T @ res.right - np.eye(res.right.shape[1])) <= 1e-9
-        assert np.all(np.diff(res.singular_values) <= 1e-12)
-        assert np.all(res.singular_values >= 0)
-        assert frob(res.reconstruct() - a) <= 1e-9 * max(1.0, frob(a))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(NumericsError):
-            svd(np.array([[1.0, np.nan]]))
 
 
 class TestReducedQr:
@@ -76,16 +40,6 @@ class TestReducedQr:
         a[4, 1] = value
         with pytest.raises(NumericsError, match="non-finite"):
             reduced_qr(a)
-
-    @pytest.mark.parametrize("shape", [(300, 120), (600, 30), (10, 9)])
-    def test_tall_svd_matches_lapack_singular_values(self, shape):
-        rng = np.random.default_rng(shape[0])
-        # graded columns: singular values over ten decades
-        a = rng.normal(size=shape) * np.logspace(0, -10, shape[1])
-        want = np.linalg.svd(a, compute_uv=False)
-        res = svd(a)
-        assert np.max(np.abs(res.singular_values - want)) <= 1e-14 * want[0]
-        assert frob(res.reconstruct() - a) <= 1e-13 * frob(a)
 
 
 class TestMatExp:
@@ -288,6 +242,26 @@ class TestCare:
         with pytest.raises(NumericsError, match="Hamiltonian matrix has non-finite entries"):
             solve_care(np.array([[1.0]]), np.array([[1e200]]),
                        np.array([[1.0]]), np.array([[1e-200]]))
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 14: whether rounding splits the Hamiltonian's defective +-j pair "
+        "off the axis decides the verdict, and 41 of these 60 systems are accepted"))
+    def test_undamped_mode_that_q_misses_is_refused_whatever_the_rounding(self):
+        # (a, b) is controllable, but q sees only the stable mode: no
+        # stabilizing solution exists, in any orthogonal coordinates t
+        accepted = []
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            t, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            a = t @ scipy.linalg.block_diag([[0.0, 1.0], [-1.0, 0.0]], -1.0) @ t.T
+            b = rng.normal(size=(3, 1))
+            q = t @ np.diag([0.0, 0.0, 1.0]) @ t.T
+            try:
+                solve_care(a, b, q, np.eye(1))
+            except NumericsError:
+                continue
+            accepted.append(seed)
+        assert accepted == []
 
 
 @pytest.mark.parametrize("b, q, cause", [

@@ -32,6 +32,12 @@ class TestStateSpace:
             StateSpace(a=np.eye(2), b=np.ones((2, 1)), c=np.ones((1, 2)),
                        d=np.zeros((1, 1)), dt=-0.1)
 
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -1.0])
+    def test_non_positive_or_non_finite_dt_refused(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            StateSpace(a=np.eye(2), b=np.ones((2, 1)), c=np.ones((1, 2)),
+                       d=np.zeros((1, 1)), dt=dt)
+
     def test_scalar_zoh_matches_closed_form(self):
         a, b, dt = -2.0, 3.0, 0.05
         ss = StateSpace(a=[[a]], b=[[b]], c=[[1.0]], d=[[0.0]])
@@ -185,6 +191,17 @@ class TestLiftedRunLti:
 
 
 class TestSignalRecord:
+    @pytest.fixture(scope="class")
+    def csv_path(self, tmp_path_factory):
+        """One file each test (and each hypothesis example) writes, then reads."""
+        return tmp_path_factory.mktemp("records") / "r.csv"
+
+    @pytest.mark.parametrize("t_s", [np.nan, np.inf, 0.0, -1.0])
+    def test_non_positive_or_non_finite_sample_time_refused(self, t_s):
+        # NaN and inf both pass a bare ``<= 0`` check, and inf then makes ``times`` warn
+        with pytest.raises(ValueError, match="sample time must be positive and finite"):
+            SignalRecord(t_s, ("a",), np.zeros((3, 1)))
+
     def test_basic_properties(self):
         rec = SignalRecord(0.5, ("a", "b"), np.arange(8.0).reshape(4, 2))
         np.testing.assert_allclose(rec.times, [0.0, 0.5, 1.0, 1.5])
@@ -200,29 +217,31 @@ class TestSignalRecord:
 
     @given(st.lists(st.floats(-1e12, 1e12).map(float), min_size=4, max_size=40))
     @settings(max_examples=40, deadline=None)
-    def test_csv_round_trip(self, values):
+    def test_csv_round_trip(self, csv_path, values):
         n = len(values) // 2
         samples = np.array(values[: 2 * n]).reshape(n, 2)
         rec = SignalRecord(0.125, ("x", "y"), samples)
-        back = SignalRecord.from_csv_text(rec.to_csv_text())
+        rec.to_csv(csv_path)
+        back = SignalRecord.from_csv(csv_path)
         assert back.channels == rec.channels
         assert back.t_s == rec.t_s
         np.testing.assert_array_equal(back.samples, rec.samples)
 
-    def test_non_uniform_rejected(self):
-        text = "time_s,x\n0.0,1.0\n0.1,2.0\n0.3,3.0\n"
+    def test_non_uniform_rejected(self, csv_path):
+        csv_path.write_text("time_s,x\n0.0,1.0\n0.1,2.0\n0.3,3.0\n")
         with pytest.raises(ValueError, match="uniform"):
-            SignalRecord.from_csv_text(text)
+            SignalRecord.from_csv(csv_path)
 
-    def test_non_finite_csv_rejected(self):
-        text = "time_s,a\n0.0,1.0\n0.1,nan\n0.2,inf\n"
+    def test_non_finite_csv_rejected(self, csv_path):
+        csv_path.write_text("time_s,a\n0.0,1.0\n0.1,nan\n0.2,inf\n")
         with pytest.raises(ValueError, match="non-finite"):
-            SignalRecord.from_csv_text(text)
+            SignalRecord.from_csv(csv_path)
 
-    def test_time_column_must_start_at_zero(self):
+    def test_time_column_must_start_at_zero(self, csv_path):
         # uniform steps of 0.1 s, so only the start check tells it from a record at 0 s
+        csv_path.write_text("time_s,a\n5.0,1.0\n5.1,2.0\n5.2,3.0\n")
         with pytest.raises(ValueError, match=r"must start at 0, got 5\.0"):
-            SignalRecord.from_csv_text("time_s,a\n5.0,1.0\n5.1,2.0\n5.2,3.0\n")
+            SignalRecord.from_csv(csv_path)
 
     def test_zeros_record(self):
         rec = zeros_record(0.1, ("u",), 1.0)
@@ -284,31 +303,27 @@ class TestCsvBlocks:
         rec = SignalRecord(0.1, ("a", "b", "c"), samples)
         rule = csv_text(("time_s", *rec.channels), np.column_stack([rec.times, rec.samples]).tolist())
         rec.to_csv(tmp_path / "r.csv")
-        assert rec.to_csv_text() == rule
         assert (tmp_path / "r.csv").read_bytes() == rule.encode()
 
     @pytest.mark.parametrize("text, message", BAD_CSV)
-    def test_file_and_text_refuse_alike(self, tmp_path, text, message):
+    def test_refused_naming_the_fault(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"
         path.write_text(text)
-        with pytest.raises(ValueError) as from_text:
-            SignalRecord.from_csv_text(text)
-        with pytest.raises(ValueError) as from_file:
+        with pytest.raises(ValueError) as refused:
             SignalRecord.from_csv(path)
-        assert message in str(from_text.value)
-        assert str(from_file.value) == str(from_text.value)
+        assert message in str(refused.value)
 
     @pytest.mark.parametrize("text", [
         "time_s,a\n0.0,1.0\n0.5,2.0\n1.0,3.0\n",
         "\n  time_s,a\r\n0.0,1.0\r\n\r\n0.5, 2.0\r\n1.0,3.0",
         "time_s,a\r0.0,1.0\r0.5,2.0\r1.0,3.0\r\n\n",
     ])
-    def test_file_and_text_read_alike(self, tmp_path, text):
+    def test_blank_lines_and_line_endings_read_alike(self, tmp_path, text):
         path = tmp_path / "ok.csv"
         path.write_bytes(text.encode())
-        for rec in SignalRecord.from_csv_text(text), SignalRecord.from_csv(path):
-            assert rec.channels == ("a",) and rec.t_s == 0.5
-            np.testing.assert_array_equal(rec.samples[:, 0], [1.0, 2.0, 3.0])
+        rec = SignalRecord.from_csv(path)
+        assert rec.channels == ("a",) and rec.t_s == 0.5
+        np.testing.assert_array_equal(rec.samples[:, 0], [1.0, 2.0, 3.0])
 
     def test_byte_order_mark_reads_as_the_plain_file(self, tmp_path):
         # spreadsheet exports often start with the UTF-8 byte-order mark

@@ -11,7 +11,6 @@ from scipy.linalg import lapack
 
 from hvdcfr import sysid
 from hvdcfr.harness import IdentificationSpec, collect_identification_data
-from hvdcfr.numerics import svd as numerics_svd
 from hvdcfr.plant import OUTPUT_CHANNELS, build_plant, load_preset, without_hvdc_droops_and_ire
 from hvdcfr.signals import SignalRecord
 from hvdcfr.statespace import StateSpace, discretize_zoh, markov_parameters, simulate_discrete, step_response
@@ -61,9 +60,9 @@ class TestObserverMarkov:
         y = SignalRecord(0.1, ("y0",), np.zeros((400, 1)))
         obs = estimate_observer_markov(u, y, l=4)
         assert np.max(np.abs(obs.feedthrough)) < 1e-12
-        for part_in, part_out in obs.blocks:
-            assert np.max(np.abs(part_in)) < 1e-12
-            assert np.max(np.abs(part_out)) < 1e-12
+        assert obs.inputs.shape == (4, 1, 1) and obs.outputs.shape == (4, 1, 1)
+        assert np.max(np.abs(obs.inputs)) < 1e-12
+        assert np.max(np.abs(obs.outputs)) < 1e-12
 
     def test_memoryless_system_recovers_feedthrough(self):
         rng = np.random.default_rng(1)
@@ -121,7 +120,7 @@ def _one_shot_observer_ls(u, y, l):
 
 def _theta(obs):
     """The (z, v + l(v+z)) parameter matrix an ``ObserverMarkov`` splits."""
-    return np.hstack([obs.feedthrough] + [np.hstack(pair) for pair in obs.blocks])
+    return np.hstack([obs.feedthrough, *np.concatenate([obs.inputs, obs.outputs], axis=2)])
 
 
 def _fold_calls(monkeypatch) -> dict[str, int]:
@@ -341,8 +340,7 @@ class TestStreamedLeastSquares:
 class TestRecovery:
     def test_feedthrough_only(self):
         d = np.array([[1.5]])
-        obs = ObserverMarkov(feedthrough=d,
-                             blocks=[(np.zeros((1, 1)), np.zeros((1, 1))) for _ in range(5)])
+        obs = ObserverMarkov(feedthrough=d, inputs=np.zeros((5, 1, 1)), outputs=np.zeros((5, 1, 1)))
         markov = recover_system_markov(obs, 8)
         np.testing.assert_allclose(markov.feedthrough, d)
         assert all(np.all(b == 0.0) for b in markov.pulse_blocks)
@@ -359,10 +357,9 @@ class TestRecovery:
 
     def test_linearity_in_input_part(self):
         rng = np.random.default_rng(4)
-        blocks = [(rng.normal(size=(2, 2)), np.zeros((2, 2))) for _ in range(4)]
-        obs1 = ObserverMarkov(np.zeros((2, 2)), blocks)
-        obs2 = ObserverMarkov(np.zeros((2, 2)),
-                              [(2.0 * bi, bo) for bi, bo in blocks])
+        inputs, outputs = rng.normal(size=(4, 2, 2)), np.zeros((4, 2, 2))
+        obs1 = ObserverMarkov(np.zeros((2, 2)), inputs, outputs)
+        obs2 = ObserverMarkov(np.zeros((2, 2)), 2.0 * inputs, outputs)
         m1 = recover_system_markov(obs1, 8)
         m2 = recover_system_markov(obs2, 8)
         for b1, b2 in zip(m1.pulse_blocks, m2.pulse_blocks):
@@ -373,9 +370,9 @@ def explicit_recursion(obs, m):
     """Y_k = Ybar1_k + sum_i Ybar2_i Y_{k-i}, one block product at a time."""
     seq = [obs.feedthrough]
     for k in range(1, m + 1):
-        total = obs.blocks[k - 1][0].copy() if k <= len(obs) else np.zeros_like(obs.feedthrough)
+        total = obs.inputs[k - 1].copy() if k <= len(obs) else np.zeros_like(obs.feedthrough)
         for i in range(1, min(k, len(obs)) + 1):
-            total += obs.blocks[i - 1][1] @ seq[k - i]
+            total += obs.outputs[i - 1] @ seq[k - i]
         seq.append(total)
     return np.array(seq[1:])
 
@@ -385,9 +382,10 @@ class TestRecoveryAgainstRecursion:
     def test_random_observer(self, m):
         rng = np.random.default_rng(m)
         z, v, l = 3, 5, 12
-        blocks = [(rng.normal(size=(z, v)), rng.normal(size=(z, z)) / (2.0 * z))
-                  for _ in range(l)]
-        obs = ObserverMarkov(rng.normal(size=(z, v)), blocks)
+        pairs = [(rng.normal(size=(z, v)), rng.normal(size=(z, z)) / (2.0 * z))
+                 for _ in range(l)]
+        inputs, outputs = (np.array(parts) for parts in zip(*pairs))
+        obs = ObserverMarkov(rng.normal(size=(z, v)), inputs, outputs)
         ref = explicit_recursion(obs, m)
         markov = recover_system_markov(obs, m)
         assert markov.pulse_blocks.shape == (m, z, v)
@@ -696,7 +694,7 @@ class TestIdentifyPipeline:
         u, y = collect_identification_data(truth, spec, 0.1, 0.001)
         noise = np.random.default_rng(20002).normal(scale=1e-3, size=y.samples.shape)
         y = SignalRecord(y.t_s, y.channels, y.samples + noise)
-        calls = {"svd": 0, "era": 0}
+        calls = {"reduced_qr": 0, "era": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -704,12 +702,13 @@ class TestIdentifyPipeline:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(sysid, "svd", counted("svd", sysid.svd))
+        monkeypatch.setattr(sysid, "reduced_qr", counted("reduced_qr", sysid.reduced_qr))
         monkeypatch.setattr(sysid, "era_realize", counted("era", sysid.era_realize))
         cfg = IdentifyConfig(l=40, energy_threshold=1 - 1e-7, integral_outputs=True,
                              prefilter_hz=2.0, r_override=30)
         report, model = identify(u, y, cfg)
-        assert calls == {"svd": 1, "era": 1}
+        # one realization: the basis QR, then the QR of the tall h @ basis
+        assert calls == {"reduced_qr": 2, "era": 1}
         assert (report.threshold_order, report.retained_order) == (30, 15)
         assert report.realized.n_states == 15 and model.n_states == 18
         assert report.cumulative_energy_at_r == report.cumulative_energy[14]
@@ -779,15 +778,17 @@ def _plain_realization(h, h_shift, z, v, r):
                          c=left[:z] * s[:r], d=np.zeros((z, v)), dt=0.1)
 
 
-def _record_svd_shapes(monkeypatch) -> list:
-    """Shapes of the matrices ``sysid`` hands to ``svd``, in call order."""
+def _record_qr_shapes(monkeypatch) -> list:
+    """Shapes of the matrices ``sysid`` hands to ``reduced_qr``, in call
+    order: per realization, the transposed basis rows, then ``h @ basis``."""
     shapes = []
+    reduced_qr = sysid.reduced_qr
 
     def recorded(a):
         shapes.append(a.shape)
-        return numerics_svd(a)
+        return reduced_qr(a)
 
-    monkeypatch.setattr(sysid, "svd", recorded)
+    monkeypatch.setattr(sysid, "reduced_qr", recorded)
     return shapes
 
 
@@ -821,10 +822,10 @@ class TestRowSpaceEra:
         u, y = io_records(ss, rng.normal(size=(900, 2)))
         markov = recover_system_markov(estimate_observer_markov(u, y, l=12), 16)
         h, h_shift = build_hankel(markov, p=8)
-        shapes = _record_svd_shapes(monkeypatch)
+        shapes = _record_qr_shapes(monkeypatch)
         report = era_realize(h, h_shift, 3, 2, r_override=4, t_s=ss.dt, observer_blocks=12)
         every_row = era_realize(h, h_shift, 3, 2, r_override=4, t_s=ss.dt)
-        assert shapes == [(24, 16), (24, 16)]
+        assert shapes == [(16, 24), (24, 16)] * 2
         np.testing.assert_array_equal(report.singular_values, every_row.singular_values)
         s, plain = _plain_realization(h, h_shift, 3, 2, 4)
         assert np.max(np.abs(report.singular_values - s)) <= 1e-13 * s[0]
@@ -836,10 +837,10 @@ class TestRowSpaceEra:
         rng = np.random.default_rng(20)
         ss = discretize_zoh(random_stable_continuous(rng, 4, v=3, z=3), 0.1)
         u, y = io_records(ss, rng.normal(size=(1300, 3)))
-        shapes = _record_svd_shapes(monkeypatch)
+        shapes = _record_qr_shapes(monkeypatch)
         report, _ = identify(u, y, IdentifyConfig(l=10, p=15, t_s=0.1,
                                                   energy_threshold=1 - 1e-9))
-        assert shapes == [(15 * 3, 10 * 3)]
+        assert shapes == [(15 * 3, 10 * 3)] * 2
         assert len(report.singular_values) == 45 and np.all(report.singular_values[30:] == 0.0)
 
     def test_observer_blocks_must_be_positive(self):
