@@ -7,7 +7,7 @@ import hashlib
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -178,10 +178,12 @@ class Scenario:
         if self.continuous:
             records.append(("continuous.duration_s", self.continuous.duration_s))
             cutoffs.append(("continuous.bandwidth_hz", self.continuous.bandwidth_hz))
-        for name, duration in records:  # NaN fails the comparison too
-            if not 0 < duration / self.t_s <= MAX_SAMPLES:
+        # NaN fails the comparison too; a one-sample record has no CSV form
+        for name, duration in records:
+            if not (0 < duration / self.t_s <= MAX_SAMPLES
+                    and sample_count(duration, self.t_s) >= 2):
                 raise ScenarioError(f"{name}={duration:g} s over t_s={self.t_s:g} s must "
-                                    f"give between 1 and {MAX_SAMPLES} samples")
+                                    f"give between 2 and {MAX_SAMPLES + 1} samples")
         n_ident = sample_count(ident.duration_s, self.t_s)
         if 2 * ident.p > n_ident:  # the Hankel pair reads 2p pulse blocks
             raise ScenarioError(f"identification.p={ident.p} needs 2p={2 * ident.p} pulse "
@@ -238,12 +240,6 @@ class Scenario:
         except ValueError as exc:  # not UTF-8, or not JSON
             raise ScenarioError(f"scenario file {path} is not JSON: {exc}") from exc
         return scenario_from_dict(raw)
-
-    def to_json_dict(self) -> dict:
-        """The JSON document ``scenario_from_dict`` reads back to this scenario."""
-        d = asdict(self)
-        d["disturbance"] = {key: v for key, f in _DISTURBANCE_KEYS.items() if (v := d.pop(f))}
-        return d
 
 
 def scenario_from_dict(raw) -> Scenario:
@@ -367,7 +363,8 @@ class ScenarioReport:
         return self.rms_p_gi + self.rms_p_gr
 
     def to_json_dict(self) -> dict:
-        d = {k: v for k, v in asdict(self).items() if k not in ("trace", "divergence")}
+        d = {f.name: getattr(self, f.name) for f in fields(self)
+             if f.name not in ("trace", "divergence")}
         d["sum_rms_f"] = self.sum_rms_f
         d["sum_rms_p_g"] = self.sum_rms_p_g
         return d

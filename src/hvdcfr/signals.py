@@ -40,10 +40,6 @@ class SignalRecord:
     def n_samples(self) -> int:
         return self.samples.shape[0]
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.n_samples) * self.t_s
-
     def channel(self, name: str) -> np.ndarray:
         try:
             idx = self.channels.index(name)
@@ -57,7 +53,7 @@ class SignalRecord:
 
     def to_csv(self, path: str | Path) -> None:
         """The header, then ``CSV_BLOCK`` rows at a time, each block written
-        before the next is built; row k's time is k * t_s, as ``times``."""
+        before the next is built; row k's time is k * t_s."""
         with open(path, "w") as out:
             out.write(csv_text(("time_s", *self.channels), ()))
             for k in range(0, self.n_samples, CSV_BLOCK):

@@ -107,10 +107,7 @@ class EraReport:
     @property
     def cumulative_energy(self) -> np.ndarray:
         e = self.singular_values**2
-        total = e.sum()
-        if total == 0.0:
-            return np.zeros_like(e)
-        return np.cumsum(e) / total
+        return np.cumsum(e) / e.sum()
 
     @property
     def cumulative_energy_at_r(self) -> float:

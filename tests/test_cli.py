@@ -7,10 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hvdcfr.cli import main
-from hvdcfr.harness import METRIC_COLUMNS, PROFILE_CHANNELS, Scenario
-from hvdcfr.signals import SignalRecord
+from hvdcfr.harness import (METRIC_COLUMNS, PROFILE_CHANNELS, Scenario, ScenarioError,
+                            scenario_from_dict)
+from hvdcfr.signals import SignalRecord, sample_count
 
 ROOT = Path(__file__).resolve().parent.parent
 STEP = str(ROOT / "scenarios" / "step_pulses.json")
@@ -307,6 +310,53 @@ def test_every_subcommand_writes_the_same_bytes_twice(args, tmp_path, capsys):
         assert run([*args, "--scenario", STEP, "--out", str(tmp_path / run_dir)]) == 0
     first, second = _files(tmp_path / "first"), _files(tmp_path / "second")
     assert first and first == second
+
+
+@st.composite
+def step_documents(draw):
+    """Case-2 documents with one step on a ``t_s`` that ``dt`` divides, the
+    run ``duration_s`` from under one sample interval to 40 of them."""
+    t_s = draw(st.integers(20, 150)) * 0.001
+    duration_s = draw(st.floats(0.3, 40.0)) * t_s
+    step = {"channel": draw(st.sampled_from(PROFILE_CHANNELS)),
+            "time_s": draw(st.floats(0.0, 1.0, exclude_max=True)) * duration_s,
+            "magnitude_pu": draw(st.floats(-1.0, 1.0)),
+            "duration_s": draw(st.integers(1, 50)) * t_s}
+    return {"name": "steps", "case": 2, "t_s": t_s, "dt": 0.001, "duration_s": duration_s,
+            "disturbance": {"steps": [step]}}
+
+
+def _one_step(duration_s):
+    return {"name": "steps", "case": 2, "t_s": 0.1, "dt": 0.001, "duration_s": duration_s,
+            "disturbance": {"steps": [{"channel": "p_li", "time_s": 0.0, "magnitude_pu": 0.3,
+                                       "duration_s": 1.0}]}}
+
+
+@given(step_documents())
+@example(_one_step(0.06))  # two samples, the shortest run accepted
+@example(_one_step(0.04))  # one sample: refused, as its disturbance file would be
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+def test_simulated_disturbance_file_replays_the_steps(tmp_path_factory, doc):
+    """The disturbance.csv that ``simulate`` writes, run as a ``file``
+    disturbance, gives the step document's metrics, fingerprint included."""
+    try:
+        scenario_from_dict(doc)
+    except ScenarioError as exc:  # a one-sample run, and only that, is refused by key
+        assert sample_count(doc["duration_s"], doc["t_s"]) == 1
+        assert str(exc).startswith("duration_s=") and "must give between 2 and" in str(exc)
+        return
+    work = tmp_path_factory.mktemp("replay")
+    steps, replay = work / "steps.json", work / "file.json"
+    steps.write_text(json.dumps(doc))
+    replay.write_text(json.dumps({**doc, "name": "file", "disturbance": {
+        "file": str(work / "sim" / "disturbance.csv")}}))
+    assert run(["simulate", "--scenario", str(steps), "--out", str(work / "sim")]) == 0
+    metrics = {}
+    for path in (steps, replay):
+        assert run(["evaluate", "--scenario", str(path), "--out", str(work / path.stem)]) == 0
+        metrics[path.stem] = json.loads((work / path.stem / "metrics.json").read_text())
+        assert metrics[path.stem].pop("name") == path.stem
+    assert metrics["file"] == metrics["steps"]
 
 
 def _scipy_modules_after(argv, prefixes=("scipy",)) -> str:

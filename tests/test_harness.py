@@ -179,8 +179,9 @@ class TestProfiles:
 class TestScenario:
     def test_round_trip_via_dict(self):
         s = Scenario(name="x", steps=(StepEvent("p_li", 1.0, 0.2, 5.0),), duration_s=30.0)
-        back = scenario_from_dict(s.to_json_dict())
-        assert back == s
+        doc = {"name": "x", "duration_s": 30.0, "disturbance": {"steps": [
+            {"channel": "p_li", "time_s": 1.0, "magnitude_pu": 0.2, "duration_s": 5.0}]}}
+        assert scenario_from_dict(doc) == s
 
     @pytest.mark.parametrize("make, message", [
         (lambda p: p.write_text('{"name": '), r"scenario file .*s\.json is not JSON: Expecting "),
@@ -378,6 +379,10 @@ class TestScenarioDocuments:
         ({"name": "x", "disturbance": ONE_STEP, "t_s": "abc"}, "t_s"),
         ({"name": "x", "disturbance": ONE_STEP, "case": "x"}, "case"),
         ({"name": "x", "disturbance": ONE_STEP, "duration_s": 10**400}, "duration_s"),
+        ({"name": "x", "case": 2, "t_s": 0.1, "dt": 0.001, "duration_s": 0.04,
+          "disturbance": {"steps": [
+              {"channel": "p_li", "time_s": 0, "magnitude_pu": 0.3, "duration_s": 1.0}]}},
+         r"^duration_s=0\.04 s over t_s=0\.1 s must give between 2 and 1000001 samples$"),
         ({"name": "x", "disturbance": ONE_STEP, "plant": "foo"}, "plant"),
         ({"name": "x", "disturbance": ONE_STEP, "identification": {"l": "x", "hold_s": -1}},
          "^identification.hold_s="),
@@ -522,7 +527,7 @@ class TestRecordLength:
         with pytest.raises(ScenarioError, match="^" + re.escape(field) + "=.*samples"):
             Scenario(name="x", **scenario)
 
-    @pytest.mark.parametrize("duration_s", [float("nan"), -5.0, 0.0])
+    @pytest.mark.parametrize("duration_s", [float("nan"), -5.0, 0.0, 0.04])
     def test_identification_duration_must_give_samples(self, duration_s):
         with pytest.raises(ScenarioError, match="^identification.duration_s="):
             Scenario(name="x", steps=(StepEvent("p_li", 1.0, 0.2, 5.0),),

@@ -198,13 +198,13 @@ class TestSignalRecord:
 
     @pytest.mark.parametrize("t_s", [np.nan, np.inf, 0.0, -1.0])
     def test_non_positive_or_non_finite_sample_time_refused(self, t_s):
-        # NaN and inf both pass a bare ``<= 0`` check, and inf then makes ``times`` warn
+        # NaN and inf both pass a bare ``<= 0`` check, and inf then makes ``to_csv``'s times warn
         with pytest.raises(ValueError, match="sample time must be positive and finite"):
             SignalRecord(t_s, ("a",), np.zeros((3, 1)))
 
     def test_basic_properties(self):
         rec = SignalRecord(0.5, ("a", "b"), np.arange(8.0).reshape(4, 2))
-        np.testing.assert_allclose(rec.times, [0.0, 0.5, 1.0, 1.5])
+        np.testing.assert_allclose(np.arange(rec.n_samples) * rec.t_s, [0.0, 0.5, 1.0, 1.5])
         np.testing.assert_allclose(rec.channel("b"), [1.0, 3.0, 5.0, 7.0])
         with pytest.raises(KeyError):
             rec.channel("missing")
@@ -301,7 +301,8 @@ class TestCsvBlocks:
         rng = np.random.default_rng(n)
         samples = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-9, 9, (n, 3))
         rec = SignalRecord(0.1, ("a", "b", "c"), samples)
-        rule = csv_text(("time_s", *rec.channels), np.column_stack([rec.times, rec.samples]).tolist())
+        times = np.arange(n) * rec.t_s
+        rule = csv_text(("time_s", *rec.channels), np.column_stack([times, rec.samples]).tolist())
         rec.to_csv(tmp_path / "r.csv")
         assert (tmp_path / "r.csv").read_bytes() == rule.encode()
 
