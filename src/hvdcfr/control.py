@@ -123,8 +123,8 @@ class LqgController:
     k_f: np.ndarray
     q_weights: np.ndarray
     r_weights: np.ndarray
-    # noise scalars: the ``w_proc`` and ``v_meas`` properties rebuild the
-    # covariances the estimator was designed with from them
+    # noise scalars: ``_noise_covariances`` rebuilds from them the
+    # covariances the estimator was designed with
     sigma_process: float
     v_meas_scale: float
     w_proc_floor: float
@@ -136,18 +136,6 @@ class LqgController:
     regulator_abscissa: float
     estimator_abscissa: float
     substep: float
-
-    @property
-    def w_proc(self) -> np.ndarray:
-        """Process-noise covariance of the Kalman design."""
-        return _noise_covariances(self.model, self.sigma_process, self.v_meas_scale,
-                                  self.w_proc_floor)[0]
-
-    @property
-    def v_meas(self) -> np.ndarray:
-        """Measurement-noise covariance of the Kalman design."""
-        return _noise_covariances(self.model, self.sigma_process, self.v_meas_scale,
-                                  self.w_proc_floor)[1]
 
     def sampled_system(self, t_s: float) -> StateSpace:
         """Estimator advanced over ``t_s`` from input [r; y]; output ``-K`` times its state."""

@@ -35,15 +35,12 @@ from .numerics import butter_lowpass_filter
 from .schema import (FINITE, NON_NEGATIVE, POSITIVE, between, build, count, entries, finite,
                      instance, object_fields, one_of, optional, validate)
 from .signals import SignalRecord, csv_text, sample_count
-from .sysid import (EraReport, IdentifyConfig, generate_excitation, hankel_bytes, identify,
-                    observer_samples, observer_triangle_bytes)
+from .sysid import (EraReport, IdentificationError, IdentifyConfig, check_limits,
+                    generate_excitation, identify)
 from .statespace import SimulationDivergence, StateSpace
 
 PROFILE_CHANNELS = ("p_li", "p_lr", "p_w")
 MAX_SAMPLES = 1_000_000  # longest record a scenario may ask for; shipped ones use 2001
-# largest single array identification may ask for (observer triangle, Hankel
-# pair); shipped scenarios need 0.6 and 1.5 MB, and peak memory is a few such arrays
-MAX_ARRAY_BYTES = 1 << 28
 # largest |disturbance| in pu; the shipped loops' trace is at most 11.3 times
 # the input, and the metrics' squares overflow past ~1.3e154, so runs stay finite
 MAX_INPUT_PU = 1e100
@@ -174,40 +171,26 @@ class Scenario:
             "controller": instance(ControllerSpec, "a ControllerSpec")})
         ident = self.identification
         records = [("duration_s", self.duration_s), ("identification.duration_s", ident.duration_s)]
-        cutoffs = [("identification.prefilter_hz", ident.prefilter_hz)]
         if self.continuous:
             records.append(("continuous.duration_s", self.continuous.duration_s))
-            cutoffs.append(("continuous.bandwidth_hz", self.continuous.bandwidth_hz))
         # NaN fails the comparison too; a one-sample record has no CSV form
         for name, duration in records:
             if not (0 < duration / self.t_s <= MAX_SAMPLES
                     and sample_count(duration, self.t_s) >= 2):
                 raise ScenarioError(f"{name}={duration:g} s over t_s={self.t_s:g} s must "
                                     f"give between 2 and {MAX_SAMPLES + 1} samples")
-        n_ident = sample_count(ident.duration_s, self.t_s)
-        if 2 * ident.p > n_ident:  # the Hankel pair reads 2p pulse blocks
-            raise ScenarioError(f"identification.p={ident.p} needs 2p={2 * ident.p} pulse "
-                                f"blocks, more than the {n_ident} identification samples")
-        # the regression sees every input and the non-integral half of the outputs
-        v, z = len(REFERENCE_CHANNELS + DISTURBANCE_CHANNELS), len(OUTPUT_CHANNELS) // 2
-        needed = observer_samples(ident.l, v, z)
-        if needed > n_ident:
-            raise ScenarioError(f"identification.l={ident.l} needs {needed} samples, more "
-                                f"than the {n_ident} identification samples")
-        for name, value, array, size in (
-                ("l", ident.l, "observer triangle", observer_triangle_bytes(ident.l, v, z)),
-                ("p", ident.p, "Hankel pair", hankel_bytes(ident.p, v, z))):
-            if size > MAX_ARRAY_BYTES:
-                raise ScenarioError(f"identification.{name}={value} needs a {size}-byte "
-                                    f"{array}, more than the {MAX_ARRAY_BYTES}-byte limit")
-        if self.continuous and self.continuous.duration_s < self.duration_s:
-            raise ScenarioError(f"continuous.duration_s={self.continuous.duration_s:g} s "
+        try:  # the identification record is the plant's inputs and outputs
+            check_limits(ident.to_config(self.t_s), sample_count(ident.duration_s, self.t_s),
+                         len(REFERENCE_CHANNELS + DISTURBANCE_CHANNELS), len(OUTPUT_CHANNELS))
+        except IdentificationError as exc:
+            raise ScenarioError(f"identification.{exc}") from None
+        c, nyquist = self.continuous, 0.5 / self.t_s
+        if c and c.duration_s < self.duration_s:
+            raise ScenarioError(f"continuous.duration_s={c.duration_s:g} s "
                                 f"must cover duration_s={self.duration_s:g} s")
-        nyquist = 0.5 / self.t_s
-        for name, hz in cutoffs:
-            if hz is not None and hz >= nyquist:
-                raise ScenarioError(f"{name}={hz:g} Hz must be below the Nyquist "
-                                    f"frequency {nyquist:g} Hz of t_s={self.t_s:g} s")
+        if c and c.bandwidth_hz >= nyquist:
+            raise ScenarioError(f"continuous.bandwidth_hz={c.bandwidth_hz:g} Hz must be below the "
+                                f"Nyquist frequency {nyquist:g} Hz of t_s={self.t_s:g} s")
         sources = sum(bool(x) for x in (self.steps, self.continuous, self.disturbance_file))
         if sources != 1:
             raise ScenarioError("exactly one disturbance source required: "

@@ -17,6 +17,10 @@ the observer's l-term recursion makes the row space of the whole matrix
 zeros. ``EraReport`` records the orders chosen and which least-squares
 solve ran.
 
+``check_limits`` is the one owner of an identification's limits (record
+length, array sizes, prefilter cutoff): ``identify`` applies it before
+any LAPACK call, and ``harness.Scenario`` when a scenario is loaded.
+
 The least-squares kernels import their BLAS and LAPACK routines when
 called, as ``numerics`` does: loading ``scipy.linalg`` is most of a fresh
 ``import hvdcfr``, and a process that identifies nothing should not pay it.
@@ -155,16 +159,9 @@ class IdentifyConfig:
 
 
 def _prefilter(record: SignalRecord, cutoff_hz: float) -> SignalRecord:
-    """Second-order Butterworth low-pass of every channel, run from rest.
-
-    ``cutoff_hz`` must lie strictly between 0 and the record's Nyquist
-    frequency.
-    """
+    """Second-order Butterworth low-pass of every channel, run from rest
+    (``check_limits`` keeps ``cutoff_hz`` below the Nyquist frequency)."""
     nyquist = 0.5 / record.t_s
-    if not 0.0 < cutoff_hz < nyquist:
-        raise IdentificationError(
-            f"prefilter cutoff {cutoff_hz} Hz must lie in (0, {nyquist}) Hz"
-        )
     return SignalRecord(record.t_s, record.channels,
                         butter_lowpass_filter(record.samples, 2, cutoff_hz / nyquist))
 
@@ -194,16 +191,40 @@ def observer_samples(l: int, n_inputs: int, n_outputs: int) -> int:
     return 4 * l * (n_inputs + n_outputs)
 
 
-def observer_triangle_bytes(l: int, n_inputs: int, n_outputs: int) -> int:
-    """Bytes of the one square array the least-squares fit of ``l`` observer blocks
-    holds: the Gram and its Cholesky factor, or the triangle the QR fold fills."""
-    width = n_inputs + l * (n_inputs + n_outputs) + n_outputs
-    return 8 * width * width
+# largest single array identification may ask for (observer triangle, Hankel
+# pair); shipped scenarios need 0.6 and 1.5 MB, and peak memory is a few such arrays
+MAX_ARRAY_BYTES = 1 << 28
 
 
-def hankel_bytes(p: int, n_inputs: int, n_outputs: int) -> int:
-    """Bytes of the one array ``build_hankel`` holds a ``p``-block Hankel pair in."""
-    return 8 * (p + 1) * n_outputs * p * n_inputs
+def check_limits(config: IdentifyConfig, n_samples: int, n_inputs: int, n_outputs: int) -> None:
+    """Refuse a ``config`` that ``identify`` cannot run on ``n_samples`` samples of
+    ``n_inputs`` inputs and ``n_outputs`` outputs (half of them fitted with
+    ``integral_outputs``); the message starts with the field. The Hankel pair reads 2p
+    pulse blocks, no more than the samples; the fit of l blocks needs ``observer_samples``;
+    neither its one square array (the Gram and its Cholesky factor, or the QR fold's
+    triangle) nor the Hankel pair's may exceed ``MAX_ARRAY_BYTES``; and the prefilter's
+    cutoff lies between 0 and the Nyquist frequency.
+    """
+    l, p, v = config.l, config.p, n_inputs
+    z = n_outputs // 2 if config.integral_outputs else n_outputs
+    if 2 * p > n_samples:
+        raise IdentificationError(f"p={p} needs 2p={2 * p} pulse blocks, more than the "
+                                  f"{n_samples} identification samples")
+    needed = observer_samples(l, v, z)
+    if needed > n_samples:
+        raise IdentificationError(f"l={l} needs {needed} samples, more than the "
+                                  f"{n_samples} identification samples")
+    width = v + l * (v + z) + z
+    for name, value, array, size in (("l", l, "observer triangle", 8 * width * width),
+                                     ("p", p, "Hankel pair", 8 * (p + 1) * z * p * v)):
+        if size > MAX_ARRAY_BYTES:
+            raise IdentificationError(f"{name}={value} needs a {size}-byte {array}, more "
+                                      f"than the {MAX_ARRAY_BYTES}-byte limit")
+    nyquist = 0.5 / config.t_s
+    hz = config.prefilter_hz
+    if hz is not None and not 0 < hz < nyquist:  # NaN fails the comparison too
+        raise IdentificationError(f"prefilter_hz={hz:g} Hz must be below the Nyquist "
+                                  f"frequency {nyquist:g} Hz of t_s={config.t_s:g} s")
 
 
 def _lag_gram(x: np.ndarray, l: int) -> np.ndarray:
@@ -578,7 +599,8 @@ def _truncate(report: EraReport, r: int) -> EraReport:
 def identify(u: SignalRecord, y: SignalRecord,
              config: IdentifyConfig = IdentifyConfig()) -> tuple[EraReport, StateSpace]:
     """Full pipeline: observer regression, pulse-response recovery,
-    Hankel realization, continuous conversion.
+    Hankel realization, continuous conversion. ``check_limits`` refuses
+    first a ``config`` the records cannot support.
 
     The Hankel pair is realized once, on the row space that the observer's
     ``config.l`` blocks fix. Weak trailing modes occasionally land on the
@@ -594,6 +616,7 @@ def identify(u: SignalRecord, y: SignalRecord,
     """
     if config.t_s != u.t_s:
         raise IdentificationError(f"config T_s {config.t_s} != record T_s {u.t_s}")
+    check_limits(config, u.n_samples, len(u.channels), len(y.channels))
     y_fit = y
     if config.integral_outputs:
         if len(y.channels) % 2 != 0:

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from hvdcfr.cli import main as cli_main
-from hvdcfr.control import make_lqg
+from hvdcfr.control import _noise_covariances, make_lqg
 from hvdcfr.harness import (
     ContinuousSpec,
     Scenario,
@@ -119,9 +119,11 @@ def test_criterion_3_riccati_correctness(jh_identified):
         r_mat = np.diag(controller.r_weights)
         p = solve_care(model.a, b_r, q_x, r_mat)
         assert care_residual(model.a, b_r, q_x, r_mat, p) <= 1e-7 * max(1.0, np.linalg.norm(p, "fro"))
-        p_f = solve_care(model.a.T, model.c.T, controller.w_proc, controller.v_meas)
-        assert care_residual(model.a.T, model.c.T, controller.w_proc,
-                             controller.v_meas, p_f) <= 1e-7 * max(1.0, np.linalg.norm(p_f, "fro"))
+        w_proc, v_meas = _noise_covariances(model, controller.sigma_process,
+                                            controller.v_meas_scale, controller.w_proc_floor)
+        p_f = solve_care(model.a.T, model.c.T, w_proc, v_meas)
+        assert (care_residual(model.a.T, model.c.T, w_proc, v_meas, p_f)
+                <= 1e-7 * max(1.0, np.linalg.norm(p_f, "fro")))
         assert is_hurwitz(model.a - b_r @ controller.k)
         assert is_hurwitz(model.a - controller.k_f @ model.c)
         union = np.sort_complex(np.concatenate([

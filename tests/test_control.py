@@ -35,6 +35,13 @@ from hvdcfr.sysid import IdentifyConfig, identify
 from conftest import collect_jh_data
 
 
+def _covariances(ctrl):
+    """The process and measurement covariances ``ctrl``'s estimator was designed
+    with, rebuilt from its three stored noise scalars."""
+    return control._noise_covariances(ctrl.model, ctrl.sigma_process, ctrl.v_meas_scale,
+                                      ctrl.w_proc_floor)
+
+
 def scalar_model(a=1.0, b=1.0, c=1.0):
     # one reference input plus padding so the 4-reference split applies,
     # and a trailing disturbance column for process noise
@@ -168,8 +175,9 @@ class TestNoisyModelDesign:
         r = np.diag(ctrl.r_weights)
         p = solve_care(model.a, b_r, q_x, r)
         assert care_residual(model.a, b_r, q_x, r, p) <= 1e-7 * max(1.0, np.linalg.norm(p, "fro"))
-        p_f = solve_care(model.a.T, model.c.T, ctrl.w_proc, ctrl.v_meas)
-        assert (care_residual(model.a.T, model.c.T, ctrl.w_proc, ctrl.v_meas, p_f)
+        w_proc, v_meas = _covariances(ctrl)
+        p_f = solve_care(model.a.T, model.c.T, w_proc, v_meas)
+        assert (care_residual(model.a.T, model.c.T, w_proc, v_meas, p_f)
                 <= 1e-7 * max(1.0, np.linalg.norm(p_f, "fro")))
         assert is_hurwitz(model.a - b_r @ ctrl.k)
         assert is_hurwitz(model.a - ctrl.k_f @ model.c)
@@ -200,13 +208,14 @@ class TestDesignDiagnostics:
         q_x = model.c.T @ np.diag(jh_lqg.q_weights) @ model.c
         r = np.diag(jh_lqg.r_weights)
         p = solve_care(model.a, b_r, q_x, r)
-        p_f = solve_care(model.a.T, model.c.T, jh_lqg.w_proc, jh_lqg.v_meas)
+        w_proc, v_meas = _covariances(jh_lqg)
+        p_f = solve_care(model.a.T, model.c.T, w_proc, v_meas)
         # a re-solve may round differently (BLAS results depend on operand
         # alignment), so residuals agree to round-off, not bit for bit
         for got, want, scale in (
                 (jh_lqg.regulator_residual, care_residual(model.a, b_r, q_x, r, p), p),
                 (jh_lqg.estimator_residual,
-                 care_residual(model.a.T, model.c.T, jh_lqg.w_proc, jh_lqg.v_meas, p_f), p_f)):
+                 care_residual(model.a.T, model.c.T, w_proc, v_meas, p_f), p_f)):
             assert 0.0 <= got <= 1e-7 * max(1.0, np.linalg.norm(scale, "fro"))
             assert got == pytest.approx(want, abs=1e-10 * np.linalg.norm(scale, "fro"))
         closed = (model.a - b_r @ jh_lqg.k, model.a - jh_lqg.k_f @ model.c)
@@ -234,9 +243,10 @@ class TestDesignDiagnostics:
         b_r = model.b[:, :4]
         r = np.diag(jh_lqg.r_weights)
         p = solve_care(model.a, b_r, model.c.T @ np.diag(jh_lqg.q_weights) @ model.c, r)
-        p_f = solve_care(model.a.T, model.c.T, jh_lqg.w_proc, jh_lqg.v_meas)
+        w_proc, v_meas = _covariances(jh_lqg)
+        p_f = solve_care(model.a.T, model.c.T, w_proc, v_meas)
         for got, want in ((jh_lqg.k, np.linalg.solve(r, b_r.T @ p)),
-                          (jh_lqg.k_f, p_f @ model.c.T @ np.linalg.inv(jh_lqg.v_meas))):
+                          (jh_lqg.k_f, p_f @ model.c.T @ np.linalg.inv(v_meas))):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -299,8 +309,9 @@ class TestNoiseCovariances:
         ctrl = make_lqg(jh_identified[1], sigma_process=0.2, v_meas_scale=3e-5,
                         w_proc_floor=2e-5)
         (w_proc, v_meas), = designed
-        np.testing.assert_array_equal(ctrl.w_proc, w_proc)
-        np.testing.assert_array_equal(ctrl.v_meas, v_meas)
+        rebuilt = _covariances(ctrl)
+        np.testing.assert_array_equal(rebuilt[0], w_proc)
+        np.testing.assert_array_equal(rebuilt[1], v_meas)
         # only the scalars are stored
         assert (ctrl.sigma_process, ctrl.v_meas_scale, ctrl.w_proc_floor) == (0.2, 3e-5, 2e-5)
         assert {"w_proc", "v_meas"}.isdisjoint(f.name for f in dataclasses.fields(ctrl))

@@ -547,7 +547,8 @@ class TestRecordLength:
 
     def test_largest_identification_arrays_accepted(self):
         # l=642 folds into a 5787-wide triangle and p=1364 holds its Hankel
-        # pair in a 4095x8184 array, each just under MAX_ARRAY_BYTES
+        # pair in a 4095x8184 array, each just under sysid.MAX_ARRAY_BYTES, which
+        # sysid.check_limits applies for the scenario and for identify alike
         steps = (StepEvent("p_li", 1.0, 0.2, 5.0),)
         Scenario(name="x", steps=steps, identification=IdentificationSpec(duration_s=3000.0, l=642))
         Scenario(name="x", steps=steps, identification=IdentificationSpec(duration_s=1000.0, p=1364))

@@ -22,6 +22,7 @@ from hvdcfr.sysid import (
     _prefilter,
     augment_with_output_integrators,
     build_hankel,
+    check_limits,
     era_realize,
     estimate_observer_markov,
     generate_excitation,
@@ -753,12 +754,52 @@ class TestIdentifyPipeline:
         assert np.linalg.norm(back.b - model.b) <= 1e-6 * max(1.0, np.linalg.norm(model.b))
 
 
+class TestLimits:
+    # the jh identification record: 2001 samples of 6 inputs and 6 outputs, the
+    # trailing 3 the integrals of the leading 3, so the fit sees v=6 and z=3
+    @pytest.mark.parametrize("field, value, refused", [
+        ("p", 1050, r"^p=1050 needs 2p=2100 pulse blocks, more than the 2001 identification "),
+        ("l", 56, r"^l=56 needs 2016 samples, more than the 2001 identification samples")])
+    def test_identify_refuses_before_the_fit(self, jh_id_data, monkeypatch, field, value,
+                                             refused):
+        u, y = jh_id_data
+        fits = []
+        fit = sysid.estimate_observer_markov
+
+        def spy(*args):
+            fits.append(args)
+            return fit(*args)
+
+        monkeypatch.setattr(sysid, "estimate_observer_markov", spy)
+        cfg = IdentifyConfig(integral_outputs=True, prefilter_hz=2.0)
+        with pytest.raises(IdentificationError, match=refused):
+            identify(u, y, dataclasses.replace(cfg, **{field: value}))
+        assert fits == []
+
+    @pytest.mark.parametrize("l, p, refused", [
+        (642, 100, None),
+        (643, 100, r"^l=643 needs a 268748928-byte observer triangle, more than the "
+                   r"268435456-byte limit"),
+        (30, 1364, None),
+        (30, 1365, r"^p=1365 needs a 268500960-byte Hankel pair, more than the "
+                   r"268435456-byte limit")])
+    def test_array_bytes_are_bounded(self, l, p, refused):
+        # 3000 s of samples: enough for the 23112 samples of l=642's fit
+        cfg = IdentifyConfig(l=l, p=p, integral_outputs=True)
+        if refused is None:
+            check_limits(cfg, 30001, 6, 6)
+        else:
+            with pytest.raises(IdentificationError, match=refused):
+                check_limits(cfg, 30001, 6, 6)
+
+
 class TestPrefilter:
     @pytest.mark.parametrize("cutoff_hz", [5.0, 6.0, 0.0, float("nan")])
     def test_cutoff_outside_band_rejected(self, cutoff_hz):
         rec = SignalRecord(0.1, ("u",), np.ones((50, 1)))
-        with pytest.raises(IdentificationError, match="prefilter cutoff"):
-            _prefilter(rec, cutoff_hz)
+        with pytest.raises(IdentificationError, match=r"^prefilter_hz=\S+ Hz must be below the "
+                                                      r"Nyquist frequency 5 Hz of t_s=0\.1 s"):
+            identify(rec, rec, IdentifyConfig(l=1, p=1, prefilter_hz=cutoff_hz))
 
 
 def _hankel_pair(u, y, l, p=100):
