@@ -4,7 +4,6 @@ metric computation and cross-case comparison tables."""
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -33,7 +32,7 @@ from .plant import (
 )
 from .numerics import butter_lowpass_filter
 from .schema import (FINITE, NON_NEGATIVE, POSITIVE, between, build, count, entries, finite,
-                     instance, object_fields, one_of, optional, validate)
+                     instance, object_fields, one_of, optional, read_json, validate)
 from .signals import SignalRecord, csv_text, sample_count
 from .sysid import (EraReport, IdentificationError, IdentifyConfig, check_limits,
                     generate_excitation, identify)
@@ -94,20 +93,15 @@ class IdentificationSpec:
     max_feedthrough: float | None = 1e-6
     prefilter_hz: float | None = 2.0
 
-    def __post_init__(self):
+    def __post_init__(self):  # the pipeline fields are IdentifyConfig's to check
         validate(ScenarioError, "identification.", self, {
             "seed": count(0), "duration_s": POSITIVE, "amplitude_pu": POSITIVE,
-            "hold_s": POSITIVE, "l": count(1), "p": count(1),
-            "energy_threshold": (lambda v: finite(v) and 0 < v <= 1, "in (0, 1]"),
-            "r_override": optional(count(1)), "max_feedthrough": optional(POSITIVE),
-            "prefilter_hz": optional(POSITIVE)})
+            "hold_s": POSITIVE})
 
     def to_config(self, t_s: float) -> IdentifyConfig:
-        return IdentifyConfig(
-            l=self.l, p=self.p, energy_threshold=self.energy_threshold, t_s=t_s,
-            r_override=self.r_override, max_feedthrough=self.max_feedthrough,
-            integral_outputs=True, prefilter_hz=self.prefilter_hz,
-        )
+        return IdentifyConfig(l=self.l, p=self.p, energy_threshold=self.energy_threshold,
+                              t_s=t_s, r_override=self.r_override, integral_outputs=True,
+                              max_feedthrough=self.max_feedthrough, prefilter_hz=self.prefilter_hz)
 
 
 # the LQG design forms squares of its weights and noise scales (the process
@@ -179,7 +173,7 @@ class Scenario:
                     and sample_count(duration, self.t_s) >= 2):
                 raise ScenarioError(f"{name}={duration:g} s over t_s={self.t_s:g} s must "
                                     f"give between 2 and {MAX_SAMPLES + 1} samples")
-        try:  # the identification record is the plant's inputs and outputs
+        try:  # IdentifyConfig's field rules, then the limits of the plant's I/O record
             check_limits(ident.to_config(self.t_s), sample_count(ident.duration_s, self.t_s),
                          len(REFERENCE_CHANNELS + DISTURBANCE_CHANNELS), len(OUTPUT_CHANNELS))
         except IdentificationError as exc:
@@ -216,13 +210,7 @@ class Scenario:
 
     @staticmethod
     def from_json(path: str | Path) -> "Scenario":
-        try:
-            raw = json.loads(Path(path).read_text())
-        except OSError as exc:
-            raise ScenarioError(f"cannot read scenario file {path}: {exc.strerror}") from exc
-        except ValueError as exc:  # not UTF-8, or not JSON
-            raise ScenarioError(f"scenario file {path} is not JSON: {exc}") from exc
-        return scenario_from_dict(raw)
+        return scenario_from_dict(read_json(ScenarioError, path, "scenario"))
 
 
 def scenario_from_dict(raw) -> Scenario:
@@ -250,17 +238,14 @@ def generate_continuous_profile(seed: int, amplitude_pu: float, bandwidth_hz: fl
 
     White noise through a third-order Butterworth low-pass with its
     cutoff at ``bandwidth_hz``, mean-removed, then scaled so each
-    channel's peak magnitude equals ``amplitude_pu``. The bandwidth must
-    be finite and lie strictly between 0 and the Nyquist frequency.
+    channel's peak magnitude equals ``amplitude_pu``. ``Scenario`` keeps
+    a document's bandwidth below the Nyquist frequency; the filter refuses
+    any other outside it as a ``NumericsError``.
     """
-    nyquist = 0.5 / t_s
-    if not 0.0 < bandwidth_hz < nyquist:
-        raise ScenarioError(
-            f"bandwidth {bandwidth_hz} Hz must be positive and below Nyquist {nyquist} Hz")
     n = sample_count(duration_s, t_s)
     rng = np.random.default_rng(seed)
     white = rng.normal(size=(n, len(PROFILE_CHANNELS)))
-    shaped = butter_lowpass_filter(white, 3, bandwidth_hz / nyquist)
+    shaped = butter_lowpass_filter(white, 3, bandwidth_hz / (0.5 / t_s))
     shaped -= shaped.mean(axis=0)
     peaks = np.max(np.abs(shaped), axis=0)
     peaks[peaks == 0] = 1.0

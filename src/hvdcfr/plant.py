@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .numerics import eig_real_parts
-from .schema import FINITE, NON_NEGATIVE, POSITIVE, build, count, finite, validate
+from .schema import FINITE, NON_NEGATIVE, POSITIVE, build, count, finite, read_json, validate
 from .signals import SignalRecord
 # SimulationDivergence is re-exported: simulate raises it
 from .statespace import (RADIUS_TOL, SimulationDivergence, StateSpace, compound_steps, rk4_radius,
@@ -120,9 +120,9 @@ class PlantParams:
 
     @staticmethod
     def from_json(path: str | Path) -> "PlantParams":
-        """Parameters from a JSON object of their fields; an unknown or
-        missing key, like a bad value, is a ``PlantError`` naming it."""
-        return _from_document(json.loads(Path(path).read_text()), f"plant parameters {path}")
+        """Parameters from a JSON file of their fields; any defect is a ``PlantError`` naming it."""
+        return _from_document(read_json(PlantError, path, "plant parameter"),
+                              f"plant parameters {path}")
 
 
 def _from_document(raw, section: str) -> PlantParams:

@@ -1,18 +1,20 @@
 """Field rules and the JSON-object mapper behind every input document.
 
 A field rule is a pair (predicate, description of a valid value).
-``validate`` checks a frozen dataclass against a dict of rules and
-``build`` makes one from a parsed JSON object, one key per field. Each
-caller passes the error class its module raises, so a scenario defect
-is a ``ScenarioError`` and a plant-parameter defect a ``PlantError``;
-either names the field or key.
+``validate`` checks a frozen dataclass against a dict of rules, ``read_json``
+reads a document file and ``build`` makes a dataclass from its JSON object, one
+key per field. Each caller passes the error class its module raises, so a scenario
+defect is a ``ScenarioError`` and a plant-parameter defect a ``PlantError``;
+either names the file, field or key.
 """
 
 from __future__ import annotations
 
+import json
 import numbers
 import sys
 from dataclasses import MISSING, fields
+from pathlib import Path
 
 
 def finite(v) -> bool:
@@ -59,6 +61,16 @@ def validate(error: type[Exception], prefix: str, spec, rules: dict) -> None:
         value = getattr(spec, name)
         if not ok(value):
             raise error(f"{prefix}{name}={value!r} must be {want}")
+
+
+def read_json(error: type[Exception], path: str | Path, kind: str):
+    """The JSON document in ``path``; any other file is an ``error`` naming the ``kind`` file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise error(f"cannot read {kind} file {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise error(f"{kind} file {path} is not JSON: {exc}") from exc
 
 
 def object_fields(error: type[Exception], raw, section: str, names) -> dict:

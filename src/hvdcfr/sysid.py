@@ -17,9 +17,9 @@ the observer's l-term recursion makes the row space of the whole matrix
 zeros. ``EraReport`` records the orders chosen and which least-squares
 solve ran.
 
-``check_limits`` is the one owner of an identification's limits (record
-length, array sizes, prefilter cutoff): ``identify`` applies it before
-any LAPACK call, and ``harness.Scenario`` when a scenario is loaded.
+``IdentifyConfig`` refuses a bad field when it is built, and ``check_limits``
+is the one owner of the limits a record sets (length, array sizes): ``identify``
+applies it before any LAPACK call, and ``harness.Scenario`` when a scenario is loaded.
 
 The least-squares kernels import their BLAS and LAPACK routines when
 called, as ``numerics`` does: loading ``scipy.linalg`` is most of a fresh
@@ -33,6 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .numerics import NumericsError, butter_lowpass_filter, mat_log_principal, reduced_qr
+from .schema import POSITIVE, count, finite, optional, validate
 from .signals import SignalRecord, sample_count
 from .statespace import StateSpace, zoh_step_matrices
 
@@ -157,10 +158,20 @@ class IdentifyConfig:
     # above the system band is attenuated; None disables
     prefilter_hz: float | None = None
 
+    def __post_init__(self):
+        validate(IdentificationError, "", self, {
+            "l": count(1), "p": count(1), "t_s": POSITIVE, "r_override": optional(count(1)),
+            "energy_threshold": (lambda v: finite(v) and 0 < v <= 1, "in (0, 1]"),
+            "max_feedthrough": optional(POSITIVE), "prefilter_hz": optional(POSITIVE)})
+        hz, nyquist = self.prefilter_hz, 0.5 / self.t_s
+        if hz is not None and hz >= nyquist:
+            raise IdentificationError(f"prefilter_hz={hz:g} Hz must be below the Nyquist "
+                                      f"frequency {nyquist:g} Hz of t_s={self.t_s:g} s")
+
 
 def _prefilter(record: SignalRecord, cutoff_hz: float) -> SignalRecord:
     """Second-order Butterworth low-pass of every channel, run from rest
-    (``check_limits`` keeps ``cutoff_hz`` below the Nyquist frequency)."""
+    (``IdentifyConfig`` keeps ``cutoff_hz`` below the Nyquist frequency)."""
     nyquist = 0.5 / record.t_s
     return SignalRecord(record.t_s, record.channels,
                         butter_lowpass_filter(record.samples, 2, cutoff_hz / nyquist))
@@ -191,6 +202,14 @@ def observer_samples(l: int, n_inputs: int, n_outputs: int) -> int:
     return 4 * l * (n_inputs + n_outputs)
 
 
+def _check_observer_samples(l: int, n_samples: int, n_inputs: int, n_outputs: int) -> None:
+    """Refuse ``n_samples`` samples, fewer than the fit of ``l`` blocks needs."""
+    needed = observer_samples(l, n_inputs, n_outputs)
+    if needed > n_samples:
+        raise IdentificationError(f"l={l} needs {needed} samples, more than the "
+                                  f"{n_samples} identification samples")
+
+
 # largest single array identification may ask for (observer triangle, Hankel
 # pair); shipped scenarios need 0.6 and 1.5 MB, and peak memory is a few such arrays
 MAX_ARRAY_BYTES = 1 << 28
@@ -201,30 +220,21 @@ def check_limits(config: IdentifyConfig, n_samples: int, n_inputs: int, n_output
     ``n_inputs`` inputs and ``n_outputs`` outputs (half of them fitted with
     ``integral_outputs``); the message starts with the field. The Hankel pair reads 2p
     pulse blocks, no more than the samples; the fit of l blocks needs ``observer_samples``;
-    neither its one square array (the Gram and its Cholesky factor, or the QR fold's
-    triangle) nor the Hankel pair's may exceed ``MAX_ARRAY_BYTES``; and the prefilter's
-    cutoff lies between 0 and the Nyquist frequency.
+    and neither its one square array (the Gram and its Cholesky factor, or the QR fold's
+    triangle) nor the Hankel pair's may exceed ``MAX_ARRAY_BYTES``.
     """
     l, p, v = config.l, config.p, n_inputs
     z = n_outputs // 2 if config.integral_outputs else n_outputs
     if 2 * p > n_samples:
         raise IdentificationError(f"p={p} needs 2p={2 * p} pulse blocks, more than the "
                                   f"{n_samples} identification samples")
-    needed = observer_samples(l, v, z)
-    if needed > n_samples:
-        raise IdentificationError(f"l={l} needs {needed} samples, more than the "
-                                  f"{n_samples} identification samples")
+    _check_observer_samples(l, n_samples, v, z)
     width = v + l * (v + z) + z
     for name, value, array, size in (("l", l, "observer triangle", 8 * width * width),
                                      ("p", p, "Hankel pair", 8 * (p + 1) * z * p * v)):
         if size > MAX_ARRAY_BYTES:
             raise IdentificationError(f"{name}={value} needs a {size}-byte {array}, more "
                                       f"than the {MAX_ARRAY_BYTES}-byte limit")
-    nyquist = 0.5 / config.t_s
-    hz = config.prefilter_hz
-    if hz is not None and not 0 < hz < nyquist:  # NaN fails the comparison too
-        raise IdentificationError(f"prefilter_hz={hz:g} Hz must be below the Nyquist "
-                                  f"frequency {nyquist:g} Hz of t_s={config.t_s:g} s")
 
 
 def _lag_gram(x: np.ndarray, l: int) -> np.ndarray:
@@ -380,15 +390,8 @@ def estimate_observer_markov(u: SignalRecord, y: SignalRecord, l: int) -> Observ
         raise IdentificationError("need at least one observer parameter block")
     if not y.channels:
         raise IdentificationError("need at least one output channel")
-    v = len(u.channels)
-    z = len(y.channels)
-    n_samples = u.n_samples
-    required = observer_samples(l, v, z)
-    if n_samples < required:
-        raise IdentificationError(
-            f"record too short: {n_samples} samples, need at least {required} "
-            f"for l={l} with {v} inputs and {z} outputs"
-        )
+    v, z, n_samples = len(u.channels), len(y.channels), u.n_samples
+    _check_observer_samples(l, n_samples, v, z)
     for kind, record in (("input", u), ("output", y)):
         bad = np.argwhere(~np.isfinite(record.samples))
         if len(bad):
@@ -600,7 +603,7 @@ def identify(u: SignalRecord, y: SignalRecord,
              config: IdentifyConfig = IdentifyConfig()) -> tuple[EraReport, StateSpace]:
     """Full pipeline: observer regression, pulse-response recovery,
     Hankel realization, continuous conversion. ``check_limits`` refuses
-    first a ``config`` the records cannot support.
+    first a ``config`` the records cannot support (its own fields were checked when built).
 
     The Hankel pair is realized once, on the row space that the observer's
     ``config.l`` blocks fix. Weak trailing modes occasionally land on the

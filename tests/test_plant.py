@@ -99,6 +99,18 @@ class TestParams:
         with pytest.raises(PlantError, match=message):
             PlantParams.from_json(path)
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda p: p.write_text('{"M_i": '), "plant parameter file {} is not JSON: Expecting "),
+        (lambda p: p.write_bytes(b"\xff"), "plant parameter file {} is not JSON: 'utf-8' codec"),
+        (lambda p: p.mkdir(), "cannot read plant parameter file {}: Is a directory"),
+        (lambda p: None, "cannot read plant parameter file {}: No such file or directory"),
+    ], ids=["truncated", "not-utf8", "directory", "missing"])
+    def test_unreadable_file_is_a_plant_error_naming_it(self, tmp_path, make, message):
+        path = tmp_path / "params.json"
+        make(path)
+        with pytest.raises(PlantError, match="^" + re.escape(message.format(path))):
+            PlantParams.from_json(path)
+
     def test_infinite_droop_disables_loop(self, jh_params):
         # inf is a valid droop constant (gain zero), used by the sweeps
         params = dataclasses.replace(jh_params, K_r=math.inf)

@@ -91,7 +91,8 @@ class TestObserverMarkov:
     def test_record_length_guard(self):
         u = SignalRecord(0.1, ("u0",), np.ones((10, 1)))
         y = SignalRecord(0.1, ("y0",), np.ones((10, 1)))
-        with pytest.raises(IdentificationError, match="record too short"):
+        with pytest.raises(IdentificationError,
+                           match=r"^l=5 needs 40 samples, more than the 10 identification samples$"):
             estimate_observer_markov(u, y, l=5)
 
     def test_record_without_outputs_is_refused(self):
@@ -759,7 +760,13 @@ class TestLimits:
     # trailing 3 the integrals of the leading 3, so the fit sees v=6 and z=3
     @pytest.mark.parametrize("field, value, refused", [
         ("p", 1050, r"^p=1050 needs 2p=2100 pulse blocks, more than the 2001 identification "),
-        ("l", 56, r"^l=56 needs 2016 samples, more than the 2001 identification samples")])
+        ("l", 56, r"^l=56 needs 2016 samples, more than the 2001 identification samples"),
+        # field rules: IdentifyConfig refuses these when it is built
+        ("energy_threshold", 2.0, r"^energy_threshold=2\.0 must be in \(0, 1\]$"),
+        ("r_override", 2.5, r"^r_override=2\.5 must be None or an integer >= 1$"),
+        ("r_override", True, r"^r_override=True must be None or an integer >= 1$"),
+        ("max_feedthrough", -1.0, r"^max_feedthrough=-1\.0 must be None or positive and finite$"),
+        ("p", 0, r"^p=0 must be an integer >= 1$")])
     def test_identify_refuses_before_the_fit(self, jh_id_data, monkeypatch, field, value,
                                              refused):
         u, y = jh_id_data
@@ -794,11 +801,14 @@ class TestLimits:
 
 
 class TestPrefilter:
-    @pytest.mark.parametrize("cutoff_hz", [5.0, 6.0, 0.0, float("nan")])
-    def test_cutoff_outside_band_rejected(self, cutoff_hz):
+    @pytest.mark.parametrize("cutoff_hz, refused", [
+        (5.0, r"^prefilter_hz=5 Hz must be below the Nyquist frequency 5 Hz of t_s=0\.1 s"),
+        (6.0, r"^prefilter_hz=6 Hz must be below the Nyquist frequency 5 Hz of t_s=0\.1 s"),
+        (0.0, r"^prefilter_hz=0\.0 must be None or positive and finite$"),
+        (float("nan"), r"^prefilter_hz=nan must be None or positive and finite$")])
+    def test_cutoff_outside_band_rejected(self, cutoff_hz, refused):
         rec = SignalRecord(0.1, ("u",), np.ones((50, 1)))
-        with pytest.raises(IdentificationError, match=r"^prefilter_hz=\S+ Hz must be below the "
-                                                      r"Nyquist frequency 5 Hz of t_s=0\.1 s"):
+        with pytest.raises(IdentificationError, match=refused):
             identify(rec, rec, IdentifyConfig(l=1, p=1, prefilter_hz=cutoff_hz))
 
 
